@@ -20,6 +20,12 @@ qubit-node pair, processed in descending order of remote-gate count
   ``non_commute_gates`` bookkeeping;
 * a gate that can neither be absorbed nor deferred closes the block, which
   is the paper's "break" case.
+
+A pair's scan only walks its *windows*, each from an eligible remote gate
+to the item that closes its block; the items between windows are copied
+as list slices.  Inside a window the open block and the deferred items are
+each held in a :class:`~repro.ir.commutation.GateFrontier`, so a candidate
+is only checked against the gates it could fail to commute with.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..comm.blocks import CommBlock
 from ..ir.circuit import Circuit
-from ..ir.commutation import commutation_cache_stats, commutes
+from ..ir.commutation import GateFrontier, commutation_cache_stats, commutes
 from ..ir.gates import Gate
 from ..obs.span import stage
 from ..partition.mapping import QubitMapping
@@ -42,6 +48,10 @@ ScheduleItem = Union[Gate, CommBlock]
 
 #: Operations that can never live in, commute past, or defer around a block.
 _BLOCKING_NAMES = frozenset({"barrier", "measure", "reset"})
+
+#: Work counters of one run (see :attr:`CommAggregator.stats`).
+_STATS = ("sweeps", "pair_passes", "window_items", "deferred_checks",
+          "commute_calls")
 
 
 @dataclass
@@ -79,18 +89,93 @@ class AggregationResult:
         return [b.num_remote_gates(self.mapping) for b in self.blocks]
 
 
+def _item_qubits(item: ScheduleItem):
+    return item.touched_set if isinstance(item, CommBlock) else item.qubit_set
+
+
+class _OpenBlock:
+    """A block being grown by one pair's scan, and the items deferred past it."""
+
+    __slots__ = ("block", "gates", "deferred", "deferred_by_qubit", "pending",
+                 "stats")
+
+    def __init__(self, block: CommBlock, stats: Dict[str, int]) -> None:
+        self.block = block
+        #: The block's gates, for commutation queries.
+        self.gates = GateFrontier()
+        self.deferred: List[ScheduleItem] = []
+        #: qubit -> indices of the deferred items touching it.
+        self.deferred_by_qubit: Dict[int, List[int]] = {}
+        #: Every gate of the deferred items, for commutation queries.
+        self.pending = GateFrontier()
+        self.stats = stats
+
+    def absorb(self, gate: Gate) -> None:
+        self.block.append(gate)
+        self.gates.add(gate)
+
+    def defer(self, item: ScheduleItem) -> None:
+        index = len(self.deferred)
+        self.deferred.append(item)
+        if isinstance(item, CommBlock):
+            for gate in item.gates:
+                self.pending.add(gate)
+        else:
+            self.pending.add(item)
+        for qubit in _item_qubits(item):
+            self.deferred_by_qubit.setdefault(qubit, []).append(index)
+
+    def commutes_with_block(self, item: ScheduleItem) -> bool:
+        """Does every gate of ``item`` commute with every block gate?"""
+        gates = item.gates if isinstance(item, CommBlock) else (item,)
+        for gate in gates:
+            if gate.name in _BLOCKING_NAMES or not self.gates.commutes(gate):
+                return False
+        return True
+
+    def commutes_with_deferred(self, item: ScheduleItem) -> bool:
+        """May ``item`` move ahead of every deferred item?"""
+        if not self.deferred:
+            return True
+        self.stats["deferred_checks"] += 1
+        if isinstance(item, Gate):
+            return self.pending.commutes(item)
+        # A block candidate keeps the original pass's check: each deferred
+        # item is tested against the first of the block's gates reaching it.
+        checked: Set[int] = set()
+        for gate in item.gates:
+            for qubit in gate.qubits:
+                for index in self.deferred_by_qubit.get(qubit, ()):
+                    if index in checked:
+                        continue
+                    checked.add(index)
+                    other = self.deferred[index]
+                    for other_gate in (other.gates if isinstance(other, CommBlock)
+                                       else (other,)):
+                        self.stats["commute_calls"] += 1
+                        if not commutes(gate, other_gate):
+                            return False
+        return True
+
+    def close(self, out: List[ScheduleItem], out_ids: List[int]) -> None:
+        """Emit the deferred items after the block."""
+        out.extend(self.deferred)
+        out_ids.extend(map(id, self.deferred))
+        self.stats["commute_calls"] += self.gates.calls + self.pending.calls
+
+
 class CommAggregator:
     """Implements the aggregation pass over one circuit and mapping.
 
-    The pass is *indexed*: remote-pair eligibility is precomputed per gate
-    once, the per-pair raw-gate histogram that drives both the processing
-    order and the "anything left for this pair?" check is maintained
-    incrementally as gates are absorbed into blocks, and per-item qubit sets
-    come from caches (:attr:`Gate.qubit_set`, :attr:`CommBlock.touched_set`)
-    instead of per-query allocations.  The output is identical to the
-    original scanning implementation, which is preserved in
-    :mod:`repro.core.aggregation_reference` and diffed against this one by
-    the equivalence tests and the perf-regression benchmark.
+    The pass is *indexed*: each raw remote gate's two qubit-node pairs are
+    computed once, every pair keeps its gates in program order, and the
+    pair histogram that drives the processing order is maintained as gates
+    are absorbed into blocks.  A pair's pass finds its next raw gate with a
+    C-level ``list.index`` over the items' ``id()`` values and copies the
+    stretch before it as a slice, so it walks only its windows.  The output
+    is identical to the original scanning implementation, which is
+    preserved in :mod:`repro.core.aggregation_reference` and diffed against
+    this one by the equivalence tests.
     """
 
     def __init__(self, circuit: Circuit, mapping: QubitMapping,
@@ -104,35 +189,53 @@ class CommAggregator:
         #: node index per program qubit (dense list; mapping covers 0..n-1).
         self._node: List[int] = [mapping.node_of(q)
                                  for q in range(circuit.num_qubits)]
+        by_node: Dict[int, Set[int]] = defaultdict(set)
+        for qubit, node in enumerate(self._node):
+            by_node[node].add(qubit)
+        self._qubits_on: Dict[int, frozenset] = {
+            node: frozenset(qubits) for node, qubits in by_node.items()}
         # Filled by run(): id(gate) -> its two (hub, remote-node) pairs, the
-        # live pair histogram, and the count of raw remote gates left.
+        # raw (not yet absorbed) occurrences per gate id -- a gate object may
+        # appear more than once -- each pair's gates in program order, the
+        # live pair histogram, and the raw count.
         self._gate_pairs: Dict[int, Tuple[Tuple[int, int], Tuple[int, int]]] = {}
+        self._raw: Counter = Counter()
+        self._pair_gates: Dict[Tuple[int, int], List[Gate]] = {}
         self._histogram: Counter = Counter()
         self._raw_remaining = 0
+        self._num_blocks = 0
+        #: Work done by the last run: sweeps, pair passes, items walked in
+        #: windows, deferred-item commutation checks and ``commutes`` calls.
+        self.stats: Dict[str, int] = dict.fromkeys(_STATS, 0)
 
     # ------------------------------------------------------------------ public
 
     def run(self) -> AggregationResult:
-        items: List[ScheduleItem] = list(self.circuit.gates)
-        self._build_index(items)
+        with stage("index"):
+            items: List[ScheduleItem] = list(self.circuit.gates)
+            ids = [id(item) for item in items]
+            self._build_index(items)
         previous_block_count = -1
         for _ in range(self.max_sweeps):
-            for pair in self._pairs_by_weight_indexed():
-                if self._histogram[pair] == 0:
-                    continue
-                items = self._aggregate_pair(items, pair)
-            blocks_now = sum(isinstance(i, CommBlock) for i in items)
-            if self._raw_remaining == 0 or blocks_now == previous_block_count:
+            with stage("sweep"):
+                self.stats["sweeps"] += 1
+                for pair in self._pairs_by_weight_indexed():
+                    if self._histogram[pair] == 0:
+                        continue
+                    items, ids = self._aggregate_pair(items, ids, pair)
+            if (self._raw_remaining == 0
+                    or self._num_blocks == previous_block_count):
                 break
-            previous_block_count = blocks_now
-        items = self._blockify_leftovers(items)
+            previous_block_count = self._num_blocks
+        with stage("leftovers"):
+            items = self._blockify_leftovers(items)
         blocks = [item for item in items if isinstance(item, CommBlock)]
         return AggregationResult(self.circuit, self.mapping, items, blocks)
 
     # -------------------------------------------------------------- the index
 
     def _build_index(self, items: Sequence[ScheduleItem]) -> None:
-        """Precompute per-gate remote-pair eligibility and the pair histogram.
+        """Precompute per-gate remote pairs, per-pair gates and the histogram.
 
         A remote two-qubit gate on qubits ``(a, b)`` is eligible for exactly
         the two directed pairs ``(a, node(b))`` and ``(b, node(a))``; both
@@ -140,6 +243,8 @@ class CommAggregator:
         """
         node = self._node
         gate_pairs = self._gate_pairs = {}
+        raw = self._raw = Counter()
+        pair_gates = self._pair_gates = defaultdict(list)
         histogram = self._histogram = Counter()
         for item in items:
             if isinstance(item, Gate) and self._is_remote_2q(item):
@@ -147,13 +252,15 @@ class CommAggregator:
                 pair_a = (a, node[b])
                 pair_b = (b, node[a])
                 gate_pairs[id(item)] = (pair_a, pair_b)
+                raw[id(item)] += 1
+                pair_gates[pair_a].append(item)
+                pair_gates[pair_b].append(item)
                 histogram[pair_a] += 1
                 histogram[pair_b] += 1
-        self._raw_remaining = sum(1 for item in items
-                                  if id(item) in gate_pairs)
+        self._raw_remaining = sum(raw.values())
 
     def _pairs_by_weight_indexed(self) -> List[Tuple[int, int]]:
-        """Snapshot of the live histogram, ordered like ``_pairs_by_weight``."""
+        """Pairs with raw gates left, by descending count, then by pair."""
         ordered = sorted(((pair, count) for pair, count
                           in self._histogram.items() if count > 0),
                          key=lambda kv: (-kv[1], kv[0]))
@@ -164,201 +271,60 @@ class CommAggregator:
         pair_a, pair_b = self._gate_pairs[id(gate)]
         self._histogram[pair_a] -= 1
         self._histogram[pair_b] -= 1
+        self._raw[id(gate)] -= 1
         self._raw_remaining -= 1
-
-    # ------------------------------------------------------------- pair order
 
     def _is_remote_2q(self, gate: Gate) -> bool:
         return gate.is_two_qubit and self.mapping.is_remote(gate)
 
-    def _pairs_by_weight(self, items: Sequence[ScheduleItem]) -> List[Tuple[int, int]]:
-        """Qubit-node pairs ordered by descending raw remote-gate count."""
-        histogram: Counter = Counter()
-        for item in items:
-            if isinstance(item, Gate) and self._is_remote_2q(item):
-                a, b = item.qubits
-                histogram[(a, self.mapping.node_of(b))] += 1
-                histogram[(b, self.mapping.node_of(a))] += 1
-        ordered = sorted(histogram.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [pair for pair, _ in ordered]
-
-    def _raw_remote_count(self, items: Sequence[ScheduleItem],
-                          pair: Tuple[int, int]) -> int:
-        qubit, node = pair
-        count = 0
-        for item in items:
-            if isinstance(item, Gate) and self._eligible(item, qubit, node):
-                count += 1
-        return count
-
-    def _eligible(self, gate: Gate, hub: int, remote_node: int) -> bool:
-        """Is ``gate`` a remote two-qubit gate between ``hub`` and ``remote_node``?"""
-        if not self._is_remote_2q(gate):
-            return False
-        if hub not in gate.qubits:
-            return False
-        other = gate.qubits[0] if gate.qubits[1] == hub else gate.qubits[1]
-        return self.mapping.node_of(other) == remote_node
-
     # --------------------------------------------------------- per-pair sweep
 
-    def _aggregate_pair(self, items: List[ScheduleItem],
-                        pair: Tuple[int, int]) -> List[ScheduleItem]:
+    def _aggregate_pair(self, items: List[ScheduleItem], ids: List[int],
+                        pair: Tuple[int, int]
+                        ) -> Tuple[List[ScheduleItem], List[int]]:
+        """One pass of ``pair``; returns the new items and their ids.
+
+        Every raw gate of the pair opens or joins a block, so the pass
+        leaves the pair with none.  ``ids[i] == id(items[i])`` lets the next
+        raw gate be found by a C-level search from the end of the previous
+        window; the items in between are copied as one slice.
+        """
+        self.stats["pair_passes"] += 1
+        raw = self._raw
+        out: List[ScheduleItem] = []
+        out_ids: List[int] = []
+        position = 0
+        for gate in self._pair_gates.pop(pair):
+            key = id(gate)
+            if not raw[key]:
+                continue  # already absorbed, here or by its other pair
+            start = ids.index(key, position)
+            out += items[position:start]
+            out_ids += ids[position:start]
+            position = self._window(items, ids, start, pair, out, out_ids)
+        out += items[position:]
+        out_ids += ids[position:]
+        return out, out_ids
+
+    def _window(self, items: List[ScheduleItem], ids: List[int], start: int,
+                pair: Tuple[int, int], out: List[ScheduleItem],
+                out_ids: List[int]) -> int:
+        """Grow blocks for ``pair`` from the raw gate at ``items[start]``.
+
+        Returns the position after the item that closed the last block (the
+        end of the items when none did).
+        """
         hub, remote_node = pair
         hub_node = self._node[hub]
-        if hub_node == remote_node:
-            return items
-        remote_qubits = frozenset(self.mapping.qubits_on(remote_node))
+        remote_qubits = self._qubits_on[remote_node]
         gate_pairs = self._gate_pairs
-
-        out: List[ScheduleItem] = []
-        block: Optional[CommBlock] = None
-        block_qubits: Set[int] = set()
-        block_by_qubit: Dict[int, List[Gate]] = defaultdict(list)
-        deferred: List[ScheduleItem] = []
-        deferred_by_qubit: Dict[int, List[int]] = defaultdict(list)
-        # Incremental conjunction memo for commutes_with_deferred: two
-        # single-gate candidates with the same name/params whose
-        # deferred-touching qubits are identical (position and value) face
-        # exactly the same pairwise patterns, because a candidate qubit
-        # absent from deferred_by_qubit cannot overlap any deferred gate.
-        # Each entry records how many deferred items its verdict covers, so
-        # a later candidate with the same signature only checks the newly
-        # deferred suffix instead of the whole list.
-        conjunction_memo: Dict[tuple, Tuple[int, bool]] = {}
-        # Same incremental-signature scheme against the open block's gates
-        # (the block also only grows until it closes).
-        block_memo: Dict[tuple, Tuple[int, bool]] = {}
-
-        def close_block() -> None:
-            nonlocal block, deferred, deferred_by_qubit, block_qubits, \
-                block_by_qubit
-            block = None
-            block_qubits = set()
-            block_by_qubit = defaultdict(list)
-            out.extend(deferred)
-            deferred = []
-            deferred_by_qubit = defaultdict(list)
-            conjunction_memo.clear()
-            block_memo.clear()
-
-        def check_against_deferred(gate: Gate, checked: Set[int]) -> bool:
-            # ``checked`` is shared across a multi-gate candidate: each
-            # deferred item is tested against the first candidate gate that
-            # reaches it, exactly as the original implementation did.
-            for qubit in gate.qubits:
-                for index in deferred_by_qubit.get(qubit, ()):
-                    if index in checked:
-                        continue
-                    checked.add(index)
-                    other = deferred[index]
-                    other_gates = (other.gates if isinstance(other, CommBlock)
-                                   else (other,))
-                    for other_gate in other_gates:
-                        if not commutes(gate, other_gate):
-                            return False
-            return True
-
-        def commutes_with_deferred(candidate: ScheduleItem) -> bool:
-            count = len(deferred)
-            if not count:
-                return True
-            if isinstance(candidate, CommBlock):
-                checked: Set[int] = set()
-                for gate in candidate.gates:
-                    if not check_against_deferred(gate, checked):
-                        return False
-                return True
-            signature = (candidate.name, candidate.params,
-                         tuple((pos, q)
-                               for pos, q in enumerate(candidate.qubits)
-                               if q in deferred_by_qubit))
-            entry = conjunction_memo.get(signature)
-            if entry is None:
-                verdict = check_against_deferred(candidate, set())
-            else:
-                covered, verdict = entry
-                if not verdict:
-                    # A failed conjunction stays failed as deferred grows.
-                    return False
-                if covered == count:
-                    return True
-                # Only the items deferred since the cached verdict need
-                # checking; disjoint ones resolve instantly inside commutes.
-                for index in range(covered, count):
-                    other = deferred[index]
-                    other_gates = (other.gates if isinstance(other, CommBlock)
-                                   else (other,))
-                    for other_gate in other_gates:
-                        if not commutes(candidate, other_gate):
-                            verdict = False
-                            break
-                    if not verdict:
-                        break
-            conjunction_memo[signature] = (count, verdict)
-            return verdict
-
-        def check_against_block(gate: Gate) -> bool:
-            seen: Set[int] = set()
-            for qubit in gate.qubits:
-                for block_gate in block_by_qubit.get(qubit, ()):
-                    marker = id(block_gate)
-                    if marker in seen:
-                        continue
-                    seen.add(marker)
-                    if not commutes(gate, block_gate):
-                        return False
-            return True
-
-        def commutes_with_block(candidate: ScheduleItem) -> bool:
-            if isinstance(candidate, CommBlock):
-                for gate in candidate.gates:
-                    if gate.name in _BLOCKING_NAMES:
-                        return False
-                    if not check_against_block(gate):
-                        return False
-                return True
-            if candidate.name in _BLOCKING_NAMES:
-                return False
-            count = len(block.gates)
-            signature = (candidate.name, candidate.params,
-                         tuple((pos, q)
-                               for pos, q in enumerate(candidate.qubits)
-                               if q in block_qubits))
-            entry = block_memo.get(signature)
-            if entry is None:
-                verdict = check_against_block(candidate)
-            else:
-                covered, verdict = entry
-                if not verdict:
-                    return False
-                if covered == count:
-                    return True
-                for block_gate in block.gates[covered:]:
-                    if not commutes(candidate, block_gate):
-                        verdict = False
-                        break
-            block_memo[signature] = (count, verdict)
-            return verdict
-
-        def absorb(gate: Gate) -> None:
-            block.append(gate)
-            block_qubits.update(gate.qubits)
-            for qubit in gate.qubits:
-                block_by_qubit[qubit].append(gate)
-
-        def defer(item: ScheduleItem) -> None:
-            index = len(deferred)
-            deferred.append(item)
-            for qubit in item_qubits(item):
-                deferred_by_qubit[qubit].append(index)
-
-        def item_qubits(candidate: ScheduleItem):
-            if isinstance(candidate, CommBlock):
-                return candidate.touched_set
-            return candidate.qubit_set
-
-        for item in items:
+        use_commutation = self.use_commutation
+        current: Optional[_OpenBlock] = None
+        index = start
+        end = len(items)
+        while index < end:
+            item = items[index]
+            index += 1
             # Eligibility (a raw remote 2q gate of this exact pair) is one
             # precomputed lookup; gates already inside blocks are not items.
             eligible_pairs = gate_pairs.get(id(item))
@@ -366,49 +332,47 @@ class CommAggregator:
                                                or pair == eligible_pairs[1]):
                 # Pulling this gate into the open block hops it over every
                 # deferred item, so that move must be commutation-justified.
-                if block is not None and deferred and not (
-                        self.use_commutation and commutes_with_deferred(item)):
-                    close_block()
-                if block is None:
+                if current is not None and current.deferred and not (
+                        use_commutation and current.commutes_with_deferred(item)):
+                    current.close(out, out_ids)
+                    current = None
+                if current is None:
                     block = CommBlock(hub_qubit=hub, hub_node=hub_node,
                                       remote_node=remote_node)
                     out.append(block)
-                absorb(item)
+                    out_ids.append(id(block))
+                    self._num_blocks += 1
+                    current = _OpenBlock(block, self.stats)
+                current.absorb(item)
                 self._absorb_into_block(item)
-                continue
-
-            if block is None:
-                out.append(item)
                 continue
 
             if self._allowed_in_block(item, hub, remote_qubits):
                 # Absorbing keeps the gate at its original position relative
                 # to the block; it only reorders against deferred items.
-                if not deferred or (self.use_commutation
-                                    and commutes_with_deferred(item)):
-                    absorb(item)
-                elif self.use_commutation:
-                    defer(item)
-                else:
-                    close_block()
-                    out.append(item)
+                if not current.deferred or (
+                        use_commutation and current.commutes_with_deferred(item)):
+                    current.absorb(item)
+                    continue
+                if use_commutation:
+                    current.defer(item)
+                    continue
+            elif use_commutation and (
+                    current.gates.qubits.isdisjoint(_item_qubits(item))
+                    or current.commutes_with_block(item)) \
+                    and current.commutes_with_deferred(item):
+                current.defer(item)
                 continue
 
-            if not self.use_commutation:
-                close_block()
-                out.append(item)
-                continue
-
-            disjoint_from_block = block_qubits.isdisjoint(item_qubits(item))
-            if (disjoint_from_block or commutes_with_block(item)) \
-                    and commutes_with_deferred(item):
-                defer(item)
-            else:
-                close_block()
-                out.append(item)
-
-        close_block()
-        return out
+            # The "break" case: the item closes the block and the window.
+            current.close(out, out_ids)
+            out.append(item)
+            out_ids.append(ids[index - 1])
+            self.stats["window_items"] += index - start
+            return index
+        current.close(out, out_ids)
+        self.stats["window_items"] += index - start
+        return index
 
     def _allowed_in_block(self, item: ScheduleItem, hub: int,
                           remote_qubits: Set[int]) -> bool:
@@ -436,12 +400,12 @@ class CommAggregator:
     def _blockify_leftovers(self, items: List[ScheduleItem]) -> List[ScheduleItem]:
         """Wrap every remaining raw remote two-qubit gate in a singleton block."""
         out: List[ScheduleItem] = []
+        gate_pairs = self._gate_pairs
         for item in items:
-            if isinstance(item, Gate) and self._is_remote_2q(item):
+            if isinstance(item, Gate) and id(item) in gate_pairs:
                 a, b = item.qubits
-                block = CommBlock(hub_qubit=a,
-                                  hub_node=self.mapping.node_of(a),
-                                  remote_node=self.mapping.node_of(b))
+                block = CommBlock(hub_qubit=a, hub_node=self._node[a],
+                                  remote_node=self._node[b])
                 block.append(item)
                 out.append(block)
             else:
@@ -463,22 +427,25 @@ def aggregate_communications(circuit: Circuit, mapping: QubitMapping,
         max_sweeps: maximum number of refinement sweeps over all pairs.
 
     Under an active :mod:`repro.obs` tracer the pass runs inside an
-    ``aggregation`` span carrying block/item counts and the commutation
-    oracle's cache activity for this pass (hit/miss deltas).
+    ``aggregation`` span with ``index``/``sweep``/``leftovers`` children.
+    The span carries block/item counts, the work counters of
+    :attr:`CommAggregator.stats` and the commutation oracle's cache
+    activity for this pass (hit/miss deltas).
     """
     with stage("aggregation") as span:
+        aggregator = CommAggregator(circuit, mapping,
+                                    use_commutation=use_commutation,
+                                    max_sweeps=max_sweeps)
         if not span.enabled:
-            return CommAggregator(circuit, mapping,
-                                  use_commutation=use_commutation,
-                                  max_sweeps=max_sweeps).run()
+            return aggregator.run()
         before = commutation_cache_stats()
-        result = CommAggregator(circuit, mapping,
-                                use_commutation=use_commutation,
-                                max_sweeps=max_sweeps).run()
+        result = aggregator.run()
         after = commutation_cache_stats()
         span.set("gates", len(circuit))
         span.set("blocks", len(result.blocks))
         span.set("items", len(result.items))
         span.set("commutation_hits", after["hits"] - before["hits"])
         span.set("commutation_misses", after["misses"] - before["misses"])
+        for name, value in aggregator.stats.items():
+            span.set(name, value)
         return result

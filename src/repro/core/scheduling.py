@@ -834,8 +834,9 @@ def _reserve_comm(resources: CommResourceTracker, nodes: Sequence[int],
     when a qubit is free early) until the protocol finishes.
     """
     earliest_prep = max(0.0, ready - prep)
-    prep_start, _ = resources.earliest_joint(list(nodes), prep + duration,
-                                             not_before=earliest_prep)
+    prep_start, _ = resources.earliest_joint(list(nodes), duration,
+                                             not_before=earliest_prep,
+                                             prep=prep)
     start = prep_start + prep
     for node in nodes:
         resources.reserve(node, prep_start, start + duration, label=label)

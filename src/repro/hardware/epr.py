@@ -52,23 +52,31 @@ class SlotSchedule:
         return True
 
     def earliest_on_slot(self, slot: int, duration: float,
-                         not_before: float) -> float:
+                         not_before: float, prep: float = 0.0) -> float:
+        """Earliest start on ``slot`` whose window ``[start, (start + prep)
+        + duration)`` is free.
+
+        The end is tested exactly as callers book it: ``start + (prep +
+        duration)`` can be one ULP shorter and admit a window that then
+        overlaps the next booking.
+        """
         intervals = self.intervals[slot]
         start = not_before
         for (s, e) in intervals:
-            if start + duration <= s:
+            if (start + prep) + duration <= s:
                 return start
             if e > start:
                 start = e
         return start
 
-    def earliest(self, duration: float,
-                 not_before: float = 0.0) -> Tuple[float, int]:
-        """Earliest (start, slot) at or after ``not_before`` with room for ``duration``."""
+    def earliest(self, duration: float, not_before: float = 0.0,
+                 prep: float = 0.0) -> Tuple[float, int]:
+        """Earliest (start, slot) at or after ``not_before`` with room for
+        ``prep`` then ``duration``."""
         best_start: Optional[float] = None
         best_slot = 0
         for slot in range(self.num_slots):
-            start = self.earliest_on_slot(slot, duration, not_before)
+            start = self.earliest_on_slot(slot, duration, not_before, prep)
             if best_start is None or start < best_start:
                 best_start, best_slot = start, slot
         assert best_start is not None
@@ -153,24 +161,29 @@ class CommResourceTracker:
         return self._schedules[node].slot_free(slot, start, end)
 
     def earliest_slot(self, node: int, duration: float,
-                      not_before: float = 0.0) -> Tuple[float, int]:
-        """Earliest (start, slot) at or after ``not_before`` with ``duration`` free."""
-        return self._schedules[node].earliest(duration, not_before)
+                      not_before: float = 0.0,
+                      prep: float = 0.0) -> Tuple[float, int]:
+        """Earliest (start, slot) at or after ``not_before`` with ``prep``
+        then ``duration`` free."""
+        return self._schedules[node].earliest(duration, not_before, prep)
 
     def earliest_joint(self, nodes: Sequence[int], duration: float,
-                       not_before: float = 0.0) -> Tuple[float, Dict[int, int]]:
+                       not_before: float = 0.0,
+                       prep: float = 0.0) -> Tuple[float, Dict[int, int]]:
         """Earliest start time when *every* node in ``nodes`` has a free slot.
 
-        Returns the start time and the chosen slot per node.  Uses a simple
-        fixed-point iteration: propose the max of per-node earliest starts,
-        re-check each node at that time, repeat until stable.
+        The window tested is ``[start, (start + prep) + duration)``, the one
+        callers book.  Returns the start time and the chosen slot per node.
+        Uses a simple fixed-point iteration: propose the max of per-node
+        earliest starts, re-check each node at that time, repeat until
+        stable.
         """
         time = not_before
         for _ in range(1000):
             slots: Dict[int, int] = {}
             proposal = time
             for node in nodes:
-                start, slot = self.earliest_slot(node, duration, time)
+                start, slot = self.earliest_slot(node, duration, time, prep)
                 slots[node] = slot
                 proposal = max(proposal, start)
             if proposal == time:

@@ -454,13 +454,13 @@ class ExecutionEngine:
                 if capacity is not None:
                     batches = max(batches, -(-count // capacity))
         prep = sample.duration * batches
-        total = prep + duration
 
         # EPR generation is data-independent, so its request is back-dated to
         # pipeline with predecessor computation whenever comm qubits (and,
         # if constrained, the links) were free early.
         not_before = max(0.0, ready - prep)
-        prep_start = self._find_window(nodes, links, total, prep, not_before)
+        prep_start = self._find_window(nodes, links, duration, prep,
+                                       not_before)
         start = prep_start + prep
         end = start + duration
 
@@ -520,12 +520,17 @@ class ExecutionEngine:
 
     def _find_window(self, nodes: Sequence[int],
                      links: Sequence[Tuple[Tuple[int, int], int]],
-                     total: float, prep: float, not_before: float) -> float:
-        """Earliest start honouring node comm qubits and link capacities."""
+                     duration: float, prep: float, not_before: float) -> float:
+        """Earliest start honouring node comm qubits and link capacities.
+
+        Node windows are tested with the end ``_execute_comm`` books,
+        ``(prep_start + prep) + duration``.
+        """
         time = not_before
         for _ in range(1000):
-            proposal, _ = self.resources.earliest_joint(list(nodes), total,
-                                                        not_before=time)
+            proposal, _ = self.resources.earliest_joint(list(nodes), duration,
+                                                        not_before=time,
+                                                        prep=prep)
             if self._capacity_constrained and prep > 0:
                 for (a, b), count in links:
                     capacity = self._effective_capacity(a, b)

@@ -119,16 +119,27 @@ class TestAggregatorInternals:
         return CommAggregator(circuit, mapping)
 
     def test_pairs_ordered_by_weight(self, aggregator):
-        pairs = aggregator._pairs_by_weight(list(aggregator.circuit.gates))
-        assert pairs[0] == (0, 1)  # qubit 0 toward node 1 has two remote gates
+        aggregator._build_index(list(aggregator.circuit.gates))
+        # qubit 0 toward node 1 and qubit 2 toward node 0 have two remote
+        # gates each; ties break on the pair itself.
+        assert aggregator._pairs_by_weight_indexed() == [
+            (0, 1), (2, 0), (1, 1), (3, 0)]
 
-    def test_eligible_checks_pair_membership(self, aggregator):
-        gate = Gate("cx", (0, 2))
-        assert aggregator._eligible(gate, 0, 1)
-        assert aggregator._eligible(gate, 2, 0)
-        assert not aggregator._eligible(gate, 0, 0)
-        assert not aggregator._eligible(gate, 1, 1)
-        assert not aggregator._eligible(Gate("cx", (0, 1)), 0, 0)
+    def test_pair_index_lists_each_remote_gate_under_both_pairs(self, aggregator):
+        gates = list(aggregator.circuit.gates)
+        aggregator._build_index(gates)
+        assert aggregator._pair_gates[(0, 1)] == [gates[0], gates[1]]
+        assert aggregator._pair_gates[(2, 0)] == [gates[0], gates[2]]
+        assert aggregator._pair_gates[(3, 0)] == [gates[1]]
+        assert (0, 0) not in aggregator._pair_gates
+
+    def test_absorbing_a_gate_leaves_both_of_its_pairs(self, aggregator):
+        gates = list(aggregator.circuit.gates)
+        aggregator._build_index(gates)
+        aggregator._absorb_into_block(gates[0])
+        assert aggregator._pairs_by_weight_indexed() == [
+            (0, 1), (1, 1), (2, 0), (3, 0)]
+        assert aggregator._raw_remaining == 2
 
     def test_allowed_in_block_rules(self, aggregator):
         remote_qubits = {2, 3}
