@@ -16,7 +16,7 @@ identically to every compiler being compared.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -58,15 +58,20 @@ class SlotSchedule:
 
         The end is tested exactly as callers book it: ``start + (prep +
         duration)`` can be one ULP shorter and admit a window that then
-        overlaps the next booking.
+        overlaps the next booking.  Booked intervals never overlap, so all
+        but the last of those starting before ``not_before`` also end by
+        it and cannot move the start: the scan begins there.
         """
         intervals = self.intervals[slot]
         start = not_before
-        for (s, e) in intervals:
-            if (start + prep) + duration <= s:
+        end = (start + prep) + duration
+        first = bisect_left(intervals, (not_before,))
+        for (s, e) in intervals[first - 1 if first else 0:]:
+            if end <= s:
                 return start
             if e > start:
                 start = e
+                end = (start + prep) + duration
         return start
 
     def earliest(self, duration: float, not_before: float = 0.0,

@@ -1,6 +1,8 @@
 """Near-linear aggregation: exact verdicts, bounded work, seeded regressions."""
 
+import itertools
 import math
+import random
 
 import pytest
 
@@ -11,11 +13,11 @@ from repro.core import aggregate_communications, aggregate_communications_refere
 from repro.core.aggregation import CommAggregator
 from repro.hardware import SlotSchedule, uniform_network
 from repro.ir import Circuit, Gate, decompose_to_cx
-from repro.ir.commutation import (GATE_REGISTRY, _matrix_commutes,
-                                  clear_commutation_cache, commutes,
-                                  pauli_axes)
+from repro.ir.commutation import (GATE_REGISTRY, GateFrontier,
+                                  _matrix_commutes, clear_commutation_cache,
+                                  commutes, pauli_axes)
 from repro.obs import Tracer
-from repro.partition import oee_partition
+from repro.partition import oee_partition, round_robin_mapping
 from repro.sim import SimulationConfig, run_monte_carlo, simulate_program
 
 _ANGLES = (0.3, 2 * math.pi) + tuple(
@@ -85,6 +87,61 @@ class TestPauliAxes:
         assert checked > 100
 
 
+def _random_gate(rng, names, num_qubits, angles):
+    spec = GATE_REGISTRY[names[rng.randrange(len(names))]]
+    qubits = tuple(rng.sample(range(num_qubits), spec.num_qubits))
+    params = tuple(rng.choice(angles) for _ in range(spec.num_params))
+    return Gate(spec.name, qubits, params)
+
+
+class TestGateFrontier:
+    def test_matches_pairwise_checks(self):
+        """Bucketing and one-query-per-equivalent-gate change no verdict."""
+        names = sorted(n for n, s in GATE_REGISTRY.items() if s.num_qubits)
+        angles = (0.3, math.pi / 2, math.pi / 2 ** 40, 2 * math.pi)
+        rng = random.Random(5)
+        verdicts = {True: 0, False: 0}
+        for _ in range(400):
+            num_qubits = rng.randint(3, 6)
+            filed = [_random_gate(rng, names, num_qubits, angles)
+                     for _ in range(rng.randint(1, 6))]
+            frontier = GateFrontier()
+            for gate in filed:
+                frontier.add(gate)
+            for _ in range(5):
+                query = _random_gate(rng, names, num_qubits, angles)
+                expected = all(commutes(query, other) for other in filed
+                               if set(query.qubits) & set(other.qubits))
+                assert frontier.commutes(query) is expected, (query, filed)
+                verdicts[expected] += 1
+        assert min(verdicts.values()) > 200
+
+    def test_same_name_gates_are_told_apart(self):
+        """Gates differing only in params or in the shared qubit's position
+        are each checked (rz(2*pi) and crz(2*pi) act trivially on a qubit
+        where rz(0.3) and crz(0.3) do not)."""
+        angles = (0.3, math.pi / 2 ** 40, 2 * math.pi)
+        on_0 = [Gate(name, qubits, params)
+                for name, spec in sorted(GATE_REGISTRY.items())
+                if spec.num_qubits
+                for qubits in itertools.permutations(range(3), spec.num_qubits)
+                if 0 in qubits
+                for params in (itertools.product(angles, repeat=spec.num_params)
+                               if spec.num_params < 2 else
+                               [(0.3, 0.7, -1.1), (0.0, 0.0, 2 * math.pi)])]
+        for first in on_0:
+            for second in on_0:
+                if first.name != second.name or first == second:
+                    continue
+                frontier = GateFrontier()
+                frontier.add(first)
+                frontier.add(second)
+                for query in on_0:
+                    expected = commutes(query, first) and commutes(query, second)
+                    assert frontier.commutes(query) is expected, \
+                        (query, first, second)
+
+
 def _qft_program(num_qubits, num_nodes):
     circuit = decompose_to_cx(qft_circuit(num_qubits))
     network = uniform_network(num_nodes, -(-num_qubits // num_nodes))
@@ -108,6 +165,25 @@ class TestScaling:
         reference = aggregate_communications_reference(circuit, mapping)
         assert optimized.to_circuit().gates == reference.to_circuit().gates
         assert optimized.block_sizes() == reference.block_sizes()
+
+    @pytest.mark.parametrize("seed", [3, 8, 21])
+    def test_mixed_axis_circuit_matches_reference(self, seed):
+        # X/Y-axis, axis-less (h, ch, cswap) and 3-qubit gates reach the
+        # block and deferred frontiers; QFT and Clifford+T circuits do not.
+        names = ("cx", "cx", "cy", "crx", "rxx", "ccx", "cswap", "ch", "rx",
+                 "ry", "sx", "h", "x", "rz", "t")
+        rng = random.Random(seed)
+        circuit = Circuit(12, [_random_gate(rng, names, 12, _ANGLES)
+                               for _ in range(400)])
+        mapping = round_robin_mapping(12, uniform_network(3, 4))
+        aggregator = CommAggregator(circuit, mapping)
+        optimized = aggregator.run()
+        reference = aggregate_communications_reference(circuit, mapping)
+        assert [(type(i), tuple(getattr(i, "gates", (i,))))
+                for i in optimized.items] == \
+            [(type(i), tuple(getattr(i, "gates", (i,))))
+             for i in reference.items]
+        assert aggregator.stats["deferred_checks"] > 0
 
     def test_repeated_gate_objects_match_reference(self):
         gate = Gate("cx", (0, 2))
@@ -141,6 +217,30 @@ class TestBookingEnd:
         start = schedule.earliest_on_slot(0, 0.3, 0.1, prep=0.2)
         assert start == 1.0
         schedule.book(start, (start + 0.2) + 0.3)
+
+    def test_search_matches_a_full_scan(self):
+        """Starting the scan at ``not_before`` skips only intervals that
+        cannot move the start (touching and zero-length ones included)."""
+        rng = random.Random(4)
+        for _ in range(300):
+            schedule = SlotSchedule(1)
+            for _ in range(rng.randint(0, 12)):
+                start = rng.choice((rng.uniform(0, 40), float(rng.randint(0, 40))))
+                end = start + rng.choice((0.0, 1.0, rng.uniform(0, 6)))
+                if schedule.slot_free(0, start, end):
+                    schedule.book(start, end, 0)
+            for _ in range(10):
+                not_before = rng.choice((rng.uniform(0, 45),
+                                         float(rng.randint(0, 45))))
+                prep = rng.choice((0.0, 0.5, 1.25))
+                duration = rng.choice((0.0, 1.0, rng.uniform(0, 4)))
+                expected = not_before
+                for s, e in schedule.intervals[0]:
+                    if (expected + prep) + duration <= s:
+                        break
+                    expected = max(expected, e)
+                assert schedule.earliest_on_slot(
+                    0, duration, not_before, prep) == expected
 
 
 @pytest.fixture(scope="module")
