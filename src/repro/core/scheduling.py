@@ -729,7 +729,6 @@ def _execute_plan(plan: SchedulePlan, network: QuantumNetwork,
 
     resources = CommResourceTracker(network)
     ready_time = [0.0] * len(items)
-    finish_time = [0.0] * len(items)
     scheduled: List[Optional[ScheduledOp]] = [None] * len(items)
     prep_latencies: Dict[Tuple[Tuple[int, int], ...], float] = {}
 
@@ -738,7 +737,6 @@ def _execute_plan(plan: SchedulePlan, network: QuantumNetwork,
         if degree == 0:
             heapq.heappush(heap, (0.0, index))
 
-    completed = 0
     while heap:
         ready, index = heapq.heappop(heap)
         profile = profiles[index]
@@ -766,18 +764,15 @@ def _execute_plan(plan: SchedulePlan, network: QuantumNetwork,
                              num_remote_gates=num_remote,
                              num_items=profile.num_items)
         scheduled[index] = op
-        finish_time[index] = op.end
-        completed += 1
         for succ in succs[index]:
             ready_time[succ] = max(ready_time[succ], op.end)
             indegree[succ] -= 1
             if indegree[succ] == 0:
                 heapq.heappush(heap, (ready_time[succ], succ))
 
-    if completed != len(items):  # pragma: no cover - defensive
-        raise RuntimeError("dependency cycle in schedule construction")
-
     ops = [op for op in scheduled if op is not None]
+    if len(ops) != len(items):  # pragma: no cover - defensive
+        raise RuntimeError("dependency cycle in schedule construction")
     makespan = max((op.end for op in ops), default=0.0)
     num_comm = sum(1 for op in ops if op.kind != "gate")
     return ScheduleResult(ops=ops, latency=makespan, resources=resources,
@@ -827,20 +822,8 @@ def _epr_prep_latency(network: QuantumNetwork, nodes: Sequence[int]) -> float:
 def _reserve_comm(resources: CommResourceTracker, nodes: Sequence[int],
                   ready: float, duration: float, prep: float,
                   label: str) -> float:
-    """Find and book the earliest feasible window for a communication.
-
-    The communication qubits on every involved node are occupied from
-    ``start - prep`` (EPR preparation, pipelined with earlier computation
-    when a qubit is free early) until the protocol finishes.
-    """
-    earliest_prep = max(0.0, ready - prep)
-    prep_start, _ = resources.earliest_joint(list(nodes), duration,
-                                             not_before=earliest_prep,
-                                             prep=prep)
-    start = prep_start + prep
-    for node in nodes:
-        resources.reserve(node, prep_start, start + duration, label=label)
-    return start
+    """Book a communication's earliest window; return its protocol start."""
+    return resources.reserve_joint(nodes, ready, duration, prep, label)[1]
 
 
 # ---------------------------------------------------------------------------

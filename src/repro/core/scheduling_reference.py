@@ -174,7 +174,6 @@ def _run_schedule_reference(assignment: AssignmentResult,
 
     resources = CommResourceTracker(network)
     ready_time = [0.0] * len(items)
-    finish_time = [0.0] * len(items)
     scheduled: List[Optional[ScheduledOp]] = [None] * len(items)
 
     heap: List[Tuple[float, int]] = []
@@ -189,7 +188,6 @@ def _run_schedule_reference(assignment: AssignmentResult,
         op = _schedule_item_reference(item, index, ready, mapping, network,
                                       latency, resources)
         scheduled[index] = op
-        finish_time[index] = op.end
         completed += 1
         for succ in succs[index]:
             ready_time[succ] = max(ready_time[succ], op.end)

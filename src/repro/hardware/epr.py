@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .network import QuantumNetwork
 
@@ -45,11 +45,14 @@ class SlotSchedule:
         return len(self.intervals)
 
     def slot_free(self, slot: int, start: float, end: float) -> bool:
-        """True when ``slot`` is idle over ``[start, end)``."""
-        for (s, e) in self.intervals[slot]:
-            if s < end and start < e:
-                return False
-        return True
+        """True when ``slot`` is idle over ``[start, end)``.
+
+        Booked intervals never overlap, so ends rise with starts: only the
+        last interval starting before ``end`` can reach past ``start``.
+        """
+        intervals = self.intervals[slot]
+        index = bisect_left(intervals, (end,))
+        return not index or intervals[index - 1][1] <= start
 
     def earliest_on_slot(self, slot: int, duration: float,
                          not_before: float, prep: float = 0.0) -> float:
@@ -78,14 +81,12 @@ class SlotSchedule:
                  prep: float = 0.0) -> Tuple[float, int]:
         """Earliest (start, slot) at or after ``not_before`` with room for
         ``prep`` then ``duration``."""
-        best_start: Optional[float] = None
-        best_slot = 0
-        for slot in range(self.num_slots):
+        best = (self.earliest_on_slot(0, duration, not_before, prep), 0)
+        for slot in range(1, self.num_slots):
             start = self.earliest_on_slot(slot, duration, not_before, prep)
-            if best_start is None or start < best_start:
-                best_start, best_slot = start, slot
-        assert best_start is not None
-        return best_start, best_slot
+            if start < best[0]:
+                best = (start, slot)
+        return best
 
     def earliest_multi(self, duration: float, count: int,
                        not_before: float = 0.0) -> float:
@@ -95,7 +96,8 @@ class SlotSchedule:
         one operation ride the same physical link (a fused chain revisiting
         a link, or two routed pairs sharing one).  Candidate starts are
         ``not_before`` and the ends of busy intervals after it — the only
-        instants where a slot becomes free.
+        instants where a slot becomes free (on each slot, from the last
+        interval starting before ``not_before``: ends rise with starts).
         """
         if count <= 0:
             raise ValueError("count must be positive")
@@ -103,8 +105,9 @@ class SlotSchedule:
             raise ValueError(
                 f"need {count} concurrent slots but only {self.num_slots} exist")
         candidates = {not_before}
-        candidates.update(e for slot in self.intervals for (_, e) in slot
-                          if e > not_before)
+        for slot in self.intervals:
+            tail = slot[max(bisect_left(slot, (not_before,)) - 1, 0):]
+            candidates.update(e for (_, e) in tail if e > not_before)
         for start in sorted(candidates):
             free = sum(1 for slot in range(self.num_slots)
                        if self.slot_free(slot, start, start + duration))
@@ -197,6 +200,27 @@ class CommResourceTracker:
         raise RuntimeError("resource search did not converge")  # pragma: no cover
 
     # ------------------------------------------------------------------ booking
+
+    def reserve_joint(self, nodes: Sequence[int], ready: float,
+                      duration: float, prep: float, label: str = "",
+                      search: Optional[Callable] = None
+                      ) -> Tuple[float, float, float]:
+        """Book one communication's earliest ``(prep_start, start, end)``.
+
+        Each node's comm qubit is held from ``prep_start`` (EPR preparation,
+        back-dated up to ``prep`` before ``ready``) to the end the search
+        tested, on the slot it chose: the first free there.  A caller's own
+        ``search(not_before) -> (prep_start, slots)`` replaces the default.
+        """
+        not_before = max(0.0, ready - prep)
+        prep_start, slots = (
+            search(not_before) if search is not None
+            else self.earliest_joint(nodes, duration, not_before, prep))
+        start = prep_start + prep
+        end = start + duration
+        for node in nodes:
+            self.reserve(node, prep_start, end, slot=slots[node], label=label)
+        return prep_start, start, end
 
     def reserve(self, node: int, start: float, end: float,
                 slot: Optional[int] = None, label: str = "") -> Reservation:

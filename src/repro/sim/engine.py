@@ -33,6 +33,7 @@ import heapq
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.pipeline import CompiledProgram
@@ -271,18 +272,33 @@ class ExecutionEngine:
         ready_time = [0.0] * len(items)
         executed: List[Optional[SimulatedOp]] = [None] * len(items)
 
+        profiles = self._profiles
         queue: List[Tuple[float, int, int]] = []
+
+        def release(index: int, ready: float) -> None:
+            # Gates touch no resource and execute on release.  One that takes
+            # time skips READY: its FINISH key is the one READY would push,
+            # and ``end > ready`` keeps it after every event popped so far.
+            profile = profiles[index]
+            if profile.kind == "gate":
+                end = ready + profile.duration
+                executed[index] = SimulatedOp(index, "gate", ready, end,
+                                              prep_start=ready)
+                if end > ready:
+                    heapq.heappush(queue, (end, _FINISH, index))
+                    return
+            heapq.heappush(queue, (ready, _READY, index))
+
         for index, degree in enumerate(indegree):
             if degree == 0:
-                heapq.heappush(queue, (0.0, _READY, index))
+                release(index, 0.0)
 
-        completed = 0
         while queue:
             time, phase, index = heapq.heappop(queue)
             if phase == _READY:
-                op = self._execute_item(index, time)
-                executed[index] = op
-                completed += 1
+                op = executed[index]
+                if op is None:
+                    op = executed[index] = self._execute_comm(index, time)
                 heapq.heappush(queue, (op.end, _FINISH, index))
             else:  # _FINISH: release successors of the completed item
                 end = executed[index].end
@@ -290,13 +306,11 @@ class ExecutionEngine:
                     ready_time[succ] = max(ready_time[succ], end)
                     indegree[succ] -= 1
                     if indegree[succ] == 0:
-                        heapq.heappush(queue,
-                                       (ready_time[succ], _READY, succ))
-
-        if completed != len(items):  # pragma: no cover - defensive
-            raise RuntimeError("dependency cycle in simulated program")
+                        release(succ, ready_time[succ])
 
         ops = [op for op in executed if op is not None]
+        if len(ops) != len(items):  # pragma: no cover - defensive
+            raise RuntimeError("dependency cycle in simulated program")
         makespan = max((op.end for op in ops), default=0.0)
         total_attempts = sum(op.epr_attempts for op in ops)
         metrics = self.metrics
@@ -423,17 +437,9 @@ class ExecutionEngine:
 
     # ------------------------------------------------------------- execution
 
-    def _execute_item(self, index: int, ready: float) -> SimulatedOp:
+    def _execute_comm(self, index: int, ready: float) -> SimulatedOp:
         profile = self._profiles[index]
-        if profile.kind == "gate":
-            end = ready + profile.duration
-            return SimulatedOp(index=index, kind="gate", start=ready, end=end,
-                               prep_start=ready)
-        return self._execute_comm(index, self.plan.items[index], ready,
-                                  profile, kind=profile.kind)
-
-    def _execute_comm(self, index, item, ready: float, profile,
-                      kind: str) -> SimulatedOp:
+        kind = profile.kind
         nodes = tuple(profile.nodes)
         duration = profile.duration
         # One EPR generation per consumed pair: the block's hub<->remote
@@ -447,43 +453,38 @@ class ExecutionEngine:
         # link), the excess generations serialise into batches, stretching
         # the preparation window accordingly.  Each link batches against its
         # *own* capacity (link-model spec, or the uniform fallback).
-        batches = 1
-        if self._capacity_constrained and links:
+        capped = []
+        if self._capacity_constrained:
             for (a, b), count in links:
                 capacity = self._effective_capacity(a, b)
                 if capacity is not None:
-                    batches = max(batches, -(-count // capacity))
-        prep = sample.duration * batches
+                    capped.append((self._link_schedule(a, b, capacity),
+                                   min(count, capacity), -(-count // capacity)))
+        prep = sample.duration * max((batches for *_, batches in capped),
+                                     default=1)
 
         # EPR generation is data-independent, so its request is back-dated to
         # pipeline with predecessor computation whenever comm qubits (and,
         # if constrained, the links) were free early.
-        not_before = max(0.0, ready - prep)
-        prep_start = self._find_window(nodes, links, duration, prep,
-                                       not_before)
-        start = prep_start + prep
-        end = start + duration
-
-        label = f"{kind}-{index}"
-        for node in nodes:
-            self.resources.reserve(node, prep_start, end, label=label)
-        for (a, b), count in links:
+        search = (partial(self._find_window, nodes, capped, duration, prep)
+                  if capped and prep > 0 else None)
+        prep_start, start, end = self.resources.reserve_joint(
+            nodes, ready, duration, prep, label=f"{kind}-{index}",
+            search=search)
+        for (a, b), _ in links:
             self.trace.record_link(a, b, prep_start, start)
-            if self._capacity_constrained:
-                capacity = self._effective_capacity(a, b)
-                if capacity is not None:
-                    schedule = self._link_schedule(a, b, capacity)
-                    for _ in range(min(count, capacity)):
-                        schedule.book(prep_start, start)
+        for schedule, count, _ in capped:
+            for _ in range(count):
+                schedule.book(prep_start, start)
 
-        self._record_comm_trace(index, item, kind, nodes, prep_start, start,
-                                end, sample.attempts)
+        self._record_comm_trace(index, kind, nodes, prep_start, start, end,
+                                sample.attempts)
         return SimulatedOp(index=index, kind=kind, start=start, end=end,
                            nodes=nodes, prep_start=prep_start,
                            epr_attempts=sample.attempts,
                            num_items=self.plan.item_count(index),
                            epr_pairs=num_physical,
-                           queue_wait=prep_start - not_before)
+                           queue_wait=prep_start - max(0.0, ready - prep))
 
     def _physical_links(self, prep_pairs: Sequence[Tuple[int, int]]
                         ) -> Tuple[Tuple[Tuple[Tuple[int, int], int], ...], int]:
@@ -519,28 +520,20 @@ class ExecutionEngine:
         return self.config.link_capacity
 
     def _find_window(self, nodes: Sequence[int],
-                     links: Sequence[Tuple[Tuple[int, int], int]],
-                     duration: float, prep: float, not_before: float) -> float:
-        """Earliest start honouring node comm qubits and link capacities.
-
-        Node windows are tested with the end ``_execute_comm`` books,
-        ``(prep_start + prep) + duration``.
-        """
+                     capped: Sequence[Tuple[SlotSchedule, int, int]],
+                     duration: float, prep: float, not_before: float
+                     ) -> Tuple[float, Dict[int, int]]:
+        """``reserve_joint``'s search: node comm qubits plus ``count`` free
+        generation slots on each capped link ``(schedule, count, batches)``."""
         time = not_before
         for _ in range(1000):
-            proposal, _ = self.resources.earliest_joint(list(nodes), duration,
-                                                        not_before=time,
-                                                        prep=prep)
-            if self._capacity_constrained and prep > 0:
-                for (a, b), count in links:
-                    capacity = self._effective_capacity(a, b)
-                    if capacity is None:
-                        continue
-                    start = self._link_schedule(a, b, capacity).earliest_multi(
-                        prep, min(count, capacity), not_before=proposal)
-                    proposal = max(proposal, start)
+            proposal, slots = self.resources.earliest_joint(
+                nodes, duration, not_before=time, prep=prep)
+            for schedule, count, _ in capped:
+                proposal = max(proposal, schedule.earliest_multi(
+                    prep, count, not_before=proposal))
             if proposal == time:
-                return time
+                return time, slots
             time = proposal
         raise RuntimeError("resource search did not converge")  # pragma: no cover
 
@@ -553,12 +546,13 @@ class ExecutionEngine:
 
     # ---------------------------------------------------------------- tracing
 
-    def _record_comm_trace(self, index: int, item, kind: str,
+    def _record_comm_trace(self, index: int, kind: str,
                            nodes: Sequence[int], prep_start: float,
                            start: float, end: float, attempts: int) -> None:
         if not self.trace.enabled:
             return
         lat = self.latency
+        item = self.plan.items[index]
         self.trace.record(prep_start, "epr-start", index, nodes,
                           detail=f"attempts={attempts}")
         self.trace.record(start, "epr-ready", index, nodes)

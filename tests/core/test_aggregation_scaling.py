@@ -11,7 +11,7 @@ from repro.circuits import qft_circuit
 from repro.circuits.suite import BenchmarkSpec
 from repro.core import aggregate_communications, aggregate_communications_reference
 from repro.core.aggregation import CommAggregator
-from repro.hardware import SlotSchedule, uniform_network
+from repro.hardware import CommResourceTracker, SlotSchedule, uniform_network
 from repro.ir import Circuit, Gate, decompose_to_cx
 from repro.ir.commutation import (GATE_REGISTRY, GateFrontier,
                                   _matrix_commutes, clear_commutation_cache,
@@ -259,3 +259,32 @@ class TestB3Regression:
         result = run_monte_carlo(qaoa_200, SimulationConfig(
             p_epr=0.5, seed=1, trials=100, record_trace=False))
         assert len(result.latencies) == 100
+
+
+def _rebooked_slots(reservations, network):
+    """Slots the first-free rule picks when the bookings are replayed."""
+    tracker = CommResourceTracker(network)
+    return [tracker.reserve(r.node, r.start, r.end).slot
+            for r in reservations]
+
+
+class TestSearchedSlotIsFirstFree:
+    """``reserve_joint`` books the slot its search chose; replaying every
+    booking with ``slot=None`` (the first free slot) must pick the same."""
+
+    @pytest.mark.parametrize("seed", [1102, *range(10)])
+    def test_qaoa_200_trials(self, qaoa_200, seed):
+        result = simulate_program(qaoa_200, SimulationConfig(
+            p_epr=0.5, seed=seed, record_trace=False))
+        reservations = result.resources.reservations
+        assert _rebooked_slots(reservations, qaoa_200.network) == [
+            r.slot for r in reservations]
+        assert any(r.slot for r in reservations)
+
+    def test_uccsd_compiled_schedule(self):
+        circuit, network = BenchmarkSpec("UCCSD", 8, 4).build()
+        program = compile_autocomm(circuit, network, cache=False)
+        reservations = program.schedule.resources.reservations
+        assert _rebooked_slots(reservations, network) == [
+            r.slot for r in reservations]
+        assert any(r.slot for r in reservations)

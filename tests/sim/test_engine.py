@@ -4,7 +4,9 @@ import pytest
 
 from repro import compile_autocomm
 from repro.circuits import qft_circuit
-from repro.hardware import DEFAULT_LATENCY, uniform_network
+from repro.circuits.suite import BenchmarkSpec
+from repro.hardware import DEFAULT_LATENCY, LatencyModel, uniform_network
+from repro.hardware.topology import apply_topology
 from repro.ir import Circuit, decompose_to_cx
 from repro.partition import QubitMapping
 from repro.sim import (
@@ -150,6 +152,45 @@ class TestLinkContention:
         preps = sorted((op.prep_start, op.start) for op in capped.comm_ops())
         # Second prep may only begin once the first has finished.
         assert preps[1][0] >= preps[0][1] - 1e-9
+
+    @pytest.mark.parametrize("family,topology,capacity,expected", [
+        ("QFT", "line", 1, [8342.7, 7710.600000000002, 8077.900000000002]),
+        ("QAOA", "ring", 2,
+         [305.70000000000005, 242.10000000000002, 290.50000000000006]),
+    ])
+    def test_seeded_capped_trials_pinned(self, family, topology, capacity,
+                                         expected):
+        # Pinned seeded latencies of the link-capacity window search;
+        # capacity 2 on the ring asks for two concurrent slots of one link.
+        circuit, network = BenchmarkSpec(family, 30, 4).build()
+        program = compile_autocomm(circuit, apply_topology(network, topology),
+                                   cache=False)
+        assert [simulate_program(program, SimulationConfig(
+            p_epr=0.5, seed=seed, link_capacity=capacity,
+            record_trace=False)).latency for seed in range(3)] == expected
+
+
+class TestZeroDurationGates:
+    """With ``t_1q=0`` single-qubit gates end as they start and stay on the
+    event queue; every other gate executes as it is released."""
+
+    @pytest.fixture
+    def program(self):
+        network = uniform_network(3, 4, latency=LatencyModel(t_1q=0.0))
+        return compile_autocomm(qft_circuit(12), network)
+
+    def test_replay_matches_analytical_op_by_op(self, program):
+        result = simulate_program(program)
+        assert result.latency == program.schedule.latency
+        assert [(op.start, op.end) for op in result.ops] == [
+            (op.start, op.end) for op in program.schedule.ops]
+        assert any(op.kind == "gate" and op.start == op.end
+                   for op in result.ops)
+
+    def test_stochastic_trials_pinned(self, program):
+        assert [simulate_program(program, SimulationConfig(
+            p_epr=0.5, seed=seed)).latency for seed in range(3)] == [
+            298.0, 248.0, 262.0]
 
 
 class TestMonteCarlo:
