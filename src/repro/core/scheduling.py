@@ -22,7 +22,6 @@ strict program order between blocks and performs no fusion.
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -31,7 +30,7 @@ from ..comm.cost import block_latency
 from ..hardware.epr import CommResourceTracker
 from ..hardware.network import QuantumNetwork
 from ..hardware.timing import LatencyModel
-from ..ir.commutation import commutes
+from ..ir.commutation import commutes, pauli_axes
 from ..ir.gates import Gate
 from ..obs.span import stage
 from ..partition.mapping import QubitMapping
@@ -232,20 +231,28 @@ def _touched_set(item: SchedulableItem) -> frozenset:
 class _PairwiseCommutation:
     """Memoised item-pair commutation checks within one plan build.
 
-    ``_items_commute`` asks "does every gate of A commute with every gate of
-    B?" — naively |A| x |B| gate-pair queries.  Two facts make that cheap:
-    gate pairs on disjoint qubits always commute (so only B-gates sharing a
-    qubit with the A-gate need checking, found through a per-item
-    qubit-to-gates index), and the scheduler asks about the same item pairs
-    repeatedly across the lookback window, so the verdict is memoised per
-    ordered-id pair.  Memoisation is only valid while the item objects stay
-    alive and unchanged, which holds for the duration of one
-    :func:`plan_schedule` call.
+    ``items_commute`` asks "does every gate of A commute with every gate of
+    B?" — naively |A| x |B| gate-pair queries.  Each item's gates are filed
+    per qubit and :func:`~repro.ir.commutation.pauli_axes` entry there, so
+    on each shared qubit only gates filed under different axes (or with no
+    axis) are checked: gate pairs on disjoint qubits commute, and a pair
+    matching on the axis of every shared qubit commutes exactly (the rule
+    :class:`~repro.ir.commutation.GateFrontier` relies on), so a pair that
+    can fail is checked on some shared qubit.  A pair that mismatches on
+    several shared qubits may be checked once per such qubit.  The
+    scheduler asks about the same item pairs repeatedly across the lookback
+    window, so the verdict is memoised per unordered id pair.  Memoisation
+    is only valid while the item objects stay alive and unchanged, which
+    holds for the duration of one :func:`plan_schedule` call.
     """
 
     def __init__(self) -> None:
         self._memo: Dict[Tuple[int, int], bool] = {}
-        self._index: Dict[int, Dict[int, List[Gate]]] = {}
+        self._index: Dict[int, Dict[int, Dict[Optional[str], List[Gate]]]] = {}
+        #: Item pairs whose verdict was computed, and the gate-pair
+        #: ``commutes`` calls that took.
+        self.item_pairs = 0
+        self.calls = 0
 
     def items_commute(self, a: SchedulableItem, b: SchedulableItem) -> bool:
         ia, ib = id(a), id(b)
@@ -256,15 +263,23 @@ class _PairwiseCommutation:
             self._memo[key] = verdict
         return verdict
 
-    def _gates_by_qubit(self, item: SchedulableItem) -> Dict[int, List[Gate]]:
+    def _gates_by_axis(self, item: SchedulableItem
+                       ) -> Dict[int, Dict[Optional[str], List[Gate]]]:
+        """qubit -> Pauli axis there -> the item's gates filed under it."""
         index = self._index.get(id(item))
         if index is None:
-            index = defaultdict(list)
+            index = {}
             gates = (item.gates if isinstance(item, (CommBlock, FusedTPChain))
                      else (item,))
             for gate in gates:
-                for qubit in gate.qubits:
-                    index[qubit].append(gate)
+                for qubit, axis in zip(gate.qubits, pauli_axes(gate)):
+                    by_axis = index.get(qubit)
+                    if by_axis is None:
+                        index[qubit] = {axis: [gate]}
+                    elif axis in by_axis:
+                        by_axis[axis].append(gate)
+                    else:
+                        by_axis[axis] = [gate]
             self._index[id(item)] = index
         return index
 
@@ -272,23 +287,23 @@ class _PairwiseCommutation:
         shared = _touched_set(a) & _touched_set(b)
         if not shared:
             return True
-        # A gate pair can only fail to commute when it overlaps, and any
-        # overlap lies inside the items' shared qubits — so only the gates
-        # touching those qubits (found through both items' indices) need
-        # pairwise checks; every skipped pair is disjoint and commutes.
-        index_a = self._gates_by_qubit(a)
-        index_b = self._gates_by_qubit(b)
-        checked: Set[Tuple[int, int]] = set()
+        self.item_pairs += 1
+        index_a = self._gates_by_axis(a)
+        index_b = self._gates_by_axis(b)
         for qubit in shared:
-            for ga in index_a.get(qubit, ()):
-                ga_id = id(ga)
-                for gb in index_b.get(qubit, ()):
-                    key = (ga_id, id(gb))
-                    if key in checked:
+            by_axis_a = index_a.get(qubit)
+            by_axis_b = index_b.get(qubit)
+            if by_axis_a is None or by_axis_b is None:
+                continue
+            for axis_a, gates_a in by_axis_a.items():
+                for axis_b, gates_b in by_axis_b.items():
+                    if axis_a is not None and axis_a == axis_b:
                         continue
-                    checked.add(key)
-                    if not commutes(ga, gb):
-                        return False
+                    for ga in gates_a:
+                        for gb in gates_b:
+                            self.calls += 1
+                            if not commutes(ga, gb):
+                                return False
         return True
 
 
@@ -644,6 +659,8 @@ def plan_schedule(assignment: AssignmentResult, burst: bool) -> SchedulePlan:
         if span.enabled:
             span.set("items", len(items))
             span.set("fused_chains", num_fused)
+            span.set("item_pairs", oracle.item_pairs)
+            span.set("commute_calls", oracle.calls)
     plan = SchedulePlan(items=items, preds=preds, num_fused_chains=num_fused,
                         burst=burst)
     # When fusion changed nothing, the burst and plain plans schedule the

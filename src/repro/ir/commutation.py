@@ -19,6 +19,7 @@ pattern fast.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -214,15 +215,21 @@ class GateFrontier:
     are asked about once: single-qubit gates per ``(name, params)`` and,
     against a single-qubit query, multi-qubit gates per ``(name, params,
     position of the shared qubit)`` -- the keys its verdicts are cached on.
-    So :meth:`commutes` equals :func:`commutes` over every overlapping
-    filed gate, with the query first.
+    Those deduplicated gates only ever grow, and a verdict against one
+    depends only on the query's ``(name, params, position of the shared
+    qubit)``.  So each bucket keeps, per such query key, how many of them
+    have passed (or that one failed), and a repeated query only checks the
+    ones filed since; a multi-qubit query is still checked against every
+    multi-qubit gate.  :meth:`commutes` therefore equals :func:`commutes`
+    over every overlapping filed gate, with the query first.
     """
 
     __slots__ = ("_buckets", "calls")
 
     def __init__(self) -> None:
         # qubit -> axis -> (single-qubit gates by (name, params),
-        # multi-qubit gates by (name, params, position), all multi-qubit)
+        # multi-qubit gates by (name, params, position), all multi-qubit
+        # gates, query key -> (singles, patterns) passed or None if failed)
         self._buckets: Dict[int, Dict[Optional[str], tuple]] = {}
         #: ``commutes`` calls made by the queries so far.
         self.calls = 0
@@ -242,15 +249,15 @@ class GateFrontier:
                 by_axis = buckets[qubit] = {}
             bucket = by_axis.get(axes[position])
             if bucket is None:
-                bucket = by_axis[axes[position]] = ({}, {}, [])
+                bucket = by_axis[axes[position]] = ({}, {}, [], {})
             if single:
                 bucket[0].setdefault((gate.name, gate.params), gate)
             else:
                 bucket[1].setdefault((gate.name, gate.params, position), gate)
                 bucket[2].append(gate)
 
-    def _candidates(self, gate: Gate):
-        """The filed gates ``gate`` has to be checked against."""
+    def commutes(self, gate: Gate) -> bool:
+        """Does ``gate`` commute with every filed gate it overlaps?"""
         buckets = self._buckets
         axes = pauli_axes(gate)
         single = len(gate.qubits) == 1
@@ -259,17 +266,38 @@ class GateFrontier:
             if by_axis is None:
                 continue
             mine = axes[position]
-            for axis, (singles, patterns, multis) in by_axis.items():
-                if axis is None or axis != mine:
-                    yield from singles.values()
-                    yield from (patterns.values() if single else multis)
-
-    def commutes(self, gate: Gate) -> bool:
-        """Does ``gate`` commute with every filed gate it overlaps?"""
-        for other in self._candidates(gate):
-            self.calls += 1
-            if not commutes(gate, other):
-                return False
+            key = (gate.name, gate.params, position)
+            for axis, (singles, patterns, multis, passed) in by_axis.items():
+                if axis is not None and axis == mine:
+                    continue
+                state = passed.get(key, (0, 0))
+                if state is None:
+                    return False
+                done_singles, done_patterns = state
+                if done_singles < len(singles):
+                    for other in islice(singles.values(), done_singles, None):
+                        self.calls += 1
+                        if not commutes(gate, other):
+                            passed[key] = None
+                            return False
+                if single:
+                    if done_patterns < len(patterns):
+                        for other in islice(patterns.values(), done_patterns,
+                                            None):
+                            self.calls += 1
+                            if not commutes(gate, other):
+                                passed[key] = None
+                                return False
+                    passed[key] = (len(singles), len(patterns))
+                    continue
+                # A multi-qubit query never checks ``patterns`` (a barrier's
+                # key does not tell its arity), and is checked pairwise
+                # against ``multis``.
+                passed[key] = (len(singles), done_patterns)
+                for other in multis:
+                    self.calls += 1
+                    if not commutes(gate, other):
+                        return False
         return True
 
 

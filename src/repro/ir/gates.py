@@ -330,30 +330,33 @@ class Gate:
 
     def __post_init__(self) -> None:
         spec = gate_spec(self.name)
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if spec.name != "barrier" and len(self.qubits) != spec.num_qubits:
+        qubits = tuple(map(int, self.qubits))
+        params = tuple(map(float, self.params))
+        object.__setattr__(self, "qubits", qubits)
+        object.__setattr__(self, "params", params)
+        if spec.name != "barrier" and len(qubits) != spec.num_qubits:
             raise ValueError(
                 f"gate {self.name!r} expects {spec.num_qubits} qubits, "
-                f"got {len(self.qubits)}"
+                f"got {len(qubits)}"
             )
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"gate {self.name!r} applied to duplicate qubits {self.qubits}")
-        if len(self.params) != spec.num_params:
+        qubit_set = frozenset(qubits)
+        if len(qubit_set) != len(qubits):
+            raise ValueError(f"gate {self.name!r} applied to duplicate qubits {qubits}")
+        if len(params) != spec.num_params:
             raise ValueError(
                 f"gate {self.name!r} expects {spec.num_params} params, "
-                f"got {len(self.params)}"
+                f"got {len(params)}"
             )
-        if any(q < 0 for q in self.qubits):
-            raise ValueError(f"negative qubit index in {self.qubits}")
+        if qubits and min(qubits) < 0:
+            raise ValueError(f"negative qubit index in {qubits}")
         # The compiler's hot paths (commutation checks, aggregation scans)
         # query these structural facts millions of times per compile; each is
         # immutable once the gate is validated, so compute them once here
         # instead of chasing the registry on every property access.  Only
         # plain picklable values are cached.
         unitary = spec.unitary is not None
-        n = len(self.qubits)
-        object.__setattr__(self, "_qubit_set", frozenset(self.qubits))
+        n = len(qubits)
+        object.__setattr__(self, "_qubit_set", qubit_set)
         object.__setattr__(self, "_is_unitary", unitary)
         object.__setattr__(self, "_is_single", unitary and n == 1)
         object.__setattr__(self, "_is_two", unitary and n == 2)

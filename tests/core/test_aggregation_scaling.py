@@ -141,6 +141,73 @@ class TestGateFrontier:
                     assert frontier.commutes(query) is expected, \
                         (query, first, second)
 
+    def test_interleaved_adds_and_queries(self):
+        """Verdicts resumed across later adds equal plain pairwise checks."""
+        tiny = math.pi / 2 ** 40
+        angles = (0.0, -0.0, 0.3, math.nextafter(0.3, 1.0), tiny,
+                  math.nextafter(tiny, 0.0), math.pi / 2, 2 * math.pi)
+        names = ("rz", "p", "t", "rx", "sx", "x", "ry", "h", "measure",
+                 "barrier", "cx", "cy", "crx", "crz", "cp", "rxx", "rzz",
+                 "ch", "ccx", "cswap")
+        rng = random.Random(11)
+        verdicts = {True: 0, False: 0}
+        failed_again = 0  # failed queries repeated after more adds
+        for _ in range(80):
+            num_qubits = rng.randint(3, 4)
+            frontier = GateFrontier()
+            filed = []
+            failed = {}
+            for _ in range(40):
+                gate = (_random_barrier(rng, num_qubits)
+                        if rng.random() < 0.05 else
+                        _random_gate(rng, names, num_qubits, angles))
+                if rng.random() < 0.4:
+                    frontier.add(gate)
+                    filed.append(gate)
+                    continue
+                expected = all(commutes(gate, other) for other in filed
+                               if set(gate.qubits) & set(other.qubits))
+                assert frontier.commutes(gate) is expected, (gate, filed)
+                verdicts[expected] += 1
+                key = (gate.name, gate.params, gate.qubits)
+                if not expected:
+                    failed_again += failed.get(key, len(filed)) < len(filed)
+                    failed[key] = len(filed)
+        assert min(verdicts.values()) > 400
+        assert failed_again > 40
+
+    def test_repeated_queries_check_only_new_gates(self):
+        # rz(pi/2^k) this small commutes with a CX target within the
+        # matrix check's tolerance, so every check passes until the h.
+        frontier = GateFrontier()
+        for k in (40, 41, 42):
+            frontier.add(Gate("rz", (1,), (math.pi / 2 ** k,)))
+        assert frontier.commutes(Gate("cx", (0, 1)))
+        assert frontier.calls == 3
+        frontier.add(Gate("rz", (1,), (math.pi / 2 ** 43,)))
+        assert frontier.commutes(Gate("cx", (2, 1)))
+        assert frontier.calls == 4
+        frontier.add(Gate("h", (1,)))
+        assert not frontier.commutes(Gate("cx", (0, 1)))
+        assert frontier.calls == 5
+        frontier.add(Gate("rz", (1,), (math.pi / 2 ** 44,)))
+        assert not frontier.commutes(Gate("cx", (0, 1)))
+        assert frontier.calls == 6  # the new rz; the failed h is not redone
+
+    def test_one_key_for_single_and_multi_barriers(self):
+        """A barrier's key does not tell its arity: a two-qubit barrier's
+        query must not mark the multi-qubit gates as passed for a
+        one-qubit barrier with the same key."""
+        frontier = GateFrontier()
+        frontier.add(Gate("cx", (0, 1)))
+        assert not frontier.commutes(Gate("barrier", (0, 2)))
+        assert not frontier.commutes(Gate("barrier", (0,)))
+
+
+def _random_barrier(rng, num_qubits):
+    return Gate("barrier", tuple(rng.sample(range(num_qubits),
+                                            rng.randint(1, 3))))
+
 
 def _qft_program(num_qubits, num_nodes):
     circuit = decompose_to_cx(qft_circuit(num_qubits))
@@ -156,6 +223,17 @@ class TestScaling:
         aggregator.run()
         assert aggregator.stats["sweeps"] == 1
         assert aggregator.stats["window_items"] <= 3 * len(circuit)
+        # Resumed bucket verdicts: a repeated query only checks new gates.
+        assert aggregator.stats["commute_calls"] <= len(circuit)
+
+    @pytest.mark.parametrize("num_qubits,num_nodes", [(40, 4), (60, 6)])
+    def test_plan_burst_checks_stay_linear(self, num_qubits, num_nodes):
+        # CX-CX pairs sharing a control match on its Z axis and are skipped.
+        circuit = decompose_to_cx(qft_circuit(num_qubits))
+        network = uniform_network(num_nodes, -(-num_qubits // num_nodes))
+        program = compile_autocomm(circuit, network, cache=False)
+        counters = program.spans.find("plan-burst").counters
+        assert counters["commute_calls"] <= counters["items"] / 4
 
     def test_qft40_matches_reference(self):
         # Angles pi/2^k below the matrix check's tolerance make distant
@@ -207,6 +285,11 @@ class TestScaling:
         for name in ("sweeps", "pair_passes", "window_items",
                      "deferred_checks", "commute_calls"):
             assert name in span.counters
+        network = uniform_network(3, 4)
+        program = compile_autocomm(circuit, network, cache=False)
+        counters = program.spans.find("plan-burst").counters
+        assert counters["item_pairs"] > 0
+        assert 0 < counters["commute_calls"] < counters["item_pairs"]
 
 
 class TestBookingEnd:

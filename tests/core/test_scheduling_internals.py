@@ -1,5 +1,8 @@
 """White-box tests for scheduler and aggregator internals."""
 
+import math
+import random
+
 import pytest
 
 from repro.comm import CommBlock, CommScheme
@@ -9,9 +12,12 @@ from repro.core.scheduling import (
     _build_dependencies,
     _epr_prep_latency,
     _items_commute,
+    _PairwiseCommutation,
 )
+from repro.core.scheduling_reference import _items_commute_reference
 from repro.hardware import DEFAULT_LATENCY, apply_topology, uniform_network
 from repro.ir import Circuit, Gate
+from repro.ir.commutation import GATE_REGISTRY
 from repro.partition import QubitMapping
 
 
@@ -72,6 +78,31 @@ class TestDependencyConstruction:
         assert preds[-1]  # not empty
 
 
+def _random_item(rng, num_qubits):
+    """A gate, block or fused chain over X/Y/Z-axis, axis-less and 3-qubit
+    gates (blocks are not checked for remote-gate structure here)."""
+    names = ("cx", "cy", "crx", "crz", "cp", "rxx", "rzz", "ch", "ccx",
+             "cswap", "rz", "p", "t", "rx", "sx", "ry", "h", "x")
+    angles = (0.0, -0.0, 0.3, math.nextafter(0.3, 1.0), math.pi / 2 ** 40)
+
+    def gate():
+        spec = GATE_REGISTRY[rng.choice(names)]
+        return Gate(spec.name, tuple(rng.sample(range(num_qubits),
+                                                spec.num_qubits)),
+                    tuple(rng.choice(angles) for _ in range(spec.num_params)))
+
+    def block():
+        return cat_block([gate() for _ in range(rng.randint(1, 5))],
+                         0, 0, 1, scheme=CommScheme.TP)
+
+    kind = rng.random()
+    if kind < 0.3:
+        return gate()
+    if kind < 0.8:
+        return block()
+    return FusedTPChain(blocks=[block() for _ in range(rng.randint(2, 3))])
+
+
 class TestItemsCommute:
     def test_blocks_with_shared_commuting_gates(self):
         a = cat_block([Gate("cx", (0, 2))], 0, 0, 1)
@@ -89,6 +120,21 @@ class TestItemsCommute:
         chain = FusedTPChain(blocks=[a, b])
         assert _items_commute(chain, Gate("rz", (0,), (0.2,)))
         assert not _items_commute(chain, Gate("h", (2,)))
+
+    def test_oracle_matches_full_cross_product(self):
+        """Skipping axis-matched gate pairs changes no item verdict."""
+        rng = random.Random(7)
+        verdicts = {True: 0, False: 0}
+        for _ in range(150):
+            num_qubits = rng.randint(3, 5)
+            items = [_random_item(rng, num_qubits) for _ in range(8)]
+            oracle = _PairwiseCommutation()
+            for a in items:
+                for b in items:
+                    expected = _items_commute_reference(a, b)
+                    assert oracle.items_commute(a, b) is expected, (a, b)
+                    verdicts[expected] += 1
+        assert min(verdicts.values()) > 2000
 
 
 class TestEprPrepLatency:

@@ -93,20 +93,24 @@ class TestGateConstruction:
         assert isinstance(gate.qubits[0], int)
 
     def test_wrong_qubit_count_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'cx' expects 2 qubits, got 1"):
             Gate("cx", (0,))
 
     def test_wrong_param_count_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'rz' expects 1 params, got 0"):
             Gate("rz", (0,), ())
 
     def test_duplicate_qubits_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"'cx' applied to duplicate qubits \(1, 1\)"):
             Gate("cx", (1, 1))
 
     def test_negative_qubit_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"negative qubit index in \(-1,\)"):
             Gate("h", (-1,))
+
+    def test_empty_barrier_accepted(self):
+        assert Gate("barrier", ()).qubit_set == frozenset()
 
     def test_unknown_gate_rejected(self):
         with pytest.raises(KeyError):
