@@ -10,8 +10,9 @@ a plain circuit, which the tests check against the original by simulation).
 The implementation folds the paper's three steps into one scan per
 qubit-node pair, processed in descending order of remote-gate count
 (preprocessing), with commutation-based deferral of intervening gates
-(linear merge, Algorithm 1) and repeated sweeps until no block grows
-(iterative refinement):
+(linear merge, Algorithm 1) and sweeps over all pairs until no block grows
+(iterative refinement; a pair's scan absorbs all of its pair's remote
+gates, so here the first sweep already reaches that point):
 
 * gates allowed inside a block (single-qubit gates on the hub, local gates
   confined to the remote node) are absorbed in place;
@@ -21,11 +22,13 @@ qubit-node pair, processed in descending order of remote-gate count
 * a gate that can neither be absorbed nor deferred closes the block, which
   is the paper's "break" case.
 
-A pair's scan only walks its *windows*, each from an eligible remote gate
-to the item that closes its block; the items between windows are copied
-as list slices.  Inside a window the open block and the deferred items are
-each held in a :class:`~repro.ir.commutation.GateFrontier`, so a candidate
-is only checked against the gates it could fail to commute with.
+The program is held as one doubly linked sequence of item handles for the
+whole run.  A pair's scan only walks its *windows*, each from an eligible
+remote gate (found by its handle) to the item that closes its block, and
+splices the window's rewritten items back in place; the items between
+windows are never touched.  Inside a window the open block and the deferred
+items are each held in a :class:`~repro.ir.commutation.GateFrontier`, so a
+candidate is only checked against the gates it could fail to commute with.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ ScheduleItem = Union[Gate, CommBlock]
 _BLOCKING_NAMES = frozenset({"barrier", "measure", "reset"})
 
 #: Work counters of one run (see :attr:`CommAggregator.stats`).
-_STATS = ("sweeps", "pair_passes", "window_items", "deferred_checks",
-          "commute_calls")
+_STATS = ("sweeps", "pair_passes", "window_items", "relinked_items",
+          "deferred_checks", "commute_calls")
 
 
 @dataclass
@@ -96,14 +99,16 @@ def _item_qubits(item: ScheduleItem):
 class _OpenBlock:
     """A block being grown by one pair's scan, and the items deferred past it."""
 
-    __slots__ = ("block", "gates", "deferred", "deferred_by_qubit", "pending",
-                 "stats")
+    __slots__ = ("block", "gates", "deferred", "handles", "deferred_by_qubit",
+                 "pending", "stats")
 
     def __init__(self, block: CommBlock, stats: Dict[str, int]) -> None:
         self.block = block
         #: The block's gates, for commutation queries.
         self.gates = GateFrontier()
         self.deferred: List[ScheduleItem] = []
+        #: The deferred items' handles, in the same order.
+        self.handles: List[int] = []
         #: qubit -> indices of the deferred items touching it.
         self.deferred_by_qubit: Dict[int, List[int]] = {}
         #: Every gate of the deferred items, for commutation queries.
@@ -114,9 +119,10 @@ class _OpenBlock:
         self.block.append(gate)
         self.gates.add(gate)
 
-    def defer(self, item: ScheduleItem) -> None:
+    def defer(self, handle: int, item: ScheduleItem) -> None:
         index = len(self.deferred)
         self.deferred.append(item)
+        self.handles.append(handle)
         if isinstance(item, CommBlock):
             for gate in item.gates:
                 self.pending.add(gate)
@@ -157,10 +163,9 @@ class _OpenBlock:
                             return False
         return True
 
-    def close(self, out: List[ScheduleItem], out_ids: List[int]) -> None:
-        """Emit the deferred items after the block."""
-        out.extend(self.deferred)
-        out_ids.extend(map(id, self.deferred))
+    def close(self, emitted: List[int]) -> None:
+        """Emit the deferred items' handles after the block."""
+        emitted.extend(self.handles)
         self.stats["commute_calls"] += self.gates.calls + self.pending.calls
 
 
@@ -168,14 +173,16 @@ class CommAggregator:
     """Implements the aggregation pass over one circuit and mapping.
 
     The pass is *indexed*: each raw remote gate's two qubit-node pairs are
-    computed once, every pair keeps its gates in program order, and the
-    pair histogram that drives the processing order is maintained as gates
-    are absorbed into blocks.  A pair's pass finds its next raw gate with a
-    C-level ``list.index`` over the items' ``id()`` values and copies the
-    stretch before it as a slice, so it walks only its windows.  The output
-    is identical to the original scanning implementation, which is
-    preserved in :mod:`repro.core.aggregation_reference` and diffed against
-    this one by the equivalence tests.
+    computed once, every pair keeps the handles of its gates in program
+    order, and the pair histogram that drives the processing order is
+    maintained as gates are absorbed into blocks.  The program lives in one
+    doubly linked sequence of integer handles (``_item``, ``_next`` and
+    ``_prev``), so a pair's pass starts each window at its raw gate's handle
+    and splices the window's output between the window's neighbours: it
+    costs its windows and nothing else.  The output is identical to the
+    original scanning implementation, which is preserved in
+    :mod:`repro.core.aggregation_reference` and diffed against this one by
+    the equivalence tests.
     """
 
     def __init__(self, circuit: Circuit, mapping: QubitMapping,
@@ -194,70 +201,76 @@ class CommAggregator:
             by_node[node].add(qubit)
         self._qubits_on: Dict[int, frozenset] = {
             node: frozenset(qubits) for node, qubits in by_node.items()}
-        # Filled by run(): id(gate) -> its two (hub, remote-node) pairs, the
-        # raw (not yet absorbed) occurrences per gate id -- a gate object may
-        # appear more than once -- each pair's gates in program order, the
-        # live pair histogram, and the raw count.
-        self._gate_pairs: Dict[int, Tuple[Tuple[int, int], Tuple[int, int]]] = {}
-        self._raw: Counter = Counter()
-        self._pair_gates: Dict[Tuple[int, int], List[Gate]] = {}
+        # Filled by the index stage.  Handle ``h`` holds item ``_item[h]``
+        # between ``_prev[h]`` and ``_next[h]``; handle 0 is the sentinel
+        # that is both head and tail, the input gates take 1..n in program
+        # order and each new block takes the next free handle.
+        self._item: List[Optional[ScheduleItem]] = []
+        self._next: List[int] = []
+        self._prev: List[int] = []
+        # Each raw (not yet absorbed) remote gate's handle -> its two
+        # (hub, remote-node) pairs, each pair's gate handles in program
+        # order, and the live pair histogram.
+        self._raw_pairs: Dict[int, Tuple[Tuple[int, int], Tuple[int, int]]] = {}
+        self._pair_gates: Dict[Tuple[int, int], List[int]] = {}
         self._histogram: Counter = Counter()
-        self._raw_remaining = 0
-        self._num_blocks = 0
         #: Work done by the last run: sweeps, pair passes, items walked in
-        #: windows, deferred-item commutation checks and ``commutes`` calls.
+        #: windows, handles the windows' splices emitted, deferred-item
+        #: commutation checks and ``commutes`` calls.
         self.stats: Dict[str, int] = dict.fromkeys(_STATS, 0)
 
     # ------------------------------------------------------------------ public
 
     def run(self) -> AggregationResult:
+        """Aggregate the circuit; ``stats`` then counts this run's work.
+
+        ``max_sweeps`` bounds the refinement sweeps over all pairs.  A
+        pair's pass absorbs every raw gate of its pair and no pass makes a
+        gate raw again, so the first sweep leaves no raw gate and a second
+        one never runs: ``max_sweeps=0`` wraps every remote gate in its own
+        block, and every positive value gives the same output.
+        """
+        self.stats = dict.fromkeys(_STATS, 0)
         with stage("index"):
-            items: List[ScheduleItem] = list(self.circuit.gates)
-            ids = [id(item) for item in items]
-            self._build_index(items)
-        previous_block_count = -1
-        for _ in range(self.max_sweeps):
+            self._build_index(self.circuit.gates)
+        if self.max_sweeps > 0:
             with stage("sweep"):
-                self.stats["sweeps"] += 1
+                self.stats["sweeps"] = 1
                 for pair in self._pairs_by_weight_indexed():
-                    if self._histogram[pair] == 0:
-                        continue
-                    items, ids = self._aggregate_pair(items, ids, pair)
-            if (self._raw_remaining == 0
-                    or self._num_blocks == previous_block_count):
-                break
-            previous_block_count = self._num_blocks
+                    if self._histogram[pair]:
+                        self._aggregate_pair(pair)
         with stage("leftovers"):
-            items = self._blockify_leftovers(items)
+            items = self._blockify_leftovers()
         blocks = [item for item in items if isinstance(item, CommBlock)]
         return AggregationResult(self.circuit, self.mapping, items, blocks)
 
     # -------------------------------------------------------------- the index
 
-    def _build_index(self, items: Sequence[ScheduleItem]) -> None:
-        """Precompute per-gate remote pairs, per-pair gates and the histogram.
+    def _build_index(self, gates: Sequence[Gate]) -> None:
+        """Link the gates and index per-gate remote pairs and per-pair gates.
 
         A remote two-qubit gate on qubits ``(a, b)`` is eligible for exactly
         the two directed pairs ``(a, node(b))`` and ``(b, node(a))``; both
         are recorded so eligibility during a pair sweep is one dict lookup.
         """
+        count = len(gates)
+        self._item = [None, *gates]
+        self._next = [*range(1, count + 1), 0]
+        self._prev = [count, *range(count)]
         node = self._node
-        gate_pairs = self._gate_pairs = {}
-        raw = self._raw = Counter()
+        raw_pairs = self._raw_pairs = {}
         pair_gates = self._pair_gates = defaultdict(list)
         histogram = self._histogram = Counter()
-        for item in items:
-            if isinstance(item, Gate) and self._is_remote_2q(item):
-                a, b = item.qubits
+        for handle, gate in enumerate(gates, 1):
+            if self._is_remote_2q(gate):
+                a, b = gate.qubits
                 pair_a = (a, node[b])
                 pair_b = (b, node[a])
-                gate_pairs[id(item)] = (pair_a, pair_b)
-                raw[id(item)] += 1
-                pair_gates[pair_a].append(item)
-                pair_gates[pair_b].append(item)
+                raw_pairs[handle] = (pair_a, pair_b)
+                pair_gates[pair_a].append(handle)
+                pair_gates[pair_b].append(handle)
                 histogram[pair_a] += 1
                 histogram[pair_b] += 1
-        self._raw_remaining = sum(raw.values())
 
     def _pairs_by_weight_indexed(self) -> List[Tuple[int, int]]:
         """Pairs with raw gates left, by descending count, then by pair."""
@@ -266,85 +279,70 @@ class CommAggregator:
                          key=lambda kv: (-kv[1], kv[0]))
         return [pair for pair, _ in ordered]
 
-    def _absorb_into_block(self, gate: Gate) -> None:
-        """Account for a raw remote gate moving into a block."""
-        pair_a, pair_b = self._gate_pairs[id(gate)]
+    def _absorb_into_block(self, handle: int) -> None:
+        """Account for the raw remote gate at ``handle`` moving into a block."""
+        pair_a, pair_b = self._raw_pairs.pop(handle)
         self._histogram[pair_a] -= 1
         self._histogram[pair_b] -= 1
-        self._raw[id(gate)] -= 1
-        self._raw_remaining -= 1
 
     def _is_remote_2q(self, gate: Gate) -> bool:
         return gate.is_two_qubit and self.mapping.is_remote(gate)
 
     # --------------------------------------------------------- per-pair sweep
 
-    def _aggregate_pair(self, items: List[ScheduleItem], ids: List[int],
-                        pair: Tuple[int, int]
-                        ) -> Tuple[List[ScheduleItem], List[int]]:
-        """One pass of ``pair``; returns the new items and their ids.
+    def _aggregate_pair(self, pair: Tuple[int, int]) -> None:
+        """One pass of ``pair``: a window from each of its raw gates.
 
         Every raw gate of the pair opens or joins a block, so the pass
-        leaves the pair with none.  ``ids[i] == id(items[i])`` lets the next
-        raw gate be found by a C-level search from the end of the previous
-        window; the items in between are copied as one slice.
+        leaves the pair with none.
         """
         self.stats["pair_passes"] += 1
-        raw = self._raw
-        out: List[ScheduleItem] = []
-        out_ids: List[int] = []
-        position = 0
-        for gate in self._pair_gates.pop(pair):
-            key = id(gate)
-            if not raw[key]:
-                continue  # already absorbed, here or by its other pair
-            start = ids.index(key, position)
-            out += items[position:start]
-            out_ids += ids[position:start]
-            position = self._window(items, ids, start, pair, out, out_ids)
-        out += items[position:]
-        out_ids += ids[position:]
-        return out, out_ids
+        raw_pairs = self._raw_pairs
+        for handle in self._pair_gates.pop(pair):
+            if handle in raw_pairs:  # not yet absorbed, here or by its other pair
+                self._window(handle, pair)
 
-    def _window(self, items: List[ScheduleItem], ids: List[int], start: int,
-                pair: Tuple[int, int], out: List[ScheduleItem],
-                out_ids: List[int]) -> int:
-        """Grow blocks for ``pair`` from the raw gate at ``items[start]``.
+    def _window(self, start: int, pair: Tuple[int, int]) -> None:
+        """Grow blocks for ``pair`` from the raw gate at handle ``start``.
 
-        Returns the position after the item that closed the last block (the
-        end of the items when none did).
+        Walks to the item that closes the last block (the end of the
+        program when none does) and splices the blocks, deferred items and
+        closing item in place of the walked items.
         """
         hub, remote_node = pair
         hub_node = self._node[hub]
         remote_qubits = self._qubits_on[remote_node]
-        gate_pairs = self._gate_pairs
+        items = self._item
+        nxt = self._next
+        raw_pairs = self._raw_pairs
         use_commutation = self.use_commutation
+        emitted: List[int] = []
         current: Optional[_OpenBlock] = None
-        index = start
-        end = len(items)
-        while index < end:
-            item = items[index]
-            index += 1
+        cursor = start
+        walked = 0
+        while cursor:
+            handle = cursor
+            item = items[handle]
+            cursor = nxt[handle]
+            walked += 1
             # Eligibility (a raw remote 2q gate of this exact pair) is one
-            # precomputed lookup; gates already inside blocks are not items.
-            eligible_pairs = gate_pairs.get(id(item))
+            # precomputed lookup; gates already inside blocks are not linked.
+            eligible_pairs = raw_pairs.get(handle)
             if eligible_pairs is not None and (pair == eligible_pairs[0]
                                                or pair == eligible_pairs[1]):
                 # Pulling this gate into the open block hops it over every
                 # deferred item, so that move must be commutation-justified.
                 if current is not None and current.deferred and not (
                         use_commutation and current.commutes_with_deferred(item)):
-                    current.close(out, out_ids)
+                    current.close(emitted)
                     current = None
                 if current is None:
                     block = CommBlock(hub_qubit=hub, hub_node=hub_node,
                                       remote_node=remote_node)
-                    out.append(block)
-                    out_ids.append(id(block))
-                    self._num_blocks += 1
+                    emitted.append(self._new_handle(block))
                     current = _OpenBlock(block, self.stats)
                 current.absorb(item)
-                self._absorb_into_block(item)
+                self._absorb_into_block(handle)
                 continue
 
             if self._allowed_in_block(item, hub, remote_qubits):
@@ -355,24 +353,43 @@ class CommAggregator:
                     current.absorb(item)
                     continue
                 if use_commutation:
-                    current.defer(item)
+                    current.defer(handle, item)
                     continue
             elif use_commutation and (
                     current.gates.qubits.isdisjoint(_item_qubits(item))
                     or current.commutes_with_block(item)) \
                     and current.commutes_with_deferred(item):
-                current.defer(item)
+                current.defer(handle, item)
                 continue
 
             # The "break" case: the item closes the block and the window.
-            current.close(out, out_ids)
-            out.append(item)
-            out_ids.append(ids[index - 1])
-            self.stats["window_items"] += index - start
-            return index
-        current.close(out, out_ids)
-        self.stats["window_items"] += index - start
-        return index
+            current.close(emitted)
+            emitted.append(handle)
+            break
+        else:
+            current.close(emitted)
+        self.stats["window_items"] += walked
+        self._splice(self._prev[start], emitted, cursor)
+
+    def _new_handle(self, item: ScheduleItem) -> int:
+        """A fresh, not yet linked handle for ``item``."""
+        self._item.append(item)
+        self._next.append(0)
+        self._prev.append(0)
+        return len(self._item) - 1
+
+    def _splice(self, before: int, run: List[int], after: int) -> None:
+        """Link ``run`` between ``before`` and ``after``, replacing the
+        handles that were between them."""
+        nxt = self._next
+        prev = self._prev
+        for handle in run:
+            nxt[before] = handle
+            prev[handle] = before
+            before = handle
+        nxt[before] = after
+        prev[after] = before
+        self.stats["relinked_items"] += len(run)
 
     def _allowed_in_block(self, item: ScheduleItem, hub: int,
                           remote_qubits: Set[int]) -> bool:
@@ -397,19 +414,24 @@ class CommAggregator:
 
     # ------------------------------------------------------------- leftovers
 
-    def _blockify_leftovers(self, items: List[ScheduleItem]) -> List[ScheduleItem]:
-        """Wrap every remaining raw remote two-qubit gate in a singleton block."""
+    def _blockify_leftovers(self) -> List[ScheduleItem]:
+        """The linked items, each raw remote two-qubit gate wrapped in a
+        singleton block."""
         out: List[ScheduleItem] = []
-        gate_pairs = self._gate_pairs
-        for item in items:
-            if isinstance(item, Gate) and id(item) in gate_pairs:
+        items = self._item
+        nxt = self._next
+        raw_pairs = self._raw_pairs
+        handle = nxt[0]
+        while handle:
+            item = items[handle]
+            if handle in raw_pairs:
                 a, b = item.qubits
                 block = CommBlock(hub_qubit=a, hub_node=self._node[a],
                                   remote_node=self._node[b])
                 block.append(item)
-                out.append(block)
-            else:
-                out.append(item)
+                item = block
+            out.append(item)
+            handle = nxt[handle]
         return out
 
 

@@ -215,14 +215,24 @@ def _qft_program(num_qubits, num_nodes):
     return circuit, oee_partition(circuit, network).mapping
 
 
+def _signature(items):
+    return [(type(i), getattr(i, "hub_qubit", None),
+             getattr(i, "remote_node", None), tuple(getattr(i, "gates", (i,))))
+            for i in items]
+
+
 class TestScaling:
     @pytest.mark.parametrize("num_qubits,num_nodes", [(40, 4), (60, 6)])
     def test_window_items_stay_linear(self, num_qubits, num_nodes):
         circuit, mapping = _qft_program(num_qubits, num_nodes)
         aggregator = CommAggregator(circuit, mapping)
-        aggregator.run()
-        assert aggregator.stats["sweeps"] == 1
-        assert aggregator.stats["window_items"] <= 3 * len(circuit)
+        result = aggregator.run()
+        stats = aggregator.stats
+        assert stats["sweeps"] == 1
+        assert stats["window_items"] <= 3 * len(circuit)
+        # Each splice emits the window's new blocks and some of its items.
+        assert stats["relinked_items"] <= \
+            stats["window_items"] + len(result.blocks)
         # Resumed bucket verdicts: a repeated query only checks new gates.
         assert aggregator.stats["commute_calls"] <= len(circuit)
 
@@ -257,10 +267,7 @@ class TestScaling:
         aggregator = CommAggregator(circuit, mapping)
         optimized = aggregator.run()
         reference = aggregate_communications_reference(circuit, mapping)
-        assert [(type(i), tuple(getattr(i, "gates", (i,))))
-                for i in optimized.items] == \
-            [(type(i), tuple(getattr(i, "gates", (i,))))
-             for i in reference.items]
+        assert _signature(optimized.items) == _signature(reference.items)
         assert aggregator.stats["deferred_checks"] > 0
 
     def test_repeated_gate_objects_match_reference(self):
@@ -270,10 +277,31 @@ class TestScaling:
         mapping = _qft_program(4, 2)[1]
         optimized = aggregate_communications(circuit, mapping)
         reference = aggregate_communications_reference(circuit, mapping)
-        assert [(type(i), tuple(getattr(i, "gates", (i,))))
-                for i in optimized.items] == \
-            [(type(i), tuple(getattr(i, "gates", (i,))))
-             for i in reference.items]
+        assert _signature(optimized.items) == _signature(reference.items)
+
+    def test_padding_ahead_of_every_window_is_not_walked(self):
+        circuit, mapping = _qft_program(40, 4)
+        plain = CommAggregator(circuit, mapping)
+        unpadded = plain.run()
+        padding = [Gate("t" if k % 2 else "h", (0,)) for k in range(20_000)]
+        padded = CommAggregator(
+            Circuit(circuit.num_qubits, padding + list(circuit.gates)), mapping)
+        result = padded.run()
+        for name in ("window_items", "relinked_items"):
+            assert padded.stats[name] == plain.stats[name]
+        assert _signature(result.items) == \
+            _signature(padding) + _signature(unpadded.items)
+
+    def test_second_run_repeats_the_first(self):
+        """``run()`` twice on one aggregator: same items, same stats (the
+        counters used to add up across runs)."""
+        aggregator = CommAggregator(*_qft_program(12, 3))
+        first = _signature(aggregator.run().items)
+        first_stats = dict(aggregator.stats)
+        assert _signature(aggregator.run().items) == first
+        assert aggregator.stats == first_stats
+        assert first_stats["sweeps"] == 1
+        assert first_stats["pair_passes"] == 12
 
     def test_span_carries_counters_and_sub_spans(self):
         circuit, mapping = _qft_program(12, 3)
@@ -283,7 +311,7 @@ class TestScaling:
         assert {c.name for c in span.children} == {"index", "sweep",
                                                    "leftovers"}
         for name in ("sweeps", "pair_passes", "window_items",
-                     "deferred_checks", "commute_calls"):
+                     "relinked_items", "deferred_checks", "commute_calls"):
             assert name in span.counters
         network = uniform_network(3, 4)
         program = compile_autocomm(circuit, network, cache=False)

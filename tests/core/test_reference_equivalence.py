@@ -26,6 +26,7 @@ from repro.core import (
 )
 from repro.hardware import uniform_network
 from repro.ir import decompose_to_cx
+from repro.obs import Tracer
 from repro.partition import oee_partition, round_robin_mapping
 
 
@@ -74,12 +75,17 @@ class TestAggregationEquivalence:
         assert optimized.to_circuit().gates == reference.to_circuit().gates
 
     @pytest.mark.parametrize("use_commutation", [True, False])
-    @pytest.mark.parametrize("max_sweeps", [1, 3])
+    @pytest.mark.parametrize("max_sweeps", [0, 1, 3])
     def test_ablation_parameters(self, use_commutation, max_sweeps):
         circuit, _, mapping = _prepare(qft_circuit, 12, 3)
-        optimized = aggregate_communications(
-            circuit, mapping, use_commutation=use_commutation,
-            max_sweeps=max_sweeps)
+        with Tracer("t") as tracer:
+            optimized = aggregate_communications(
+                circuit, mapping, use_commutation=use_commutation,
+                max_sweeps=max_sweeps)
+        # A pair's pass absorbs all of its pair's raw gates, so a second
+        # sweep never runs.
+        assert tracer.root.find("aggregation").counters["sweeps"] == \
+            min(max_sweeps, 1)
         reference = aggregate_communications_reference(
             circuit, mapping, use_commutation=use_commutation,
             max_sweeps=max_sweeps)

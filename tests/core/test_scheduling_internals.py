@@ -174,18 +174,22 @@ class TestAggregatorInternals:
     def test_pair_index_lists_each_remote_gate_under_both_pairs(self, aggregator):
         gates = list(aggregator.circuit.gates)
         aggregator._build_index(gates)
-        assert aggregator._pair_gates[(0, 1)] == [gates[0], gates[1]]
-        assert aggregator._pair_gates[(2, 0)] == [gates[0], gates[2]]
-        assert aggregator._pair_gates[(3, 0)] == [gates[1]]
-        assert (0, 0) not in aggregator._pair_gates
+        pair_gates = {pair: [aggregator._item[handle] for handle in handles]
+                      for pair, handles in aggregator._pair_gates.items()}
+        assert pair_gates[(0, 1)] == [gates[0], gates[1]]
+        assert pair_gates[(2, 0)] == [gates[0], gates[2]]
+        assert pair_gates[(3, 0)] == [gates[1]]
+        assert (0, 0) not in pair_gates
+        # The same handle, not just an equal gate, is filed under both pairs.
+        assert aggregator._pair_gates[(0, 1)][0] == \
+            aggregator._pair_gates[(2, 0)][0]
 
     def test_absorbing_a_gate_leaves_both_of_its_pairs(self, aggregator):
-        gates = list(aggregator.circuit.gates)
-        aggregator._build_index(gates)
-        aggregator._absorb_into_block(gates[0])
+        aggregator._build_index(list(aggregator.circuit.gates))
+        aggregator._absorb_into_block(aggregator._pair_gates[(0, 1)][0])
         assert aggregator._pairs_by_weight_indexed() == [
             (0, 1), (1, 1), (2, 0), (3, 0)]
-        assert aggregator._raw_remaining == 2
+        assert len(aggregator._raw_pairs) == 2
 
     def test_allowed_in_block_rules(self, aggregator):
         remote_qubits = {2, 3}
