@@ -17,13 +17,19 @@ program latency.  It models exactly the constraints the paper discusses:
 The plain ``greedy`` strategy (used for the Figure 17(c) ablation and for
 the baselines) runs the same resource-constrained list scheduler but keeps
 strict program order between blocks and performs no fusion.
+
+:func:`run_plan` is the one event loop over a :class:`SchedulePlan`; the
+analytical scheduler and the execution engine in :mod:`repro.sim` drive it
+with their own placement steps over per-item facts computed once per plan
+(:meth:`SchedulePlan.op_profiles`).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Set, Tuple, Union)
 
 from ..comm.blocks import CommBlock, CommScheme
 from ..comm.cost import block_latency
@@ -38,7 +44,8 @@ from .aggregation import ScheduleItem
 from .assignment import AssignmentResult
 
 __all__ = ["ScheduledOp", "ScheduleResult", "SchedulePlan", "OpProfile",
-           "plan_schedule", "schedule_communications", "FusedTPChain",
+           "plan_schedule", "run_plan", "schedule_communications",
+           "FusedTPChain",
            "prep_latency_for_pairs", "MigrationOp", "plan_phased_schedule",
            "schedule_phased_communications", "compute_boundary_bubble"]
 
@@ -510,7 +517,7 @@ class SchedulePlan:
     _succs: Optional[List[List[int]]] = field(
         default=None, repr=False, compare=False)
     _profiles: Optional[Dict[Tuple[int, int],
-                             Tuple[QubitMapping, LatencyModel,
+                             Tuple[QubitMapping, QuantumNetwork,
                                    List["OpProfile"]]]] = field(
         default=None, repr=False, compare=False)
 
@@ -522,7 +529,7 @@ class SchedulePlan:
         """Pickle without the lazy caches.
 
         ``_profiles`` is keyed by object identity (``id(mapping)`` /
-        ``id(latency)``), so its entries are meaningless in another process;
+        ``id(network)``), so its entries are meaningless in another process;
         both caches rebuild on demand.  Dropping them is what lets a plan
         travel to Monte-Carlo worker processes (and, eventually, a compile
         cache) at minimal size.
@@ -554,11 +561,6 @@ class SchedulePlan:
             self._succs = succs
         return self._succs
 
-    def item_count(self, index: int) -> int:
-        """Assignment items covered by plan unit ``index``."""
-        item = self.items[index]
-        return len(item.blocks) if isinstance(item, FusedTPChain) else 1
-
     def item_mapping(self, index: int, default: QubitMapping) -> QubitMapping:
         """Mapping plan unit ``index`` executes under (phase-aware)."""
         if self.item_mappings is not None:
@@ -566,48 +568,65 @@ class SchedulePlan:
         return default
 
     def op_profiles(self, mapping: QubitMapping,
-                    latency: LatencyModel) -> List["OpProfile"]:
-        """Trial-invariant (kind, duration, nodes, item-count) per plan unit.
+                    network: QuantumNetwork) -> List["OpProfile"]:
+        """Per-item facts shared by every schedule candidate and trial.
 
-        Gate and block durations depend only on the plan, the mapping and
-        the latency model, so Monte-Carlo execution computes them once here
-        instead of once per trial per event.
+        Durations, nodes, EPR prep pairs and their deterministic prep
+        latency, remote-gate counts and reservation labels depend only on
+        the plan, the mapping and the network, so they are computed once
+        here instead of once per candidate or trial per op.
         """
         if self._profiles is None:
             self._profiles = {}
-        key = (id(mapping), id(latency))
+        key = (id(mapping), id(network))
         entry = self._profiles.get(key)
         # The cached entry keeps references to the keyed objects (so their
         # ids cannot be reused while the entry lives) and is validated by
         # identity before use.
-        if entry is not None and entry[0] is mapping and entry[1] is latency:
+        if entry is not None and entry[0] is mapping and entry[1] is network:
             return entry[2]
+        latency = network.latency
+        # Pair lists repeat across items: price and route each one once.
+        by_pairs: Dict[Tuple[Tuple[int, int], ...], Tuple] = {}
+        # Gates of equal duration share one (immutable) profile.
+        gates: Dict[float, OpProfile] = {}
         profiles: List[OpProfile] = []
         for index, item in enumerate(self.items):
-            item_mapping = self.item_mapping(index, mapping)
             if isinstance(item, Gate):
-                profiles.append(OpProfile(
-                    kind="gate", duration=latency.gate_latency(item),
-                    nodes=(), num_items=1))
-            elif isinstance(item, MigrationOp):
-                profiles.append(OpProfile(
-                    kind="migration", duration=latency.t_teleport,
-                    nodes=item.nodes, num_items=1,
-                    prep_pairs=(item.nodes,)))
+                duration = latency.gate_latency(item)
+                profile = gates.get(duration)
+                if profile is None:
+                    profile = gates[duration] = OpProfile(
+                        kind="gate", duration=duration, nodes=(), num_items=1)
+                profiles.append(profile)
+                continue
+            item_mapping = self.item_mapping(index, mapping)
+            if isinstance(item, MigrationOp):
+                kind, duration = "migration", latency.t_teleport
+                nodes, num_items, pairs = item.nodes, 1, (item.nodes,)
+                num_remote = 0
             elif isinstance(item, FusedTPChain):
-                profiles.append(OpProfile(
-                    kind="tp-chain",
-                    duration=item.duration(item_mapping, latency),
-                    nodes=tuple(item.nodes()),
-                    num_items=len(item.blocks),
-                    prep_pairs=item.hop_pairs()))
+                kind = "tp-chain"
+                duration = item.duration(item_mapping, latency)
+                nodes, num_items = tuple(item.nodes()), len(item.blocks)
+                pairs = item.hop_pairs()
+                num_remote = sum(block.num_remote_gates(item_mapping)
+                                 for block in item.blocks)
             else:
-                profiles.append(OpProfile(
-                    kind="tp" if item.scheme is CommScheme.TP else "cat",
-                    duration=block_latency(item, item_mapping, latency),
-                    nodes=tuple(item.nodes), num_items=1,
-                    prep_pairs=(tuple(item.nodes),)))
-        self._profiles[key] = (mapping, latency, profiles)
+                kind = "tp" if item.scheme is CommScheme.TP else "cat"
+                duration = block_latency(item, item_mapping, latency)
+                nodes, num_items = tuple(item.nodes), 1
+                pairs = (nodes,)
+                num_remote = item.num_remote_gates(item_mapping)
+            facts = by_pairs.get(pairs)
+            if facts is None:
+                facts = by_pairs[pairs] = _pair_facts(network, pairs)
+            profiles.append(OpProfile(
+                kind=kind, duration=duration, nodes=nodes,
+                num_items=num_items, prep_pairs=pairs, prep=facts[0],
+                links=facts[1], epr_pairs=facts[2],
+                num_remote_gates=num_remote, label=f"{kind}-{index}"))
+        self._profiles[key] = (mapping, network, profiles)
         return profiles
 
 
@@ -625,6 +644,16 @@ class OpProfile:
     #: empty for local gates.  Pairs may repeat: a chain revisiting a link
     #: generates one EPR pair per visit.
     prep_pairs: Tuple[Tuple[int, int], ...] = ()
+    #: :func:`prep_latency_for_pairs` of ``prep_pairs``; 0 for local gates.
+    prep: float = 0.0
+    #: (physical link, multiplicity) the prep pairs' routes occupy, sorted.
+    links: Tuple[Tuple[Tuple[int, int], int], ...] = ()
+    #: Physical EPR pairs behind ``prep_pairs`` (swaps included).
+    epr_pairs: int = 0
+    #: Remote gates the op implements under its (phase) mapping.
+    num_remote_gates: int = 0
+    #: Label of the op's comm-qubit reservations; empty for local gates.
+    label: str = ""
 
 
 def plan_schedule(assignment: AssignmentResult, burst: bool) -> SchedulePlan:
@@ -679,6 +708,46 @@ def plan_schedule(assignment: AssignmentResult, burst: bool) -> SchedulePlan:
 # Resource-constrained list scheduling
 # ---------------------------------------------------------------------------
 
+def run_plan(plan: SchedulePlan, place: Callable[[int, float], Any]
+             ) -> List[Any]:
+    """Place every plan item in ``(ready time, index)`` order; ops by index.
+
+    An item is ready at the latest end of its predecessors.
+    ``place(index, ready)`` returns its op record (anything with an
+    ``end``): the analytical scheduler books the deterministic EPR
+    preparation, the execution engine samples it.  One loop on both sides
+    is why deterministic replay reproduces the analytical schedule.
+    """
+    succs = plan.successors()
+    indegree = [len(plist) for plist in plan.preds]
+    ready_time = [0.0] * len(indegree)
+    placed: List[Any] = [None] * len(indegree)
+    # Ascending (0.0, index) pairs already satisfy the heap invariant.
+    heap = [(0.0, index) for index, degree in enumerate(indegree)
+            if degree == 0]
+    while heap:
+        ready, index = heapq.heappop(heap)
+        op = placed[index] = place(index, ready)
+        end = op.end
+        for succ in succs[index]:
+            ready_time[succ] = max(ready_time[succ], end)
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                heapq.heappush(heap, (ready_time[succ], succ))
+    if any(indegree):  # pragma: no cover - defensive
+        raise RuntimeError("dependency cycle in schedule plan")
+    return placed
+
+
+def _burst_modes(strategy: str) -> Tuple[bool, ...]:
+    """Burst flags of a strategy's candidate plans, in preference order."""
+    if strategy == "burst-greedy":
+        return (True, False)
+    if strategy == "greedy":
+        return (False,)
+    raise ValueError(f"unknown scheduling strategy {strategy!r}")
+
+
 def schedule_communications(assignment: AssignmentResult,
                             network: QuantumNetwork,
                             strategy: str = "burst-greedy") -> ScheduleResult:
@@ -691,109 +760,68 @@ def schedule_communications(assignment: AssignmentResult,
             (commutation-aware block parallelism plus TP fusion) or
             ``"greedy"`` for the plain as-soon-as-possible schedule used by
             the baselines and the Figure 17(c) ablation.
+
+    The burst-aware schedule is adaptive: commutation-driven reordering and
+    TP fusion almost always help, but greedy list scheduling under resource
+    constraints can exhibit anomalies, so ``"burst-greedy"`` also schedules
+    the plain plan and keeps it only when it finishes strictly earlier.
     """
-    if strategy not in ("burst-greedy", "greedy"):
-        raise ValueError(f"unknown scheduling strategy {strategy!r}")
+    bursts = _burst_modes(strategy)
+    return _pick_schedule((plan_schedule(assignment, burst=burst)
+                           for burst in bursts),
+                          network, assignment.mapping)
+
+
+def _pick_schedule(plans: Iterable[SchedulePlan], network: QuantumNetwork,
+                   mapping: QubitMapping) -> ScheduleResult:
+    """Schedule each candidate plan and keep the earliest-finishing one.
+
+    ``plans`` come in preference order: a later candidate displaces the
+    current winner only with a strictly lower latency, so ties go to the
+    earlier plan.  The winner's ``boundary_bubble`` is filled in (0.0 for
+    single-phase plans).
+    """
     with stage("scheduling") as span:
-        if strategy == "burst-greedy":
-            # The burst-aware schedule is adaptive: commutation-driven
-            # reordering and TP fusion almost always help, but greedy list
-            # scheduling under resource constraints can exhibit anomalies, so
-            # keep whichever of the two schedules finishes earlier.
-            burst_result = _run_schedule(assignment, network, burst=True)
-            plain_result = _run_schedule(assignment, network, burst=False)
-            result = (burst_result
-                      if burst_result.latency <= plain_result.latency
-                      else plain_result)
-        else:
-            result = _run_schedule(assignment, network, burst=False)
-        _record_schedule_span(span, result)
+        result: Optional[ScheduleResult] = None
+        result_plan: Optional[SchedulePlan] = None
+        for plan in plans:
+            candidate = _execute_plan(plan, network, mapping)
+            if result is None or candidate.latency < result.latency:
+                result, result_plan = candidate, plan
+        result.boundary_bubble = compute_boundary_bubble(result_plan,
+                                                         result.ops)
+        if span.enabled:
+            span.set("ops", len(result.ops))
+            span.set("comm_ops", result.num_comm_ops)
+            span.set("fused_chains", result.num_fused_chains)
+            span.set("latency", result.latency)
+            span.set("burst_won", 1 if result.mode == "burst" else 0)
+            span.set("overlap_won", 1 if result.overlap else 0)
+            span.set("boundary_bubble", result.boundary_bubble)
         return result
-
-
-def _record_schedule_span(span, result: ScheduleResult) -> None:
-    """Attach a schedule's headline statistics to its stage span."""
-    if not span.enabled:
-        return
-    span.set("ops", len(result.ops))
-    span.set("comm_ops", result.num_comm_ops)
-    span.set("fused_chains", result.num_fused_chains)
-    span.set("latency", result.latency)
-    span.set("burst_won", 1 if result.mode == "burst" else 0)
-    span.set("overlap_won", 1 if result.overlap else 0)
-    span.set("boundary_bubble", result.boundary_bubble)
-
-
-def _run_schedule(assignment: AssignmentResult, network: QuantumNetwork,
-                  burst: bool, plan: Optional[SchedulePlan] = None
-                  ) -> ScheduleResult:
-    if plan is None:
-        plan = plan_schedule(assignment, burst=burst)
-    return _execute_plan(plan, network, assignment.mapping)
 
 
 def _execute_plan(plan: SchedulePlan, network: QuantumNetwork,
                   mapping: QubitMapping) -> ScheduleResult:
     """Resource-constrained list scheduling of one plan (phase-aware)."""
-    latency = network.latency
-    items = plan.items
-    succs = plan.successors()
-    indegree = [len(plist) for plist in plan.preds]
-    # Per-item kinds/durations/nodes are trial-invariant; computing them
-    # through the plan's profile cache shares the work between the burst and
-    # plain schedule runs and with the execution simulator.
-    profiles = plan.op_profiles(mapping, latency)
-
+    profiles = plan.op_profiles(mapping, network)
     resources = CommResourceTracker(network)
-    ready_time = [0.0] * len(items)
-    scheduled: List[Optional[ScheduledOp]] = [None] * len(items)
-    prep_latencies: Dict[Tuple[Tuple[int, int], ...], float] = {}
+    reserve = resources.reserve_joint
 
-    heap: List[Tuple[float, int]] = []
-    for index, degree in enumerate(indegree):
-        if degree == 0:
-            heapq.heappush(heap, (0.0, index))
-
-    while heap:
-        ready, index = heapq.heappop(heap)
+    def place(index: int, ready: float) -> ScheduledOp:
         profile = profiles[index]
-        kind = profile.kind
-        if kind == "gate":
-            op = ScheduledOp(index=index, kind="gate", start=ready,
-                             end=ready + profile.duration)
-        else:
-            nodes = profile.nodes
-            prep = prep_latencies.get(profile.prep_pairs)
-            if prep is None:
-                prep = prep_latency_for_pairs(network, profile.prep_pairs)
-                prep_latencies[profile.prep_pairs] = prep
-            start = _reserve_comm(resources, nodes, ready, profile.duration,
-                                  prep, label=f"{kind}-{index}")
-            item = items[index]
-            item_map = plan.item_mapping(index, mapping)
-            if kind == "tp-chain":
-                num_remote = sum(b.num_remote_gates(item_map)
-                                 for b in item.blocks)
-            else:
-                num_remote = item.num_remote_gates(item_map)
-            op = ScheduledOp(index=index, kind=kind, start=start,
-                             end=start + profile.duration, nodes=nodes,
-                             num_remote_gates=num_remote,
-                             num_items=profile.num_items)
-        scheduled[index] = op
-        for succ in succs[index]:
-            ready_time[succ] = max(ready_time[succ], op.end)
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                heapq.heappush(heap, (ready_time[succ], succ))
+        if profile.kind == "gate":
+            return ScheduledOp(index, "gate", ready, ready + profile.duration)
+        _, start, end = reserve(profile.nodes, ready, profile.duration,
+                                profile.prep, profile.label)
+        return ScheduledOp(index, profile.kind, start, end, profile.nodes,
+                           profile.num_remote_gates, profile.num_items)
 
-    ops = [op for op in scheduled if op is not None]
-    if len(ops) != len(items):  # pragma: no cover - defensive
-        raise RuntimeError("dependency cycle in schedule construction")
-    makespan = max((op.end for op in ops), default=0.0)
-    num_comm = sum(1 for op in ops if op.kind != "gate")
-    return ScheduleResult(ops=ops, latency=makespan, resources=resources,
-                          num_comm_ops=num_comm,
+    ops = run_plan(plan, place)
+    return ScheduleResult(ops=ops,
+                          latency=max((op.end for op in ops), default=0.0),
+                          resources=resources,
+                          num_comm_ops=sum(op.kind != "gate" for op in ops),
                           num_fused_chains=plan.num_fused_chains,
                           mode=plan.mode, overlap=plan.overlap)
 
@@ -818,6 +846,23 @@ def prep_latency_for_pairs(network: QuantumNetwork,
     if not pairs:
         return network.latency.t_epr
     return max(network.epr_latency(a, b) for a, b in pairs)
+
+
+def _pair_facts(network: QuantumNetwork, pairs: Sequence[Tuple[int, int]]
+                ) -> Tuple[float, Tuple[Tuple[Tuple[int, int], int], ...],
+                           int]:
+    """Prep latency, ((link, multiplicity), ...) and physical pair count.
+
+    Each end-to-end pair occupies every physical link of its entanglement
+    route during generation (swapping splices the per-link pairs); two
+    pairs riding the same link need two capacity slots.
+    """
+    multiplicity: Dict[Tuple[int, int], int] = {}
+    for a, b in pairs:
+        for link in network.route_links(a, b):
+            multiplicity[link] = multiplicity.get(link, 0) + 1
+    return (prep_latency_for_pairs(network, pairs),
+            tuple(sorted(multiplicity.items())), sum(multiplicity.values()))
 
 
 def _epr_prep_latency(network: QuantumNetwork, nodes: Sequence[int]) -> float:
@@ -971,28 +1016,10 @@ def schedule_phased_communications(phases: Sequence,
     pool makes the overlapped schedule *never worse* than the barrier one
     by construction.
     """
-    if strategy not in ("burst-greedy", "greedy"):
-        raise ValueError(f"unknown scheduling strategy {strategy!r}")
-    default_mapping = phases[0].mapping
-    with stage("scheduling") as span:
-        # (burst, overlap) variants in preference order: strict improvement
-        # required to displace an earlier candidate, so overlap beats
-        # barrier and burst beats plain on equal latency.
-        if strategy == "burst-greedy":
-            variants = [(True, True), (False, True)] if overlap else []
-            variants += [(True, False), (False, False)]
-        else:
-            variants = [(False, True)] if overlap else []
-            variants += [(False, False)]
-        result: Optional[ScheduleResult] = None
-        result_plan: Optional[SchedulePlan] = None
-        for burst, overlapped in variants:
-            plan = plan_phased_schedule(phases, migrations, burst=burst,
-                                        overlap=overlapped)
-            candidate = _execute_plan(plan, network, default_mapping)
-            if result is None or candidate.latency < result.latency:
-                result, result_plan = candidate, plan
-        result.boundary_bubble = compute_boundary_bubble(result_plan,
-                                                         result.ops)
-        _record_schedule_span(span, result)
-        return result
+    bursts = _burst_modes(strategy)
+    overlaps = (True, False) if overlap else (False,)
+    return _pick_schedule((plan_phased_schedule(phases, migrations,
+                                                burst=burst,
+                                                overlap=overlapped)
+                           for overlapped in overlaps for burst in bursts),
+                          network, phases[0].mapping)

@@ -1,8 +1,9 @@
 """Discrete-event execution engine for compiled distributed programs.
 
 The engine *executes* a compiled program's schedule plan on the modelled
-hardware instead of estimating its latency analytically: an event queue
-advances gate, EPR-generation, teleportation and classical-message events;
+hardware instead of estimating its latency analytically: the plan's event
+loop places gates and communications, and the trace records EPR-generation,
+teleportation and classical-message events;
 communication qubits are occupied through the same
 :class:`~repro.hardware.epr.CommResourceTracker` the analytical scheduler
 uses, and EPR pairs are produced by a (possibly stochastic)
@@ -10,13 +11,16 @@ uses, and EPR pairs are produced by a (possibly stochastic)
 
 Two properties anchor the design:
 
-* **Deterministic equivalence** — with ``p_epr = 1.0`` the engine replays
-  the exact plan (:func:`repro.core.scheduling.plan_schedule`) the
-  analytical scheduler used, makes placement decisions in the same
-  ``(ready time, item index)`` order and books identical resource windows,
-  so the simulated program latency equals the analytical
+* **Deterministic equivalence** — the engine replays the exact plan
+  (:func:`repro.core.scheduling.plan_schedule`) the analytical scheduler
+  used through the same event loop (:func:`repro.core.scheduling.run_plan`),
+  so placement decisions come in the same ``(ready time, item index)``
+  order by construction.  With ``p_epr = 1.0`` each sampled preparation
+  equals the analytical prep latency, the engine books identical resource
+  windows, and the simulated program latency equals the analytical
   :class:`~repro.core.scheduling.ScheduleResult` latency bit-for-bit.  The
-  validator in :mod:`repro.sim.validate` asserts this.
+  validator in :mod:`repro.sim.validate` guards the EPR source and the
+  booking.
 * **Seeded stochasticity** — with ``p_epr < 1`` every EPR preparation is a
   sampled retry process; a Monte-Carlo run over ``trials`` seeded trials
   yields a reproducible latency distribution.
@@ -29,7 +33,6 @@ the program under the sampled EPR durations.
 
 from __future__ import annotations
 
-import heapq
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -37,7 +40,8 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.pipeline import CompiledProgram
-from ..core.scheduling import SchedulePlan, plan_phased_schedule, plan_schedule
+from ..core.scheduling import (SchedulePlan, plan_phased_schedule,
+                               plan_schedule, run_plan)
 from ..hardware.epr import CommResourceTracker, SlotSchedule
 from ..hardware.network import QuantumNetwork
 from ..obs.metrics import MetricsRegistry
@@ -47,11 +51,6 @@ from .trace import LatencyDistribution, TraceRecorder
 __all__ = ["SimulationConfig", "SimulatedOp", "SimulationResult",
            "MonteCarloResult", "ExecutionEngine", "simulate_program",
            "run_monte_carlo", "plan_for_program", "mapping_for_program"]
-
-#: Event-queue ordering: finishing operations release dependencies before
-#: ready items placed at the same instant make resource decisions.
-_FINISH, _READY = 0, 1
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -205,9 +204,9 @@ class ExecutionEngine:
         engine_owns_rng = rng is None
         self.rng = rng if rng is not None else random.Random(self.config.seed)
         self.latency = network.latency
-        #: Trial-invariant (kind, duration, nodes, item-count) per plan unit,
-        #: cached on the plan and therefore shared across Monte-Carlo trials.
-        self._profiles = plan.op_profiles(mapping, network.latency)
+        #: Trial-invariant per-item profiles, cached on the plan and
+        #: therefore shared across Monte-Carlo trials.
+        self._profiles = plan.op_profiles(mapping, network)
         link_model = network.link_model
         if (self.config.link_capacity is not None and link_model is not None
                 and link_model.has_capacities):
@@ -221,11 +220,6 @@ class ExecutionEngine:
             self.config.link_capacity is not None
             or (link_model is not None and link_model.has_capacities))
         per_link = network.heterogeneous_links and not self.config.ideal_links
-        #: Memoised physical-link expansion per op pair-list (plan units
-        #: repeat pair lists across Monte-Carlo events).
-        self._route_cache: Dict[Tuple[Tuple[int, int], ...],
-                                Tuple[Tuple[Tuple[Tuple[int, int], int], ...],
-                                      int]] = {}
         self.epr = EPRProcess(network, p_success=self.config.p_epr,
                               retry_latency=self.config.retry_latency,
                               per_link=per_link)
@@ -244,9 +238,8 @@ class ExecutionEngine:
                 and (not per_link or links_deterministic)):
             if per_link:
                 # One attempt process per physical link of every route.
-                pair_draws = sum(
-                    self._physical_links(profile.prep_pairs)[1]
-                    for profile in self._profiles if profile.prep_pairs)
+                pair_draws = sum(profile.epr_pairs
+                                 for profile in self._profiles)
             else:
                 pair_draws = sum(len(profile.prep_pairs)
                                  for profile in self._profiles)
@@ -265,52 +258,8 @@ class ExecutionEngine:
     # ------------------------------------------------------------- event loop
 
     def run(self) -> SimulationResult:
-        """Advance the event queue until every item has executed."""
-        items = self.plan.items
-        succs = self.plan.successors()
-        indegree = [len(p) for p in self.plan.preds]
-        ready_time = [0.0] * len(items)
-        executed: List[Optional[SimulatedOp]] = [None] * len(items)
-
-        profiles = self._profiles
-        queue: List[Tuple[float, int, int]] = []
-
-        def release(index: int, ready: float) -> None:
-            # Gates touch no resource and execute on release.  One that takes
-            # time skips READY: its FINISH key is the one READY would push,
-            # and ``end > ready`` keeps it after every event popped so far.
-            profile = profiles[index]
-            if profile.kind == "gate":
-                end = ready + profile.duration
-                executed[index] = SimulatedOp(index, "gate", ready, end,
-                                              prep_start=ready)
-                if end > ready:
-                    heapq.heappush(queue, (end, _FINISH, index))
-                    return
-            heapq.heappush(queue, (ready, _READY, index))
-
-        for index, degree in enumerate(indegree):
-            if degree == 0:
-                release(index, 0.0)
-
-        while queue:
-            time, phase, index = heapq.heappop(queue)
-            if phase == _READY:
-                op = executed[index]
-                if op is None:
-                    op = executed[index] = self._execute_comm(index, time)
-                heapq.heappush(queue, (op.end, _FINISH, index))
-            else:  # _FINISH: release successors of the completed item
-                end = executed[index].end
-                for succ in succs[index]:
-                    ready_time[succ] = max(ready_time[succ], end)
-                    indegree[succ] -= 1
-                    if indegree[succ] == 0:
-                        release(succ, ready_time[succ])
-
-        ops = [op for op in executed if op is not None]
-        if len(ops) != len(items):  # pragma: no cover - defensive
-            raise RuntimeError("dependency cycle in simulated program")
+        """Execute every plan item through the plan's event loop."""
+        ops = run_plan(self.plan, self._execute)
         makespan = max((op.end for op in ops), default=0.0)
         total_attempts = sum(op.epr_attempts for op in ops)
         metrics = self.metrics
@@ -358,14 +307,13 @@ class ExecutionEngine:
         latency.observe(makespan)
         attempts_hist.observe(total_attempts)
 
-        acc_attempts = 0
-        acc_retries = 0
+        # Pairs each comm op needed at least once: attempts beyond are retries.
+        needed = 0
         waits_by_kind: Dict[str, List[float]] = {}
         stalls: List[float] = []
         node_busy: Dict[int, float] = {}
         link_totals: Dict[Tuple[int, int], List[float]] = {}
         profiles = self._profiles
-        route_cache = self._route_cache
         per_link_stochastic = self.epr.per_link and not self.epr.deterministic
         for op in ops:
             kind = op.kind
@@ -378,25 +326,23 @@ class ExecutionEngine:
             kind_waits.append(wait)
             if kind == "migration":
                 stalls.append(wait)
-            prep_pairs = profiles[op.index].prep_pairs
-            acc_attempts += op.epr_attempts
-            acc_retries += op.epr_attempts - ((op.epr_pairs
-                                               if per_link_stochastic
-                                               else len(prep_pairs)) or 1)
+            profile = profiles[op.index]
+            needed += (op.epr_pairs if per_link_stochastic
+                       else len(profile.prep_pairs)) or 1
             prep_start = op.prep_start
             window = op.end - prep_start
             for node in op.nodes:
                 node_busy[node] = node_busy.get(node, 0.0) + window
             busy = op.start - prep_start
-            # Always a hit: _execute_comm resolved this op's routes already.
-            for pair, count in route_cache[prep_pairs][0]:
+            for pair, count in profile.links:
                 totals = link_totals.get(pair)
                 if totals is None:
                     totals = link_totals[pair] = [0, 0.0]
                 totals[0] += count
                 totals[1] += busy
-        attempts.inc(acc_attempts)
-        retries.inc(acc_retries)
+        # Gates make no attempts, so the run total is the comm ops' total.
+        attempts.inc(total_attempts)
+        retries.inc(total_attempts - needed)
 
         if makespan > 0:
             occ_handles = handles.get("occ")
@@ -437,17 +383,21 @@ class ExecutionEngine:
 
     # ------------------------------------------------------------- execution
 
-    def _execute_comm(self, index: int, ready: float) -> SimulatedOp:
+    def _execute(self, index: int, ready: float) -> SimulatedOp:
         profile = self._profiles[index]
         kind = profile.kind
-        nodes = tuple(profile.nodes)
+        if kind == "gate":
+            # Gates touch no resource: they start as soon as they are ready.
+            return SimulatedOp(index, "gate", ready,
+                               ready + profile.duration, prep_start=ready)
+        nodes = profile.nodes
         duration = profile.duration
         # One EPR generation per consumed pair: the block's hub<->remote
         # link, or the consecutive hops of a fused chain's teleport
         # itinerary — NOT the all-pairs closure of the chain's node set,
         # which would sample (and book) links the itinerary never uses.
         sample = self.epr.sample_pairs(self.rng, profile.prep_pairs)
-        links, num_physical = self._physical_links(profile.prep_pairs)
+        links = profile.links
         # When one physical link must host more concurrent generations than
         # it has capacity slots (a fused chain whose routed hops revisit a
         # link), the excess generations serialise into batches, stretching
@@ -469,7 +419,7 @@ class ExecutionEngine:
         search = (partial(self._find_window, nodes, capped, duration, prep)
                   if capped and prep > 0 else None)
         prep_start, start, end = self.resources.reserve_joint(
-            nodes, ready, duration, prep, label=f"{kind}-{index}",
+            nodes, ready, duration, prep, label=profile.label,
             search=search)
         for (a, b), _ in links:
             self.trace.record_link(a, b, prep_start, start)
@@ -482,28 +432,9 @@ class ExecutionEngine:
         return SimulatedOp(index=index, kind=kind, start=start, end=end,
                            nodes=nodes, prep_start=prep_start,
                            epr_attempts=sample.attempts,
-                           num_items=self.plan.item_count(index),
-                           epr_pairs=num_physical,
+                           num_items=profile.num_items,
+                           epr_pairs=profile.epr_pairs,
                            queue_wait=prep_start - max(0.0, ready - prep))
-
-    def _physical_links(self, prep_pairs: Sequence[Tuple[int, int]]
-                        ) -> Tuple[Tuple[Tuple[Tuple[int, int], int], ...], int]:
-        """Expand consumed pairs into ((link, multiplicity), ...) plus a total.
-
-        Each end-to-end pair occupies every physical link of its
-        entanglement route during generation (swapping splices the per-link
-        pairs); two pairs riding the same link need two capacity slots.
-        """
-        cached = self._route_cache.get(prep_pairs)
-        if cached is None:
-            multiplicity: Dict[Tuple[int, int], int] = {}
-            for a, b in prep_pairs:
-                for link in self.network.route_links(a, b):
-                    multiplicity[link] = multiplicity.get(link, 0) + 1
-            cached = (tuple(sorted(multiplicity.items())),
-                      sum(multiplicity.values()))
-            self._route_cache[prep_pairs] = cached
-        return cached
 
     def _effective_capacity(self, node_a: int, node_b: int) -> Optional[int]:
         """Concurrent-generation bound of one link for this run.

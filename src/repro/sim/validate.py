@@ -7,9 +7,10 @@ kept — exactly the analytical scheduler's assumptions) and compares the
 resulting timing against the analytical
 :class:`~repro.core.scheduling.ScheduleResult`:
 the program latency, the per-op completion times and the number of covered
-assignment items must all agree.  Any disagreement means the analytical
-latency model and the executable semantics have drifted apart — the class of
-bug this module exists to catch.
+assignment items must all agree.  Both sides run one plan event loop
+(:func:`repro.core.scheduling.run_plan`), so what this guards is the
+engine's EPR source (deterministic preparations must equal the analytical
+prep latency) and its booking (links and comm-qubit windows).
 """
 
 from __future__ import annotations

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..core.scheduling import (MigrationOp, _item_qubits,
-                               prep_latency_for_pairs)
+from ..core.scheduling import MigrationOp, _item_qubits
 from ..partition.mapping import QubitMapping
 from .diagnostics import Diagnostic, Location, Severity
 from .passes import (CheckPass, ProgramContext, TIME_TOLERANCE,
@@ -126,6 +125,7 @@ class ItemCoverageCheck(CheckPass):
         program = ctx.program
         diags: List[Diagnostic] = []
         n = len(plan.items)
+        profiles = plan.op_profiles(ctx.mapping, ctx.network)
 
         # Plan-level coverage of the assignment passes' output.
         expected: Optional[int] = None
@@ -137,7 +137,7 @@ class ItemCoverageCheck(CheckPass):
         elif program.assignment is not None:
             expected = len(program.assignment.items)
         if expected is not None:
-            covered = sum(plan.item_count(i) for i in range(n))
+            covered = sum(profile.num_items for profile in profiles)
             if covered != expected:
                 diags.append(_error(
                     self.id, f"plan covers {covered} assignment items, "
@@ -154,10 +154,10 @@ class ItemCoverageCheck(CheckPass):
                              f"[0, {n})", op=op.index))
                 continue
             seen[op.index] = seen.get(op.index, 0) + 1
-            if op.num_items != plan.item_count(op.index):
+            if op.num_items != profiles[op.index].num_items:
                 diags.append(_error(
                     self.id, f"op covers {op.num_items} items, plan says "
-                             f"{plan.item_count(op.index)}", op=op.index))
+                             f"{profiles[op.index].num_items}", op=op.index))
         for index in range(n):
             count = seen.get(index, 0)
             if count == 0:
@@ -381,7 +381,7 @@ class RouteCheck(CheckPass):
     def run(self, ctx: ProgramContext) -> List[Diagnostic]:
         network = ctx.network
         diags: List[Diagnostic] = []
-        profiles = ctx.plan.op_profiles(ctx.mapping, network.latency)
+        profiles = ctx.plan.op_profiles(ctx.mapping, network)
         checked_pairs = set()
         checked_links = set()
         for index, profile in enumerate(profiles):
@@ -600,7 +600,7 @@ class BookingCheck(CheckPass):
         # warning about the idealisation, not a broken schedule.
         if not self._any_capacity(ctx):
             return diags
-        profiles = ctx.plan.op_profiles(ctx.mapping, network.latency)
+        profiles = ctx.plan.op_profiles(ctx.mapping, network)
         n = len(ctx.plan.items)
         per_link: Dict[Tuple[int, int], List[Tuple[float, float, int]]] = {}
         for op in comm_ops:
@@ -609,13 +609,8 @@ class BookingCheck(CheckPass):
             profile = profiles[op.index]
             if not profile.prep_pairs:
                 continue
-            prep = prep_latency_for_pairs(network, profile.prep_pairs)
-            window = (max(0.0, op.start - prep), op.start)
-            multiplicity: Dict[Tuple[int, int], int] = {}
-            for a, b in profile.prep_pairs:
-                for link in network.route_links(a, b):
-                    multiplicity[link] = multiplicity.get(link, 0) + 1
-            for link, count in multiplicity.items():
+            window = (max(0.0, op.start - profile.prep), op.start)
+            for link, count in profile.links:
                 capacity = network.link_capacity(*link)
                 demand = count if capacity is None else min(count, capacity)
                 per_link.setdefault(link, []).append(

@@ -136,6 +136,9 @@ def verify_program(program: CompiledProgram,
     """
     try:
         plan, mapping = _plan_and_mapping(program)
+        # Profiles price every consumed EPR pair: a pair the network cannot
+        # prepare (identical endpoints) is rejected here.
+        plan.op_profiles(mapping, program.network)
     except (ValueError, KeyError, IndexError) as exc:
         return _plan_failure_report(program.name, exc)
     context = ProgramContext(program=program, plan=plan,

@@ -149,15 +149,11 @@ class TraceLinkCapacityCheck(CheckPass):
                 if mapping is None:
                     from ..sim.engine import mapping_for_program
                     mapping = mapping_for_program(ctx.program)
-                profiles = ctx.plan.op_profiles(mapping, network.latency)
+                profiles = ctx.plan.op_profiles(mapping, network)
             profile = profiles[op.index]
             if not profile.prep_pairs:
                 continue
-            multiplicity: Dict[Tuple[int, int], int] = {}
-            for a, b in profile.prep_pairs:
-                for link in network.route_links(a, b):
-                    multiplicity[link] = multiplicity.get(link, 0) + 1
-            for link, count in multiplicity.items():
+            for link, count in profile.links:
                 capacity = self._capacity(ctx, link)
                 if capacity is None:
                     continue

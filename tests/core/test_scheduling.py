@@ -348,18 +348,78 @@ class TestFusedChainItinerary:
         assert prep_latency_for_pairs(network, chain.hop_pairs()) \
             == _epr_prep_latency(network, chain.nodes())
 
-    def test_plan_profiles_carry_prep_pairs(self):
-        from repro.core import plan_schedule
+    @staticmethod
+    def _check_profiles(plan, mapping, network):
+        """Profiles match the per-op formulas the schedulers used to apply."""
+        from repro.core.scheduling import MigrationOp, prep_latency_for_pairs
 
+        profiles = plan.op_profiles(mapping, network)
+        assert plan.op_profiles(mapping, network) is profiles
+        assert len(profiles) == len(plan.items)
+        for index, (item, profile) in enumerate(zip(plan.items, profiles)):
+            item_map = plan.item_mapping(index, mapping)
+            if profile.kind == "gate":
+                assert profile.prep_pairs == ()
+                assert (profile.prep, profile.num_remote_gates,
+                        profile.label) == (0.0, 0, "")
+                continue
+            if profile.kind == "tp-chain":
+                assert profile.prep_pairs == item.hop_pairs()
+                remote = sum(block.num_remote_gates(item_map)
+                             for block in item.blocks)
+            elif profile.kind == "migration":
+                assert isinstance(item, MigrationOp)
+                assert profile.prep_pairs == (item.nodes,)
+                remote = 0
+            else:
+                assert profile.prep_pairs == (tuple(item.nodes),)
+                remote = item.num_remote_gates(item_map)
+            assert profile.prep == prep_latency_for_pairs(
+                network, profile.prep_pairs)
+            assert profile.num_remote_gates == remote
+            assert profile.label == f"{profile.kind}-{index}"
+        return profiles
+
+    @pytest.mark.parametrize("burst", [True, False])
+    def test_plan_profiles_carry_prep_pairs(self, burst):
+        from repro.core import plan_schedule
+        from repro.hardware import apply_topology
+
+        network = apply_topology(uniform_network(3, 4), "line")
         circuit = decompose_to_cx(qft_circuit(12))
         mapping = mapping_for(12, 3)
         assignment = compile_assignment(circuit, mapping)
-        plan = plan_schedule(assignment, burst=True)
-        profiles = plan.op_profiles(mapping, DEFAULT_LATENCY)
+        plan = plan_schedule(assignment, burst=burst)
+        kinds = {p.kind for p in self._check_profiles(plan, mapping, network)}
+        # The burst plan fuses TP chains; the plain plan never does.
+        assert ("tp-chain" in kinds) == burst
+        assert {"gate", "tp"} <= kinds
+
+    def test_phased_plan_profiles_use_item_mappings(self):
+        from repro import AutoCommConfig, compile_autocomm
+        from repro.circuits.suite import BenchmarkSpec
+        from repro.core import plan_phased_schedule
+        from repro.hardware import apply_topology
+
+        circuit, network = BenchmarkSpec("QFT", 20, 4).build()
+        network = apply_topology(network, "line")
+        program = compile_autocomm(
+            circuit, network, cache=False,
+            config=AutoCommConfig(remap="bursts", phase_blocks=4,
+                                  overlap=True))
+        mapping = program.phases[0].mapping
+        plan = plan_phased_schedule(program.phases, program.migrations,
+                                    burst=True, overlap=True)
+        profiles = self._check_profiles(plan, mapping, network)
+        assert "migration" in {p.kind for p in profiles}
+        # A block and a fused chain of later phases count remote gates
+        # differently under phase 0's mapping than under their own.
+        moved = set()
         for item, profile in zip(plan.items, profiles):
-            if profile.kind == "gate":
-                assert profile.prep_pairs == ()
-            elif profile.kind == "tp-chain":
-                assert profile.prep_pairs == item.hop_pairs()
-            else:
-                assert profile.prep_pairs == (tuple(item.nodes),)
+            blocks = getattr(item, "blocks", [item])
+            if profile.kind in ("tp", "cat", "tp-chain") and sum(
+                    block.num_remote_gates(mapping)
+                    for block in blocks) != profile.num_remote_gates:
+                moved.add("tp-chain" if profile.kind == "tp-chain"
+                          else "block")
+        assert moved == {"block", "tp-chain"}

@@ -1,8 +1,10 @@
 """Unit tests for the discrete-event execution engine."""
 
+import hashlib
+
 import pytest
 
-from repro import compile_autocomm
+from repro import AutoCommConfig, compile_autocomm
 from repro.circuits import qft_circuit
 from repro.circuits.suite import BenchmarkSpec
 from repro.hardware import DEFAULT_LATENCY, LatencyModel, uniform_network
@@ -153,26 +155,64 @@ class TestLinkContention:
         # Second prep may only begin once the first has finished.
         assert preps[1][0] >= preps[0][1] - 1e-9
 
-    @pytest.mark.parametrize("family,topology,capacity,expected", [
-        ("QFT", "line", 1, [8342.7, 7710.600000000002, 8077.900000000002]),
-        ("QAOA", "ring", 2,
-         [305.70000000000005, 242.10000000000002, 290.50000000000006]),
+    @pytest.mark.parametrize("family,qubits,nodes,topology,remap,capacity,"
+                             "expected", [
+        pytest.param("QFT", 30, 4, "line", False, 1, [
+            (8342.7, "162807639e6b2989"),
+            (7710.600000000002, "1b86d7b0941cbf05"),
+            (8077.900000000002, "4785c8badbd6c58a")], id="qft30-line-cap1"),
+        pytest.param("QAOA", 30, 4, "ring", False, 2, [
+            (305.70000000000005, "a073de3140cdab2d"),
+            (242.10000000000002, "c06fb2cd81e66186"),
+            (290.50000000000006, "a543a54527d88cb7")], id="qaoa30-ring-cap2"),
+        pytest.param("QFT", 30, 4, None, False, None, [
+            (3939.8999999999983, "e668b8bde198e48f"),
+            (3846.3999999999983, "e089cd5bc215db96"),
+            (4017.199999999999, "c8fe8e20f0113601")], id="qft30"),
+        pytest.param("UCCSD", 8, 4, None, False, None, [
+            (25683.099999999762, "15b0c7208b9ff4cb"),
+            (26185.999999999745, "e04ce0c44fd8461e"),
+            (26487.099999999737, "915f2df95438262f")], id="uccsd8"),
+        pytest.param("QAOA", 100, 10, "line", True, None, [
+            (1196.4999999999995, "0e4ffd64fde7434e"),
+            (1155.1999999999996, "5bd6b411732636b9"),
+            (982.5999999999997, "139406ed321f3e5c")],
+            id="qaoa100-line-remap-overlap"),
     ])
-    def test_seeded_capped_trials_pinned(self, family, topology, capacity,
-                                         expected):
-        # Pinned seeded latencies of the link-capacity window search;
-        # capacity 2 on the ring asks for two concurrent slots of one link.
-        circuit, network = BenchmarkSpec(family, 30, 4).build()
-        program = compile_autocomm(circuit, apply_topology(network, topology),
+    def test_seeded_trials_pinned(self, family, qubits, nodes, topology,
+                                  remap, capacity, expected):
+        # Pinned per-seed digests (latency, every op's window and EPR
+        # counts, every comm-qubit reservation) of seeded trials: the
+        # link-capacity window search (capacity 2 on the ring asks for two
+        # concurrent slots of one link), plain all-to-all programs, and a
+        # phased remap+overlap program whose migrations share the loop.
+        circuit, network = BenchmarkSpec(family, qubits, nodes).build()
+        if topology is not None:
+            network = apply_topology(network, topology)
+        config = (AutoCommConfig(remap="bursts", overlap=True) if remap
+                  else None)
+        program = compile_autocomm(circuit, network, config=config,
                                    cache=False)
-        assert [simulate_program(program, SimulationConfig(
+        assert [_trial_digest(simulate_program(program, SimulationConfig(
             p_epr=0.5, seed=seed, link_capacity=capacity,
-            record_trace=False)).latency for seed in range(3)] == expected
+            record_trace=False))) for seed in range(3)] == expected
+
+
+def _trial_digest(result):
+    """``(latency, short hash of every op record and reservation)``."""
+    ops = [(op.index, op.kind, op.start, op.end, op.prep_start,
+            op.queue_wait, op.epr_attempts, op.epr_pairs)
+           for op in result.ops]
+    reservations = [(r.node, r.slot, r.start, r.end, r.label)
+                    for r in result.resources.reservations]
+    digest = hashlib.sha256(repr((result.latency, ops, reservations))
+                            .encode()).hexdigest()[:16]
+    return result.latency, digest
 
 
 class TestZeroDurationGates:
-    """With ``t_1q=0`` single-qubit gates end as they start and stay on the
-    event queue; every other gate executes as it is released."""
+    """With ``t_1q=0`` single-qubit gates end as they start, so their
+    successors become ready at the instant the gate was placed."""
 
     @pytest.fixture
     def program(self):

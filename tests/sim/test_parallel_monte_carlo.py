@@ -122,7 +122,7 @@ class TestPlanPickling:
         plan = _plan_for(program)
         mapping = _mapping_for(program)
         plan.successors()
-        plan.op_profiles(mapping, program.network.latency)
+        plan.op_profiles(mapping, program.network)
         assert plan._succs is not None and plan._profiles is not None
         restored = pickle.loads(pickle.dumps(plan))
         assert restored._succs is None and restored._profiles is None

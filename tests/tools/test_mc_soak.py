@@ -62,9 +62,33 @@ def test_unexecuted_item_is_reported(program, monkeypatch):
     assert len(failures) == 1 and "items" in failures[0]
 
 
+def test_phased_and_capped_programs_soaked():
+    names = [spec.name for spec in mc_soak.PROGRAMS]
+    assert "QAOA-100@10 line remap+overlap" in names
+    assert "QFT-30@4 line cap 1" in names
+
+
+def test_capped_trials_pass_the_capacity(program, monkeypatch):
+    seen = []
+    real = mc_soak.run_monte_carlo
+
+    def spy(program, config):
+        seen.append(config.link_capacity)
+        return real(program, config)
+
+    monkeypatch.setattr(mc_soak, "run_monte_carlo", spy)
+    assert mc_soak.soak(program, trials=2, seed=3, link_capacity=1) == []
+    assert seen == [1, 1]
+
+
 def test_main_exit_status(monkeypatch, capsys):
-    monkeypatch.setattr(mc_soak, "PROGRAMS", (("QFT", 12, 3),))
+    monkeypatch.setattr(mc_soak, "PROGRAMS", (
+        mc_soak.SoakProgram("QFT", 12, 3),
+        mc_soak.SoakProgram("QFT", 12, 4, "line", remap=True,
+                            link_capacity=1)))
     assert mc_soak.main(["--trials", "2"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "OK"
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith("QFT-12@4 line remap+overlap cap 1: 2 trials")
+    assert out[-1] == "OK"
     monkeypatch.setattr(mc_soak, "soak", lambda *args: ["seed=1: boom"])
     assert mc_soak.main(["--trials", "2"]) == 1

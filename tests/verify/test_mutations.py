@@ -15,6 +15,7 @@ import pytest
 
 from repro.circuits import qft_circuit
 from repro.core import AutoCommConfig, compile_autocomm
+from repro.core.scheduling import MigrationOp
 from repro.hardware import LinkModel, apply_topology, uniform_network
 from repro.hardware.routing import EPRRoute
 from repro.sim import SimulationConfig, simulate_program
@@ -174,6 +175,18 @@ class TestMigrationLegality:
         object.__setattr__(move, "target", move.source)
         diags = _run(program, MigrationCheck).by_checker("migration-legality")
         assert any("to itself" in d.message for d in diags)
+
+    def test_rebuilt_self_move_reported_not_raised(self):
+        program = _phased_program()
+        _, moves = _first_move(program)
+        move = moves[0]
+        # A new migration object makes the verifier rebuild the plan and
+        # its profiles, whose prep latency rejects the self pair.
+        moves[0] = MigrationOp(move.qubit, move.source, move.source)
+        report = verify_program(program)
+        assert any("distinct nodes" in d.message
+                   for d in report.by_checker("plan-construction"))
+        assert not report.ok
 
     def test_commless_endpoint_detected(self):
         program = _phased_program()
@@ -385,7 +398,7 @@ class TestTraceLinkCapacity:
         result = simulate_program(program, config)
         plan = plan_for_program(program)
         mapping = mapping_for_program(program)
-        profiles = plan.op_profiles(mapping, program.network.latency)
+        profiles = plan.op_profiles(mapping, program.network)
         by_link = {}
         for i, op in enumerate(result.ops):
             if op.kind == "gate":

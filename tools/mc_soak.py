@@ -2,7 +2,9 @@
 """CI gate: Monte-Carlo soak of the paper-scale Table 2 programs.
 
 Compiles QAOA, RCA, MCTR and BV at 200 qubits on 20 nodes, QFT-100@10 and
-UCCSD-8@4 (all-to-all, static), then runs ``run_monte_carlo`` at
+UCCSD-8@4 (all-to-all, static), plus QAOA-100@10 on a line with
+``remap="bursts", overlap=True`` (migrations) and QFT-30@4 on a line at link
+capacity 1 (link-capped window searches), then runs ``run_monte_carlo`` at
 ``p_epr=0.5`` one seeded trial at a time, so every trial's executed program
 can be checked.  The gate fails (exit status 1) when a trial raises, or
 when it executes fewer plan items than the compiled schedule holds or
@@ -21,7 +23,7 @@ import random
 import sys
 import time
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
@@ -31,25 +33,62 @@ if str(_SRC) not in sys.path:
         sys.path.insert(0, str(_SRC))
 
 from repro.circuits.suite import BenchmarkSpec
-from repro.core import compile_autocomm
+from repro.core import AutoCommConfig, compile_autocomm
+from repro.hardware.topology import apply_topology
 from repro.sim import SimulationConfig, run_monte_carlo
 
-#: (family, qubits, nodes) of the soaked Table 2 programs.
-PROGRAMS: Tuple[Tuple[str, int, int], ...] = (
-    ("QAOA", 200, 20), ("RCA", 200, 20), ("MCTR", 200, 20), ("BV", 200, 20),
-    ("QFT", 100, 10), ("UCCSD", 8, 4))
+
+class SoakProgram(NamedTuple):
+    """One soaked program: a Table 2 point, its topology and run knobs."""
+
+    family: str
+    qubits: int
+    nodes: int
+    topology: Optional[str] = None
+    remap: bool = False
+    link_capacity: Optional[int] = None
+
+    @property
+    def name(self) -> str:
+        name = f"{self.family}-{self.qubits}@{self.nodes}"
+        if self.topology is not None:
+            name += f" {self.topology}"
+        if self.remap:
+            name += " remap+overlap"
+        if self.link_capacity is not None:
+            name += f" cap {self.link_capacity}"
+        return name
+
+    def compile(self):
+        circuit, network = BenchmarkSpec(self.family, self.qubits,
+                                         self.nodes).build()
+        if self.topology is not None:
+            network = apply_topology(network, self.topology)
+        config = (AutoCommConfig(remap="bursts", overlap=True) if self.remap
+                  else None)
+        return compile_autocomm(circuit, network, config=config, cache=False)
+
+
+PROGRAMS: Tuple[SoakProgram, ...] = (
+    SoakProgram("QAOA", 200, 20), SoakProgram("RCA", 200, 20),
+    SoakProgram("MCTR", 200, 20), SoakProgram("BV", 200, 20),
+    SoakProgram("QFT", 100, 10), SoakProgram("UCCSD", 8, 4),
+    SoakProgram("QAOA", 100, 10, "line", remap=True),
+    SoakProgram("QFT", 30, 4, "line", link_capacity=1))
 
 P_EPR = 0.5
 
 
-def soak(program, trials: int, seed: int) -> List[str]:
+def soak(program, trials: int, seed: int,
+         link_capacity: Optional[int] = None) -> List[str]:
     """Run ``trials`` seeded trials of one program; return the failures."""
     expected = program.schedule.num_scheduled_items()
     seeds = random.Random(seed)
     failures: List[str] = []
     for _ in range(trials):
         config = SimulationConfig(p_epr=P_EPR, seed=seeds.getrandbits(63),
-                                  trials=1, record_trace=False)
+                                  trials=1, record_trace=False,
+                                  link_capacity=link_capacity)
         try:
             trial = run_monte_carlo(program, config).sample_trial
         except Exception as exc:
@@ -72,13 +111,12 @@ def main(argv: Sequence[str] = ()) -> int:
     args = parser.parse_args(list(argv))
 
     failed = 0
-    for family, qubits, nodes in PROGRAMS:
-        circuit, network = BenchmarkSpec(family, qubits, nodes).build()
-        program = compile_autocomm(circuit, network, cache=False)
+    for spec in PROGRAMS:
+        program = spec.compile()
         start = time.perf_counter()
-        failures = soak(program, args.trials, args.seed)
+        failures = soak(program, args.trials, args.seed, spec.link_capacity)
         elapsed = time.perf_counter() - start
-        print(f"{family}-{qubits}@{nodes}: {args.trials} trials, "
+        print(f"{spec.name}: {args.trials} trials, "
               f"{len(failures)} failed, {args.trials / elapsed:.1f} trials/s")
         for failure in failures:
             print(f"  {failure}")
