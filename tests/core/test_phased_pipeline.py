@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.circuits import qft_circuit
+from repro.circuits import qft_circuit, scaled_configurations
 from repro.comm.blocks import CommBlock
-from repro.core import (AutoCommCompiler, AutoCommConfig, MigrationOp,
-                        compile_autocomm, plan_phased_schedule)
-from repro.core.pipeline import _phase_circuit, _segment_items
+from repro.core import (AutoCommCompiler, AutoCommConfig, FusedTPChain,
+                        MigrationOp, compile_autocomm, plan_phased_schedule,
+                        plan_schedule)
+from repro.core.pipeline import CompiledPhase, _phase_circuit, _segment_items
+from repro.core.scheduling import _execute_plan
 from repro.hardware import apply_topology, uniform_network
 from repro.ir.circuit import Circuit
 from repro.ir.gates import Gate
@@ -75,6 +77,40 @@ class TestSegmentation:
         circuit = _phase_circuit(Circuit(8, name="prog"), items, 1)
         assert circuit.name == "prog-phase1"
         assert [g.name for g in circuit] == ["h", "cx"]
+
+
+def _same_unit(a, b):
+    """Same plan item object; fused chains (rebuilt per plan) block by block."""
+    if isinstance(a, FusedTPChain):
+        return (isinstance(b, FusedTPChain) and len(a.blocks) == len(b.blocks)
+                and all(x is y for x, y in zip(a.blocks, b.blocks)))
+    return a is b
+
+
+@pytest.mark.parametrize("spec", scaled_configurations("small"),
+                         ids=lambda spec: spec.name)
+def test_one_phase_plan_is_static_plan(spec):
+    """A phased plan over one phase wrapping a static assignment is the
+    static plan: same units, same dependencies, same scheduled latency,
+    with barrier and with overlap stitching."""
+    circuit, network = spec.build()
+    assignment = compile_autocomm(circuit, network).assignment
+    phase = CompiledPhase(index=0, mapping=assignment.mapping,
+                          aggregation=assignment.aggregation,
+                          assignment=assignment)
+    for burst in (True, False):
+        static = plan_schedule(assignment, burst)
+        latency = _execute_plan(static, network, assignment.mapping).latency
+        for overlap in (False, True):
+            phased = plan_phased_schedule([phase], [], burst=burst,
+                                          overlap=overlap)
+            assert len(phased.items) == len(static.items)
+            assert all(_same_unit(a, b)
+                       for a, b in zip(phased.items, static.items))
+            assert phased.preds == static.preds
+            assert phased.num_fused_chains == static.num_fused_chains
+            assert _execute_plan(phased, network,
+                                 assignment.mapping).latency == latency
 
 
 class TestPhasedPlan:
