@@ -23,13 +23,6 @@ from .scheduling import (
     fuse_tp_chains,
     compute_boundary_bubble,
 )
-from .schedule_passes import (
-    ScheduleDraft,
-    SCHEDULE_PASSES,
-    register_schedule_pass,
-    default_passes,
-    run_schedule_passes,
-)
 from .scheduling_reference import (
     plan_schedule_reference,
     schedule_communications_reference,
@@ -67,11 +60,6 @@ __all__ = [
     "plan_phased_schedule",
     "fuse_tp_chains",
     "compute_boundary_bubble",
-    "ScheduleDraft",
-    "SCHEDULE_PASSES",
-    "register_schedule_pass",
-    "default_passes",
-    "run_schedule_passes",
     "plan_schedule_reference",
     "schedule_communications_reference",
     "CompilationMetrics",

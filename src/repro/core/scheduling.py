@@ -18,6 +18,11 @@ The plain ``greedy`` strategy (used for the Figure 17(c) ablation and for
 the baselines) runs the same resource-constrained list scheduler but keeps
 strict program order between blocks and performs no fusion.
 
+:func:`plan_phased_schedule` is the one plan builder: per-phase TP fusion,
+per-phase dependency graphs, then a barrier or an overlap stitch across the
+phase boundaries.  A static program is its one-phase case
+(:func:`plan_schedule`: the assignment's own mapping, no migrations, the
+barrier stitch), so every plan carries per-item mappings and phases.
 :func:`run_plan` is the one event loop over a :class:`SchedulePlan`; the
 analytical scheduler and the execution engine in :mod:`repro.sim` drive it
 with their own placement steps over per-item facts computed once per plan
@@ -182,10 +187,10 @@ class ScheduleResult:
     #: boundary semantics; always ``False`` for single-phase schedules.
     overlap: bool = False
     #: Idle time summed over phase boundaries: the gap between the last
-    #: compute op of each phase and the first compute op of the next, minus
-    #: the time migration work (EPR preparation included) covers inside the
-    #: gap.  Zero for single-phase schedules; the quantity the overlap pass
-    #: exists to shrink.
+    #: compute op of each phase and the first compute op of the next,
+    #: clamped at zero (migration work inside the gap is not subtracted).
+    #: Zero for single-phase schedules; the quantity the overlap pass exists
+    #: to shrink.
     boundary_bubble: float = 0.0
 
     def comm_ops(self) -> List[ScheduledOp]:
@@ -250,7 +255,7 @@ class _PairwiseCommutation:
     scheduler asks about the same item pairs repeatedly across the lookback
     window, so the verdict is memoised per unordered id pair.  Memoisation
     is only valid while the item objects stay alive and unchanged, which
-    holds for the duration of one :func:`plan_schedule` call.
+    holds for the duration of one plan build.
     """
 
     def __init__(self) -> None:
@@ -315,7 +320,6 @@ class _PairwiseCommutation:
 
 
 def fuse_tp_chains(items: Sequence[ScheduleItem],
-                   mapping: QubitMapping,
                    oracle: Optional[_PairwiseCommutation] = None
                    ) -> List[SchedulableItem]:
     """Fuse runs of TP blocks sharing a hub qubit into :class:`FusedTPChain` units.
@@ -403,7 +407,7 @@ def _build_dependencies(items: Sequence[SchedulableItem], num_qubits: int,
     where ``open_qubits[i]`` is the set of item ``i``'s qubits for which
     *no* predecessor was chosen — the qubit was never touched before, or
     everything touching it within the window commuted and no beyond-window
-    anchor exists.  The overlap stitch pass uses these to gate items on the
+    anchor exists.  The overlap stitch uses these to gate items on the
     cross-phase retire frontier of exactly the qubits whose ordering the
     intra-phase graph does not already carry.
     """
@@ -497,39 +501,44 @@ class SchedulePlan:
     preds: List[List[int]]
     num_fused_chains: int
     burst: bool
-    #: Per-item qubit mappings for phase-structured plans (``None`` for the
-    #: single-mapping plans of the static pipeline).  A phased program's
-    #: blocks were aggregated under their phase's mapping, so durations and
+    #: Qubit mapping each item executes under.  A phased program's blocks
+    #: were aggregated under their phase's mapping, so durations and
     #: remote-gate counts must be derived from that mapping, not the
-    #: program-level one.
-    item_mappings: Optional[List[QubitMapping]] = None
+    #: program-level one; a static plan repeats the assignment's mapping.
+    item_mappings: List[QubitMapping]
+    #: Phase index per item (all ``0`` for a static plan).  Migrations carry
+    #: the index of the phase they move into; the boundary a migration
+    #: belongs to is therefore ``item_phases[i] - 1``.
+    item_phases: List[int]
     #: Whether phase boundaries were stitched with the zero-bubble overlap
-    #: pass (per-qubit migration/compute edges) instead of hard barriers.
-    #: Always ``False`` for single-mapping plans.
+    #: stitch (per-qubit migration/compute edges) instead of hard barriers.
     overlap: bool = False
-    #: Phase index per item for phase-structured plans (``None`` for the
-    #: static pipeline).  Migrations carry the index of the phase they move
-    #: into; the boundary a migration belongs to is therefore
-    #: ``item_phases[i] - 1``.
-    item_phases: Optional[List[int]] = None
     #: Lazily built caches shared by every consumer of the plan (the
     #: analytical scheduler and all Monte-Carlo trial engines).
     _succs: Optional[List[List[int]]] = field(
         default=None, repr=False, compare=False)
-    _profiles: Optional[Dict[Tuple[int, int],
-                             Tuple[QubitMapping, QuantumNetwork,
-                                   List["OpProfile"]]]] = field(
+    _profiles: Optional[Dict[int, Tuple[QuantumNetwork,
+                                        List["OpProfile"]]]] = field(
         default=None, repr=False, compare=False)
 
     @property
     def mode(self) -> str:
         return "burst" if self.burst else "plain"
 
+    @property
+    def num_phases(self) -> int:
+        """Phases up to the last one holding items (1 for a static plan).
+
+        Items are laid out phase by phase, so the last item carries the
+        highest phase index.
+        """
+        return self.item_phases[-1] + 1 if self.item_phases else 1
+
     def __getstate__(self):
         """Pickle without the lazy caches.
 
-        ``_profiles`` is keyed by object identity (``id(mapping)`` /
-        ``id(network)``), so its entries are meaningless in another process;
+        ``_profiles`` is keyed by object identity (``id(network)``), so its
+        entries are meaningless in another process;
         both caches rebuild on demand.  Dropping them is what lets a plan
         travel to Monte-Carlo worker processes (and, eventually, a compile
         cache) at minimal size.
@@ -561,36 +570,29 @@ class SchedulePlan:
             self._succs = succs
         return self._succs
 
-    def item_mapping(self, index: int, default: QubitMapping) -> QubitMapping:
-        """Mapping plan unit ``index`` executes under (phase-aware)."""
-        if self.item_mappings is not None:
-            return self.item_mappings[index]
-        return default
-
-    def op_profiles(self, mapping: QubitMapping,
-                    network: QuantumNetwork) -> List["OpProfile"]:
+    def op_profiles(self, network: QuantumNetwork) -> List["OpProfile"]:
         """Per-item facts shared by every schedule candidate and trial.
 
         Durations, nodes, EPR prep pairs and their deterministic prep
         latency, remote-gate counts and reservation labels depend only on
-        the plan, the mapping and the network, so they are computed once
-        here instead of once per candidate or trial per op.
+        the plan (items and their mappings) and the network, so they are
+        computed once here instead of once per candidate or trial per op.
         """
         if self._profiles is None:
             self._profiles = {}
-        key = (id(mapping), id(network))
-        entry = self._profiles.get(key)
-        # The cached entry keeps references to the keyed objects (so their
-        # ids cannot be reused while the entry lives) and is validated by
+        entry = self._profiles.get(id(network))
+        # The cached entry keeps a reference to the network (so its id
+        # cannot be reused while the entry lives) and is validated by
         # identity before use.
-        if entry is not None and entry[0] is mapping and entry[1] is network:
-            return entry[2]
+        if entry is not None and entry[0] is network:
+            return entry[1]
         latency = network.latency
         # Pair lists repeat across items: price and route each one once.
         by_pairs: Dict[Tuple[Tuple[int, int], ...], Tuple] = {}
         # Gates of equal duration share one (immutable) profile.
         gates: Dict[float, OpProfile] = {}
         profiles: List[OpProfile] = []
+        mappings = self.item_mappings
         for index, item in enumerate(self.items):
             if isinstance(item, Gate):
                 duration = latency.gate_latency(item)
@@ -600,7 +602,7 @@ class SchedulePlan:
                         kind="gate", duration=duration, nodes=(), num_items=1)
                 profiles.append(profile)
                 continue
-            item_mapping = self.item_mapping(index, mapping)
+            item_mapping = mappings[index]
             if isinstance(item, MigrationOp):
                 kind, duration = "migration", latency.t_teleport
                 nodes, num_items, pairs = item.nodes, 1, (item.nodes,)
@@ -626,7 +628,7 @@ class SchedulePlan:
                 num_items=num_items, prep_pairs=pairs, prep=facts[0],
                 links=facts[1], epr_pairs=facts[2],
                 num_remote_gates=num_remote, label=f"{kind}-{index}"))
-        self._profiles[key] = (mapping, network, profiles)
+        self._profiles[id(network)] = (network, profiles)
         return profiles
 
 
@@ -659,49 +661,242 @@ class OpProfile:
 def plan_schedule(assignment: AssignmentResult, burst: bool) -> SchedulePlan:
     """Build the schedulable units and dependency graph for one program.
 
-    Plans are memoised on the assignment object: the burst-greedy scheduler,
-    the plain fallback and the execution simulator all ask for the same two
-    plans, and the commutation-aware dependency build dominates planning
-    cost.  The plan depends only on the assignment's items (which do not
-    change after assignment), so the memo is sound.
+    The one-phase case of :func:`plan_phased_schedule`: the assignment's
+    own mapping, no migrations, the barrier stitch.  Burst plans fuse TP
+    chains and build commutation-aware dependencies; plain plans keep
+    strict program order.  The plan is memoised on the assignment (see
+    :func:`plan_phased_schedule`), so the burst-greedy scheduler, the plain
+    fallback and the execution simulator all share the same two plans.
     """
-    cache: Dict[bool, SchedulePlan] = getattr(assignment, "_plan_cache", None)
-    if cache is None:
-        cache = {}
-        assignment._plan_cache = cache
-    plan = cache.get(burst)
-    if plan is not None:
-        return plan
+    return _memoised_plan(((assignment.mapping, assignment),), (), burst,
+                          overlap=False, phased=False)
 
-    with stage(f"plan-{'burst' if burst else 'plain'}") as span:
-        mapping = assignment.mapping
-        num_qubits = assignment.aggregation.circuit.num_qubits
-        items: List[SchedulableItem] = list(assignment.items)
-        num_fused = 0
-        oracle = _PairwiseCommutation()
-        if burst:
-            fused = fuse_tp_chains(items, mapping, oracle=oracle)
-            num_fused = sum(isinstance(i, FusedTPChain) for i in fused)
-            items = fused
-        preds = _build_dependencies(items, num_qubits, commutation_aware=burst,
-                                    oracle=oracle)
+
+def plan_phased_schedule(phases: Sequence,
+                         migrations: Sequence[Sequence[MigrationOp]],
+                         burst: bool, overlap: bool = False) -> SchedulePlan:
+    """Build one combined plan over a phase-structured program.
+
+    ``phases`` are the pipeline's ``CompiledPhase`` objects (anything with
+    ``mapping`` and ``assignment`` works); ``migrations`` holds one list of
+    :class:`MigrationOp` per phase boundary (``len(phases) - 1`` entries).
+
+    Construction fuses TP chains per phase (burst only), builds each
+    phase's dependency graph under its own mapping (commutation-aware under
+    ``burst``, strict program order otherwise), then stitches the phases.
+    With ``overlap`` off, phase boundaries are hard barriers
+    (:func:`_stitch_barrier`); with ``overlap`` on, they become per-qubit
+    edges (:func:`_stitch_overlap`): a migration starts as soon as its
+    qubit's last earlier-phase ops retire and later-phase items wait only
+    on the frontiers of the qubits they touch.  With a single phase both
+    stitches give the static plan's items and dependencies.
+
+    Plans are memoised on the first phase's assignment object, keyed by
+    ``(burst, overlap)`` and shared with :func:`plan_schedule`, so the
+    analytical scheduler and the execution simulator replay the *same* plan
+    object — deterministic replay then matches the analytical latency
+    bit-for-bit.  The cached entry keeps the exact mapping, assignment and
+    migration objects it was built from and is validated by identity, so a
+    call with a different phase or migration list (sharing the same first
+    assignment) rebuilds instead of returning a stale plan.
+    """
+    if len(migrations) != max(0, len(phases) - 1):
+        raise ValueError("need exactly one migration list per phase boundary")
+    segments = tuple((phase.mapping, phase.assignment) for phase in phases)
+    return _memoised_plan(segments, migrations, burst, overlap, phased=True)
+
+
+def _memoised_plan(segments: Tuple[Tuple[QubitMapping, AssignmentResult], ...],
+                   migrations: Sequence[Sequence[MigrationOp]], burst: bool,
+                   overlap: bool, phased: bool) -> SchedulePlan:
+    """The memo shared by both entry points, then :func:`_build_plan`.
+
+    ``phased`` only picks the span: ``plan-phased-*`` for phase-structured
+    programs, ``plan-burst``/``plan-plain`` for static ones.
+    """
+    anchor = segments[0][1]
+    cache = getattr(anchor, "_plan_cache", None)
+    if cache is None:
+        cache = anchor._plan_cache = {}
+    source = (segments, tuple(tuple(moves) for moves in migrations))
+    entry = cache.get((burst, overlap))
+    if entry is not None and _same_source(entry[0], source):
+        return entry[1]
+
+    mode = "burst" if burst else "plain"
+    with stage(f"plan-phased-{mode}" if phased else f"plan-{mode}") as span:
+        plan, oracle = _build_plan(segments, migrations, burst, overlap)
         if span.enabled:
-            span.set("items", len(items))
-            span.set("fused_chains", num_fused)
-            span.set("item_pairs", oracle.item_pairs)
-            span.set("commute_calls", oracle.calls)
-    plan = SchedulePlan(items=items, preds=preds, num_fused_chains=num_fused,
-                        burst=burst)
+            span.set("items", len(plan.items))
+            span.set("fused_chains", plan.num_fused_chains)
+            if phased:
+                span.set("phases", len(segments))
+                span.set("overlap", 1 if overlap else 0)
+            else:
+                span.set("item_pairs", oracle.item_pairs)
+                span.set("commute_calls", oracle.calls)
     # When fusion changed nothing, the burst and plain plans schedule the
     # same units — share one profile cache so durations are computed once.
-    other = cache.get(not burst)
-    if (other is not None and len(other.items) == len(plan.items)
-            and all(a is b for a, b in zip(other.items, plan.items))):
-        if other._profiles is None:
-            other._profiles = {}
-        plan._profiles = other._profiles
-    cache[burst] = plan
+    other = cache.get((not burst, overlap))
+    if other is not None and _same_source(other[0], source):
+        other_plan = other[1]
+        if (len(other_plan.items) == len(plan.items)
+                and all(a is b for a, b in zip(other_plan.items, plan.items))):
+            if other_plan._profiles is None:
+                other_plan._profiles = {}
+            plan._profiles = other_plan._profiles
+    cache[(burst, overlap)] = (source, plan)
     return plan
+
+
+def _same_source(cached, source) -> bool:
+    """Whether two ``(segments, migrations)`` hold the same objects."""
+    (old_segments, old_moves), (segments, moves) = cached, source
+    return (len(old_segments) == len(segments)
+            and all(m is n and a is b for (m, a), (n, b)
+                    in zip(old_segments, segments))
+            and len(old_moves) == len(moves)
+            and all(len(x) == len(y) and all(m is n for m, n in zip(x, y))
+                    for x, y in zip(old_moves, moves)))
+
+
+def _build_plan(segments: Sequence[Tuple[QubitMapping, AssignmentResult]],
+                migrations: Sequence[Sequence[MigrationOp]], burst: bool,
+                overlap: bool) -> Tuple[SchedulePlan, _PairwiseCommutation]:
+    """Fuse, build dependencies and stitch; returns the plan and its oracle."""
+    num_qubits = segments[0][1].aggregation.circuit.num_qubits
+    oracle = _PairwiseCommutation()
+    phase_items = [fuse_tp_chains(assignment.items, oracle=oracle) if burst
+                   else list(assignment.items) for _, assignment in segments]
+    num_fused = sum(isinstance(item, FusedTPChain)
+                    for items in phase_items for item in items) if burst else 0
+    # Open-qubit sets cost a quarter to a half of a dependency build and
+    # only the overlap stitch of phases after the first reads them, so only
+    # those phases collect them: ``(preds, open_qubits)`` there, ``preds``
+    # everywhere else.
+    deps = [_build_dependencies(items, num_qubits, commutation_aware=burst,
+                                oracle=oracle,
+                                collect_open=overlap and index > 0)
+            for index, items in enumerate(phase_items)]
+    if overlap:
+        stitched = _stitch_overlap(segments, phase_items, deps, migrations,
+                                   num_qubits)
+    else:
+        stitched = _stitch_barrier(segments, phase_items, deps, migrations)
+    items, preds, item_mappings, item_phases = stitched
+    return SchedulePlan(items=items, preds=preds, num_fused_chains=num_fused,
+                        burst=burst, item_mappings=item_mappings,
+                        item_phases=item_phases, overlap=overlap), oracle
+
+
+def _stitch_barrier(segments, phase_items, deps, migrations):
+    """Hard phase boundaries: migrations wait for every earlier-phase sink.
+
+    Each boundary's migrations depend on all sinks of the phase before it,
+    and every source of the later phase depends on the boundary (on the
+    earlier phase's sinks directly when no qubit moves).  Returns the
+    combined ``(items, preds, item_mappings, item_phases)``, grown from
+    phase 0's item and predecessor lists as built.
+    """
+    item_mappings: List[QubitMapping] = []
+    item_phases: List[int] = []
+    barrier: List[int] = []
+    last = len(segments) - 1
+    for index, (mapping, _) in enumerate(segments):
+        local_items, local_preds = phase_items[index], deps[index]
+        if index:
+            offset = len(items)
+            preds.extend([p + offset for p in plist] if plist
+                         else list(barrier) for plist in local_preds)
+            items.extend(local_items)
+        else:
+            offset, items, preds = 0, local_items, local_preds
+        item_mappings.extend([mapping] * len(local_items))
+        item_phases.extend([index] * len(local_items))
+        if index == last:
+            break
+        has_successor = [False] * len(local_items)
+        for plist in local_preds:
+            for p in plist:
+                has_successor[p] = True
+        sinks = [offset + local for local, linked in enumerate(has_successor)
+                 if not linked] or barrier
+        moves = migrations[index]
+        if moves:
+            start = len(items)
+            preds.extend(list(sinks) for _ in moves)
+            items.extend(moves)
+            item_mappings.extend([segments[index + 1][0]] * len(moves))
+            item_phases.extend([index + 1] * len(moves))
+            barrier = list(range(start, len(items)))
+        else:
+            barrier = sinks
+    return items, preds, item_mappings, item_phases
+
+
+def _stitch_overlap(segments, phase_items, deps, migrations, num_qubits):
+    """Zero-bubble boundaries: per-qubit edges instead of a global barrier.
+
+    A *retire frontier* per qubit tracks, across the stream, the plan
+    indices whose completion releases the qubit: all of the latest phase's
+    items touching it, or the migration that moved it.  The boundary rules:
+
+    * a migration of qubit ``q`` depends on **every** phase-N item touching
+      ``q`` (commutation-aware intra-phase graphs do not totally order a
+      qubit's touchers, so depending only on the last one would be unsound)
+      — or on ``q``'s previous frontier when phase N never touched it;
+    * a phase-N+1 item waits on the frontier of each qubit it has no
+      intra-phase dependency on (its open qubits); every other qubit's
+      cross-phase ordering is inherited transitively through the item's
+      intra-phase predecessor chain, which bottoms out at that qubit's
+      first toucher — itself gated on the frontier.
+
+    The resulting invariant (checked by ``schedule-causality`` /
+    ``migration-legality``): for any qubit, items of a later phase touching
+    it never start before items of an earlier phase touching it retire, and
+    migrations fall strictly between the phases they separate — per qubit,
+    not globally, which is what lets migration teleports overlap with
+    unrelated compute on both sides of the boundary.  Phase 0 has no
+    frontier to wait on, so the plan grows from its item and predecessor
+    lists as built.
+    """
+    item_mappings: List[QubitMapping] = []
+    item_phases: List[int] = []
+    cross: Dict[int, List[int]] = {}
+    last = len(segments) - 1
+    for index, (mapping, _) in enumerate(segments):
+        local_items = phase_items[index]
+        if index:
+            offset = len(items)
+            local_preds, open_qubits = deps[index]
+            for plist, open_set in zip(local_preds, open_qubits):
+                chosen = {p + offset for p in plist}
+                for qubit in open_set:
+                    chosen.update(cross.get(qubit, ()))
+                preds.append(sorted(chosen))
+            items.extend(local_items)
+        else:
+            offset, items, preds = 0, local_items, deps[index]
+        item_mappings.extend([mapping] * len(local_items))
+        item_phases.extend([index] * len(local_items))
+        if index == last:
+            break
+        touched: Dict[int, List[int]] = {}
+        for local, item in enumerate(local_items):
+            for qubit in _item_qubits(item, num_qubits):
+                touched.setdefault(qubit, []).append(offset + local)
+        next_mapping = segments[index + 1][0]
+        move_frontier: Dict[int, List[int]] = {}
+        for move in migrations[index]:
+            waits = touched.get(move.qubit) or cross.get(move.qubit, [])
+            move_frontier[move.qubit] = [len(items)]
+            preds.append(sorted(set(waits)))
+            items.append(move)
+            item_mappings.append(next_mapping)
+            item_phases.append(index + 1)
+        cross.update(touched)
+        cross.update(move_frontier)
+    return items, preds, item_mappings, item_phases
 
 
 # ---------------------------------------------------------------------------
@@ -768,12 +963,11 @@ def schedule_communications(assignment: AssignmentResult,
     """
     bursts = _burst_modes(strategy)
     return _pick_schedule((plan_schedule(assignment, burst=burst)
-                           for burst in bursts),
-                          network, assignment.mapping)
+                           for burst in bursts), network)
 
 
-def _pick_schedule(plans: Iterable[SchedulePlan], network: QuantumNetwork,
-                   mapping: QubitMapping) -> ScheduleResult:
+def _pick_schedule(plans: Iterable[SchedulePlan],
+                   network: QuantumNetwork) -> ScheduleResult:
     """Schedule each candidate plan and keep the earliest-finishing one.
 
     ``plans`` come in preference order: a later candidate displaces the
@@ -785,7 +979,7 @@ def _pick_schedule(plans: Iterable[SchedulePlan], network: QuantumNetwork,
         result: Optional[ScheduleResult] = None
         result_plan: Optional[SchedulePlan] = None
         for plan in plans:
-            candidate = _execute_plan(plan, network, mapping)
+            candidate = _execute_plan(plan, network)
             if result is None or candidate.latency < result.latency:
                 result, result_plan = candidate, plan
         result.boundary_bubble = compute_boundary_bubble(result_plan,
@@ -801,10 +995,10 @@ def _pick_schedule(plans: Iterable[SchedulePlan], network: QuantumNetwork,
         return result
 
 
-def _execute_plan(plan: SchedulePlan, network: QuantumNetwork,
-                  mapping: QubitMapping) -> ScheduleResult:
+def _execute_plan(plan: SchedulePlan,
+                  network: QuantumNetwork) -> ScheduleResult:
     """Resource-constrained list scheduling of one plan (phase-aware)."""
-    profiles = plan.op_profiles(mapping, network)
+    profiles = plan.op_profiles(network)
     resources = CommResourceTracker(network)
     reserve = resources.reserve_joint
 
@@ -892,78 +1086,6 @@ def _reserve_comm(resources: CommResourceTracker, nodes: Sequence[int],
 # Phase-structured scheduling (dynamic inter-phase remapping)
 # ---------------------------------------------------------------------------
 
-def plan_phased_schedule(phases: Sequence, migrations: Sequence[Sequence[MigrationOp]],
-                         burst: bool, overlap: bool = False) -> SchedulePlan:
-    """Build one combined plan over a phase-structured program.
-
-    ``phases`` are the pipeline's ``CompiledPhase`` objects (anything with
-    ``mapping`` and ``assignment`` works); ``migrations`` holds one list of
-    :class:`MigrationOp` per phase boundary (``len(phases) - 1`` entries).
-
-    Construction runs the :mod:`repro.core.schedule_passes` pipeline:
-    per-phase TP fusion and dependency graphs (commutation-aware under
-    ``burst``, strict program order otherwise) under each phase's own
-    mapping, then one stitch pass.  With ``overlap`` off, phase boundaries
-    are hard barriers (``barrier-phases``): the boundary's migration
-    teleports depend on every sink of the earlier phase, and every source
-    of the later phase depends on the boundary — byte-identical to the
-    pre-pass-pipeline plans.  With ``overlap`` on, boundaries become
-    per-qubit edges (``overlap-boundaries``): a migration starts as soon as
-    its qubit's last earlier-phase ops retire and later-phase items wait
-    only on the frontiers of the qubits they touch.  With a single phase
-    the plan degenerates to the static plan's items and dependencies either
-    way.
-
-    Plans are memoised on the first phase's assignment object, keyed by
-    ``(burst, overlap)``, so the analytical scheduler and the execution
-    simulator replay the *same* plan object — deterministic replay then
-    matches the analytical latency bit-for-bit for the same reason it does
-    on the static pipeline.  The cached entry keeps the exact phase and
-    migration objects it was built from and is validated by identity, so a
-    call with a different phase or migration list (sharing the same first
-    assignment) rebuilds instead of returning a stale plan.
-    """
-    if len(migrations) != max(0, len(phases) - 1):
-        raise ValueError("need exactly one migration list per phase boundary")
-    anchor = phases[0].assignment
-    cache = getattr(anchor, "_phased_plan_cache", None)
-    if cache is None:
-        cache = {}
-        anchor._phased_plan_cache = cache
-    entry = cache.get((burst, overlap))
-    if entry is not None:
-        cached_phases, cached_migrations, plan = entry
-        if (len(cached_phases) == len(phases)
-                and all(a is b for a, b in zip(cached_phases, phases))
-                and len(cached_migrations) == len(migrations)
-                and all(len(x) == len(y) and all(m is n for m, n in zip(x, y))
-                        for x, y in zip(cached_migrations, migrations))):
-            return plan
-
-    # Imported here: schedule_passes imports this module's primitives at
-    # its own top level, so the dependency must stay one-way at import time.
-    from .schedule_passes import ScheduleDraft, run_schedule_passes
-
-    with stage(f"plan-phased-{'burst' if burst else 'plain'}") as span:
-        draft = ScheduleDraft.from_phases(
-            phases, migrations, burst=burst, overlap=overlap,
-            num_qubits=anchor.aggregation.circuit.num_qubits)
-        run_schedule_passes(draft)
-        if span.enabled:
-            span.set("items", len(draft.items))
-            span.set("fused_chains", draft.num_fused_chains)
-            span.set("phases", len(phases))
-            span.set("overlap", 1 if overlap else 0)
-
-    plan = SchedulePlan(items=draft.items, preds=draft.preds,
-                        num_fused_chains=draft.num_fused_chains, burst=burst,
-                        item_mappings=draft.item_mappings,
-                        overlap=overlap, item_phases=draft.item_phases)
-    cache[(burst, overlap)] = (tuple(phases),
-                               tuple(tuple(b) for b in migrations), plan)
-    return plan
-
-
 def compute_boundary_bubble(plan: SchedulePlan,
                             ops: Sequence[ScheduledOp]) -> float:
     """Compute-idle time at phase boundaries of one scheduled phased plan.
@@ -976,10 +1098,9 @@ def compute_boundary_bubble(plan: SchedulePlan,
     overlapped schedules pull later-phase compute into the window, shrinking
     the gap (clamped at zero when the phase windows interleave).  This is
     the phased-schedule analogue of a pipeline bubble in zero-bubble
-    pipeline parallelism.  Returns ``0.0`` for single-phase or non-phased
-    plans.
+    pipeline parallelism.  Returns ``0.0`` for single-phase plans.
     """
-    if plan.item_phases is None:
+    if plan.num_phases < 2:
         return 0.0
     windows: Dict[int, List[float]] = {}
     for op in ops:
@@ -1022,4 +1143,4 @@ def schedule_phased_communications(phases: Sequence,
                                                 burst=burst,
                                                 overlap=overlapped)
                            for overlapped in overlaps for burst in bursts),
-                          network, phases[0].mapping)
+                          network)

@@ -158,7 +158,8 @@ def plan_schedule_reference(assignment: AssignmentResult,
     preds = _build_dependencies_reference(items, num_qubits,
                                           commutation_aware=burst)
     return SchedulePlan(items=items, preds=preds, num_fused_chains=num_fused,
-                        burst=burst)
+                        burst=burst, item_mappings=[mapping] * len(items),
+                        item_phases=[0] * len(items))
 
 
 def _run_schedule_reference(assignment: AssignmentResult,

@@ -502,26 +502,21 @@ def plan_to_payload(plan: SchedulePlan) -> Payload:
             items.append(["m", migration_to_payload(item)])
         else:
             items.append(["g", gate_to_payload(item)])
-    mappings_payload = None
-    indices_payload = None
-    if plan.item_mappings is not None:
-        # Phased plans repeat a handful of mapping objects across many
-        # items; store each distinct mapping once (identity-deduplicated
-        # with ``is`` — never ``id()``) plus a per-item index list.
-        unique: List[QubitMapping] = []
-        indices: List[int] = []
-        for mapping in plan.item_mappings:
-            position = None
-            for seen_index, seen in enumerate(unique):
-                if seen is mapping:
-                    position = seen_index
-                    break
-            if position is None:
-                position = len(unique)
-                unique.append(mapping)
-            indices.append(position)
-        mappings_payload = [mapping_to_payload(m) for m in unique]
-        indices_payload = indices
+    # Plans repeat a handful of mapping objects across many items; store
+    # each distinct mapping once (identity-deduplicated with ``is`` — never
+    # ``id()``) plus a per-item index list.
+    unique: List[QubitMapping] = []
+    indices: List[int] = []
+    for mapping in plan.item_mappings:
+        position = None
+        for seen_index, seen in enumerate(unique):
+            if seen is mapping:
+                position = seen_index
+                break
+        if position is None:
+            position = len(unique)
+            unique.append(mapping)
+        indices.append(position)
     return {
         "schema": SCHEMA_VERSION,
         "kind": "schedule-plan",
@@ -530,10 +525,9 @@ def plan_to_payload(plan: SchedulePlan) -> Payload:
         "num_fused_chains": plan.num_fused_chains,
         "burst": plan.burst,
         "overlap": plan.overlap,
-        "item_phases": (None if plan.item_phases is None
-                        else list(plan.item_phases)),
-        "mappings": mappings_payload,
-        "item_mapping_indices": indices_payload,
+        "item_phases": list(plan.item_phases),
+        "mappings": [mapping_to_payload(m) for m in unique],
+        "item_mapping_indices": indices,
     }
 
 
@@ -552,11 +546,7 @@ def plan_from_payload(payload: Payload,
             items.append(migration_from_payload(value))
         else:
             items.append(gate_from_payload(value))
-    item_mappings = None
-    if payload["mappings"] is not None:
-        unique = [mapping_from_payload(m, network)
-                  for m in payload["mappings"]]
-        item_mappings = [unique[i] for i in payload["item_mapping_indices"]]
+    unique = [mapping_from_payload(m, network) for m in payload["mappings"]]
     # Rebuild through __setstate__ — the same path unpickling takes — so the
     # lazy ``_succs``/``_profiles`` caches start empty and rebuild on demand.
     plan = SchedulePlan.__new__(SchedulePlan)
@@ -566,9 +556,9 @@ def plan_from_payload(payload: Payload,
         "num_fused_chains": payload["num_fused_chains"],
         "burst": payload["burst"],
         "overlap": payload["overlap"],
-        "item_phases": (None if payload["item_phases"] is None
-                        else [int(p) for p in payload["item_phases"]]),
-        "item_mappings": item_mappings,
+        "item_phases": [int(p) for p in payload["item_phases"]],
+        "item_mappings": [unique[i]
+                          for i in payload["item_mapping_indices"]],
     })
     return plan
 

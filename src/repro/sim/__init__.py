@@ -32,7 +32,6 @@ from .engine import (
     SimulatedOp,
     SimulationConfig,
     SimulationResult,
-    mapping_for_program,
     plan_for_program,
     run_monte_carlo,
     simulate_program,
@@ -50,7 +49,6 @@ __all__ = [
     "run_monte_carlo",
     "simulate_program",
     "plan_for_program",
-    "mapping_for_program",
     "EPRProcess",
     "EPRSample",
     "LatencyDistribution",

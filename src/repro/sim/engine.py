@@ -12,15 +12,17 @@ uses, and EPR pairs are produced by a (possibly stochastic)
 Two properties anchor the design:
 
 * **Deterministic equivalence** — the engine replays the exact plan
-  (:func:`repro.core.scheduling.plan_schedule`) the analytical scheduler
+  (:func:`repro.core.scheduling.plan_phased_schedule`, whose one-phase case
+  is :func:`~repro.core.scheduling.plan_schedule`) the analytical scheduler
   used through the same event loop (:func:`repro.core.scheduling.run_plan`),
   so placement decisions come in the same ``(ready time, item index)``
-  order by construction.  With ``p_epr = 1.0`` each sampled preparation
-  equals the analytical prep latency, the engine books identical resource
-  windows, and the simulated program latency equals the analytical
-  :class:`~repro.core.scheduling.ScheduleResult` latency bit-for-bit.  The
-  validator in :mod:`repro.sim.validate` guards the EPR source and the
-  booking.
+  order by construction.  Every plan carries the mapping of each item, so
+  the engine needs the plan and the network only.  With ``p_epr = 1.0``
+  each sampled preparation equals the analytical prep latency, the engine
+  books identical resource windows, and the simulated program latency
+  equals the analytical :class:`~repro.core.scheduling.ScheduleResult`
+  latency bit-for-bit.  The validator in :mod:`repro.sim.validate` guards
+  the EPR source and the booking.
 * **Seeded stochasticity** — with ``p_epr < 1`` every EPR preparation is a
   sampled retry process; a Monte-Carlo run over ``trials`` seeded trials
   yields a reproducible latency distribution.
@@ -50,7 +52,7 @@ from .trace import LatencyDistribution, TraceRecorder
 
 __all__ = ["SimulationConfig", "SimulatedOp", "SimulationResult",
            "MonteCarloResult", "ExecutionEngine", "simulate_program",
-           "run_monte_carlo", "plan_for_program", "mapping_for_program"]
+           "run_monte_carlo", "plan_for_program"]
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -194,19 +196,18 @@ class ExecutionEngine:
     """Executes one schedule plan on the modelled hardware."""
 
     def __init__(self, plan: SchedulePlan, network: QuantumNetwork,
-                 mapping, config: Optional[SimulationConfig] = None,
+                 config: Optional[SimulationConfig] = None,
                  rng: Optional[random.Random] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.plan = plan
         self.network = network
-        self.mapping = mapping
         self.config = config or SimulationConfig()
         engine_owns_rng = rng is None
         self.rng = rng if rng is not None else random.Random(self.config.seed)
         self.latency = network.latency
         #: Trial-invariant per-item profiles, cached on the plan and
         #: therefore shared across Monte-Carlo trials.
-        self._profiles = plan.op_profiles(mapping, network)
+        self._profiles = plan.op_profiles(network)
         link_model = network.link_model
         if (self.config.link_capacity is not None and link_model is not None
                 and link_model.has_capacities):
@@ -553,18 +554,10 @@ def _plan_for(program: CompiledProgram) -> SchedulePlan:
     return plan_schedule(assignment, burst=_program_burst(program))
 
 
-def _mapping_for(program: CompiledProgram):
-    """Default mapping for profile building (phase plans carry their own)."""
-    if getattr(program, "phases", None):
-        return program.phases[0].mapping
-    return _require_assignment(program).mapping
-
-
-#: Public names for the plan/mapping accessors: the static verifier
+#: Public name for the plan accessor: the static verifier
 #: (:mod:`repro.verify`) analyses the same plan object the analytical
 #: scheduler priced and the engine replays.
 plan_for_program = _plan_for
-mapping_for_program = _mapping_for
 
 
 def simulate_program(program: CompiledProgram,
@@ -577,7 +570,7 @@ def simulate_program(program: CompiledProgram,
     """
     config = config or SimulationConfig()
     engine = ExecutionEngine(_plan_for(program), program.network,
-                             _mapping_for(program), config=config)
+                             config=config)
     return engine.run()
 
 
@@ -607,7 +600,7 @@ def _run_trial_chunk(payload) -> Tuple[List[float], List[int],
     chunk also returns its first trial as the run's sample (with the trace,
     when enabled), mirroring what the sequential loop keeps.
     """
-    plan, network, mapping, config, seeds, first_chunk = payload
+    plan, network, config, seeds, first_chunk = payload
     metrics = MetricsRegistry(enabled=config.record_metrics)
     quiet = replace(config, record_trace=False)
     latencies: List[float] = []
@@ -617,8 +610,8 @@ def _run_trial_chunk(payload) -> Tuple[List[float], List[int],
         is_sample = first_chunk and index == 0
         template = config if is_sample else quiet
         trial_config = replace(template, seed=trial_seed)
-        engine = ExecutionEngine(plan, network, mapping,
-                                 config=trial_config, metrics=metrics)
+        engine = ExecutionEngine(plan, network, config=trial_config,
+                                 metrics=metrics)
         result = engine.run()
         latencies.append(result.latency)
         attempts.append(result.total_epr_attempts)
@@ -654,11 +647,10 @@ def run_monte_carlo(program: CompiledProgram,
     # commutation analysis dominates planning cost, so build it once (each
     # worker process receives the finished plan, not the program to re-plan).
     plan = _plan_for(program)
-    mapping = _mapping_for(program)
 
     workers = min(config.workers, config.trials)
     if workers > 1:
-        payloads = [(plan, program.network, mapping, config, chunk, index == 0)
+        payloads = [(plan, program.network, config, chunk, index == 0)
                     for index, chunk in enumerate(_chunk_seeds(trial_seeds,
                                                                workers))]
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -679,7 +671,7 @@ def run_monte_carlo(program: CompiledProgram,
             sample_trial.metrics = metrics
     else:
         latencies, attempts, metrics, sample_trial = _run_trial_chunk(
-            (plan, program.network, mapping, config, trial_seeds, True))
+            (plan, program.network, config, trial_seeds, True))
 
     analytical = (program.schedule.latency if program.schedule is not None
                   else None)

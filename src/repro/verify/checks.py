@@ -125,7 +125,7 @@ class ItemCoverageCheck(CheckPass):
         program = ctx.program
         diags: List[Diagnostic] = []
         n = len(plan.items)
-        profiles = plan.op_profiles(ctx.mapping, ctx.network)
+        profiles = plan.op_profiles(ctx.network)
 
         # Plan-level coverage of the assignment passes' output.
         expected: Optional[int] = None
@@ -326,7 +326,7 @@ class MigrationCheck(CheckPass):
         plan = ctx.plan
         schedule = ctx.program.schedule
         diags: List[Diagnostic] = []
-        if schedule is None or plan.item_phases is None:
+        if schedule is None or plan.num_phases < 2:
             return diags
         num_qubits = ctx.program.circuit.num_qubits
         n = len(plan.items)
@@ -381,7 +381,7 @@ class RouteCheck(CheckPass):
     def run(self, ctx: ProgramContext) -> List[Diagnostic]:
         network = ctx.network
         diags: List[Diagnostic] = []
-        profiles = ctx.plan.op_profiles(ctx.mapping, network)
+        profiles = ctx.plan.op_profiles(network)
         checked_pairs = set()
         checked_links = set()
         for index, profile in enumerate(profiles):
@@ -514,7 +514,7 @@ class CausalityCheck(CheckPass):
         plan = ctx.plan
         schedule = ctx.program.schedule
         diags: List[Diagnostic] = []
-        if schedule is None or plan.item_phases is None:
+        if schedule is None or plan.num_phases < 2:
             return diags
         num_qubits = ctx.program.circuit.num_qubits
         n = len(plan.items)
@@ -600,7 +600,7 @@ class BookingCheck(CheckPass):
         # warning about the idealisation, not a broken schedule.
         if not self._any_capacity(ctx):
             return diags
-        profiles = ctx.plan.op_profiles(ctx.mapping, network)
+        profiles = ctx.plan.op_profiles(network)
         n = len(ctx.plan.items)
         per_link: Dict[Tuple[int, int], List[Tuple[float, float, int]]] = {}
         for op in comm_ops:

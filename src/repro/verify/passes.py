@@ -19,7 +19,6 @@ from typing import Any, Dict, List, Optional, Sequence, Type
 from ..core.pipeline import CompiledProgram
 from ..core.scheduling import SchedulePlan
 from ..hardware.network import QuantumNetwork
-from ..partition.mapping import QubitMapping
 from .diagnostics import Diagnostic, Severity, VerificationReport
 
 __all__ = ["CheckPass", "ProgramContext", "TraceContext", "register_pass",
@@ -37,7 +36,6 @@ class ProgramContext:
     program: CompiledProgram
     plan: SchedulePlan
     network: QuantumNetwork
-    mapping: QubitMapping
 
 
 @dataclass
@@ -102,11 +100,11 @@ def trace_passes() -> List[CheckPass]:
             if cls.scope == "trace"]
 
 
-def _plan_and_mapping(program: CompiledProgram):
+def _plan(program: CompiledProgram) -> SchedulePlan:
     # Imported lazily: repro.sim pulls in the execution engine, which a
     # purely static verification otherwise never needs.
-    from ..sim.engine import mapping_for_program, plan_for_program
-    return plan_for_program(program), mapping_for_program(program)
+    from ..sim.engine import plan_for_program
+    return plan_for_program(program)
 
 
 def _plan_failure_report(target: str, exc: Exception) -> VerificationReport:
@@ -135,14 +133,14 @@ def verify_program(program: CompiledProgram,
     one checker).
     """
     try:
-        plan, mapping = _plan_and_mapping(program)
+        plan = _plan(program)
         # Profiles price every consumed EPR pair: a pair the network cannot
         # prepare (identical endpoints) is rejected here.
-        plan.op_profiles(mapping, program.network)
+        plan.op_profiles(program.network)
     except (ValueError, KeyError, IndexError) as exc:
         return _plan_failure_report(program.name, exc)
     context = ProgramContext(program=program, plan=plan,
-                             network=program.network, mapping=mapping)
+                             network=program.network)
     report = VerificationReport(target=program.name)
     for check in (passes if passes is not None else program_passes()):
         report.checks_run.append(check.id)
@@ -161,7 +159,7 @@ def sanitize_simulation(program: CompiledProgram, result,
     error diagnostics.
     """
     try:
-        plan, _ = _plan_and_mapping(program)
+        plan = _plan(program)
     except (ValueError, KeyError, IndexError) as exc:
         return _plan_failure_report(f"{program.name} (trace)", exc)
     context = TraceContext(program=program, plan=plan,

@@ -145,11 +145,7 @@ class TraceLinkCapacityCheck(CheckPass):
             if op.kind == "gate" or not 0 <= op.index < n:
                 continue
             if profiles is None:
-                mapping = ctx.plan.item_mapping(0, None)
-                if mapping is None:
-                    from ..sim.engine import mapping_for_program
-                    mapping = mapping_for_program(ctx.program)
-                profiles = ctx.plan.op_profiles(mapping, network)
+                profiles = ctx.plan.op_profiles(network)
             profile = profiles[op.index]
             if not profile.prep_pairs:
                 continue

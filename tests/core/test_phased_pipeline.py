@@ -100,7 +100,7 @@ def test_one_phase_plan_is_static_plan(spec):
                           assignment=assignment)
     for burst in (True, False):
         static = plan_schedule(assignment, burst)
-        latency = _execute_plan(static, network, assignment.mapping).latency
+        latency = _execute_plan(static, network).latency
         for overlap in (False, True):
             phased = plan_phased_schedule([phase], [], burst=burst,
                                           overlap=overlap)
@@ -109,8 +109,7 @@ def test_one_phase_plan_is_static_plan(spec):
                        for a, b in zip(phased.items, static.items))
             assert phased.preds == static.preds
             assert phased.num_fused_chains == static.num_fused_chains
-            assert _execute_plan(phased, network,
-                                 assignment.mapping).latency == latency
+            assert _execute_plan(phased, network).latency == latency
 
 
 class TestPhasedPlan:

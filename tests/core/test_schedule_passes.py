@@ -1,12 +1,8 @@
-"""Unit tests for the schedule-pass pipeline and zero-bubble boundaries."""
-
-import pytest
+"""Unit tests for the barrier and overlap phase stitches."""
 
 from repro.circuits import qft_circuit
-from repro.core import (AutoCommConfig, MigrationOp, SCHEDULE_PASSES,
-                        ScheduleDraft, compile_autocomm, default_passes,
-                        plan_phased_schedule, register_schedule_pass,
-                        run_schedule_passes)
+from repro.core import (AutoCommConfig, MigrationOp, compile_autocomm,
+                        plan_phased_schedule)
 from repro.core.scheduling import _execute_plan
 from repro.hardware import apply_topology, uniform_network
 
@@ -21,71 +17,24 @@ def _compiled_remap(phase_blocks=3, kind="line", qubits=12, overlap=False):
     return program, network
 
 
-class TestRegistry:
-    def test_builtin_passes_registered(self):
-        for name in ("fuse-chains", "build-deps", "barrier-phases",
-                     "overlap-boundaries"):
-            assert name in SCHEDULE_PASSES
-
-    def test_unknown_pass_rejected_with_listing(self):
-        program, _ = _compiled_remap()
-        draft = ScheduleDraft.from_phases(
-            program.phases, program.migrations, burst=True, overlap=False,
-            num_qubits=program.circuit.num_qubits)
-        with pytest.raises(ValueError, match="barrier-phases"):
-            run_schedule_passes(draft, ["no-such-pass"])
-
-    def test_default_pipeline_switches_on_overlap(self):
-        program, _ = _compiled_remap()
-        barrier = ScheduleDraft.from_phases(
-            program.phases, program.migrations, burst=True, overlap=False,
-            num_qubits=program.circuit.num_qubits)
-        overlapped = ScheduleDraft.from_phases(
-            program.phases, program.migrations, burst=True, overlap=True,
-            num_qubits=program.circuit.num_qubits)
-        assert default_passes(barrier)[-1] == "barrier-phases"
-        assert default_passes(overlapped)[-1] == "overlap-boundaries"
-
-    def test_custom_pass_runs_in_pipeline(self):
-        calls = []
-
-        @register_schedule_pass("test-probe")
-        def probe(draft):
-            calls.append(len(draft.phase_items))
-
-        try:
-            program, _ = _compiled_remap()
-            draft = ScheduleDraft.from_phases(
-                program.phases, program.migrations, burst=True,
-                overlap=False, num_qubits=program.circuit.num_qubits)
-            run_schedule_passes(draft, ["test-probe"] +
-                                default_passes(draft))
-            assert calls == [len(program.phases)]
-        finally:
-            del SCHEDULE_PASSES["test-probe"]
-
-
 class TestStitchPasses:
-    def _drafts(self):
+    def _plans(self):
         program, network = _compiled_remap()
-        kwargs = dict(num_qubits=program.circuit.num_qubits)
-        barrier = run_schedule_passes(ScheduleDraft.from_phases(
-            program.phases, program.migrations, burst=True, overlap=False,
-            **kwargs))
-        overlapped = run_schedule_passes(ScheduleDraft.from_phases(
-            program.phases, program.migrations, burst=True, overlap=True,
-            **kwargs))
+        barrier = plan_phased_schedule(program.phases, program.migrations,
+                                       burst=True, overlap=False)
+        overlapped = plan_phased_schedule(program.phases, program.migrations,
+                                          burst=True, overlap=True)
         return barrier, overlapped, program, network
 
     def test_same_items_either_stitch(self):
-        barrier, overlapped, _, _ = self._drafts()
+        barrier, overlapped, _, _ = self._plans()
         assert len(barrier.items) == len(overlapped.items)
         assert [type(a) for a in barrier.items] == \
                [type(b) for b in overlapped.items]
         assert barrier.item_phases == overlapped.item_phases
 
     def test_item_phases_cover_every_phase(self):
-        barrier, _, program, _ = self._drafts()
+        barrier, _, program, _ = self._plans()
         compute_phases = {phase for item, phase in
                           zip(barrier.items, barrier.item_phases)
                           if not isinstance(item, MigrationOp)}
@@ -97,7 +46,7 @@ class TestStitchPasses:
 
     def test_overlap_migration_preds_touch_only_its_qubit(self):
         from repro.core.scheduling import _item_qubits
-        _, overlapped, program, _ = self._drafts()
+        _, overlapped, program, _ = self._plans()
         num_qubits = program.circuit.num_qubits
         checked = 0
         for index, item in enumerate(overlapped.items):
@@ -113,18 +62,9 @@ class TestStitchPasses:
         assert checked > 0
 
     def test_overlap_never_worse_when_executed(self):
-        barrier, overlapped, program, network = self._drafts()
-        mapping = program.phases[0].mapping
-        barrier_plan = plan_phased_schedule(program.phases,
-                                            program.migrations, burst=True,
-                                            overlap=False)
-        overlap_plan = plan_phased_schedule(program.phases,
-                                            program.migrations, burst=True,
-                                            overlap=True)
-        barrier_latency = _execute_plan(barrier_plan, network,
-                                        mapping).latency
-        overlap_latency = _execute_plan(overlap_plan, network,
-                                        mapping).latency
+        barrier, overlapped, _, network = self._plans()
+        barrier_latency = _execute_plan(barrier, network).latency
+        overlap_latency = _execute_plan(overlapped, network).latency
         assert overlap_latency <= barrier_latency + 1e-9
 
 

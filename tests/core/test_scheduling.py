@@ -120,8 +120,7 @@ class TestFusion:
     def test_fuse_consecutive_tp_blocks_same_hub(self):
         a = self.make_tp_block(0, 2, 0, 1)
         b = self.make_tp_block(0, 4, 0, 2)
-        mapping = QubitMapping({0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2})
-        fused = fuse_tp_chains([a, b], mapping)
+        fused = fuse_tp_chains([a, b])
         assert len(fused) == 1
         assert isinstance(fused[0], FusedTPChain)
         assert fused[0].num_teleports() == 3  # n + 1 with n = 2 blocks
@@ -129,22 +128,19 @@ class TestFusion:
     def test_no_fusion_for_different_hubs(self):
         a = self.make_tp_block(0, 2, 0, 1)
         b = self.make_tp_block(1, 3, 0, 1)
-        mapping = QubitMapping({0: 0, 1: 0, 2: 1, 3: 1})
-        fused = fuse_tp_chains([a, b], mapping)
+        fused = fuse_tp_chains([a, b])
         assert all(isinstance(item, CommBlock) for item in fused)
 
     def test_no_fusion_across_intervening_hub_gate(self):
         a = self.make_tp_block(0, 2, 0, 1)
         b = self.make_tp_block(0, 3, 0, 1)
-        mapping = QubitMapping({0: 0, 1: 0, 2: 1, 3: 1})
-        fused = fuse_tp_chains([a, Gate("h", (0,)), b], mapping)
+        fused = fuse_tp_chains([a, Gate("h", (0,)), b])
         assert not any(isinstance(item, FusedTPChain) for item in fused)
 
     def test_fusion_ignores_unrelated_gates(self):
         a = self.make_tp_block(0, 2, 0, 1)
         b = self.make_tp_block(0, 3, 0, 1)
-        mapping = QubitMapping({0: 0, 1: 0, 2: 1, 3: 1})
-        fused = fuse_tp_chains([a, b, Gate("h", (1,))], mapping)
+        fused = fuse_tp_chains([a, b, Gate("h", (1,))])
         assert any(isinstance(item, FusedTPChain) for item in fused)
 
     def test_cat_blocks_never_fused(self):
@@ -152,8 +148,7 @@ class TestFusion:
         cat = CommBlock(hub_qubit=0, hub_node=0, remote_node=1,
                         gates=[Gate("cx", (0, 3))])
         cat.scheme = CommScheme.CAT
-        mapping = QubitMapping({0: 0, 1: 0, 2: 1, 3: 1})
-        fused = fuse_tp_chains([a, cat], mapping)
+        fused = fuse_tp_chains([a, cat])
         assert not any(isinstance(item, FusedTPChain) for item in fused)
 
     def test_non_commuting_intervening_gate_closes_chain(self):
@@ -162,8 +157,7 @@ class TestFusion:
         # reorder non-commuting operations.
         a = self.make_tp_block(0, 2, 0, 1)
         b = self.make_tp_block(0, 3, 0, 1)
-        mapping = QubitMapping({0: 0, 1: 0, 2: 1, 3: 1})
-        fused = fuse_tp_chains([a, Gate("h", (2,)), b], mapping)
+        fused = fuse_tp_chains([a, Gate("h", (2,)), b])
         assert not any(isinstance(item, FusedTPChain) for item in fused)
         # Program order is preserved: the first TP block stays before h(2).
         assert fused[0] is a
@@ -175,15 +169,13 @@ class TestFusion:
                       gates=[Gate("cx", (2, 0))], scheme=CommScheme.TP)
         b = CommBlock(hub_qubit=0, hub_node=0, remote_node=1,
                       gates=[Gate("cx", (3, 0))], scheme=CommScheme.TP)
-        mapping = QubitMapping({0: 0, 1: 0, 2: 1, 3: 1})
-        fused = fuse_tp_chains([a, Gate("rz", (2,), (0.3,)), b], mapping)
+        fused = fuse_tp_chains([a, Gate("rz", (2,), (0.3,)), b])
         assert any(isinstance(item, FusedTPChain) for item in fused)
 
     def test_barrier_closes_chain(self):
         a = self.make_tp_block(0, 2, 0, 1)
         b = self.make_tp_block(0, 3, 0, 1)
-        mapping = QubitMapping({0: 0, 1: 0, 2: 1, 3: 1})
-        fused = fuse_tp_chains([a, Gate("barrier", (1,)), b], mapping)
+        fused = fuse_tp_chains([a, Gate("barrier", (1,)), b])
         assert not any(isinstance(item, FusedTPChain) for item in fused)
 
     def test_chain_duration_less_than_sum_of_blocks(self):
@@ -194,6 +186,58 @@ class TestFusion:
         from repro.comm.cost import block_latency
         separate = (block_latency(a, mapping) + block_latency(b, mapping))
         assert chain.duration(mapping, DEFAULT_LATENCY) < separate
+
+
+class TestPlanMemo:
+    @staticmethod
+    def _span_names(run):
+        from repro.obs.span import Tracer, set_tracing
+
+        previous = set_tracing(True)
+        try:
+            with Tracer("probe") as tracer:
+                run()
+        finally:
+            set_tracing(previous)
+        return [span.name for span in tracer.root.walk()]
+
+    def test_scheduler_reuses_memoised_plans(self):
+        from repro.core import plan_schedule
+
+        network = uniform_network(3, 4)
+        assignment = compile_assignment(decompose_to_cx(qft_circuit(12)),
+                                        mapping_for(12, 3))
+        plans = {}
+
+        def build():
+            plans[True] = plan_schedule(assignment, True)
+            plans[False] = plan_schedule(assignment, False)
+
+        assert {"plan-burst", "plan-plain"} <= set(self._span_names(build))
+        names = self._span_names(
+            lambda: schedule_communications(assignment, network))
+        assert "scheduling" in names
+        assert not any(name.startswith("plan-") for name in names)
+        for burst, plan in plans.items():
+            assert plan_schedule(assignment, burst) is plan
+
+    def test_profiles_shared_only_when_fusion_changes_nothing(self):
+        from repro.core import plan_schedule
+
+        network = uniform_network(3, 4)
+        unfused = compile_assignment(Circuit(4).h(0).cx(0, 2).cx(1, 3),
+                                     mapping_for(4, 2))
+        burst = plan_schedule(unfused, True)
+        plain = plan_schedule(unfused, False)
+        assert all(a is b for a, b in zip(burst.items, plain.items))
+        assert burst.op_profiles(network) is plain.op_profiles(network)
+
+        fused = compile_assignment(decompose_to_cx(qft_circuit(12)),
+                                   mapping_for(12, 3))
+        burst = plan_schedule(fused, True)
+        plain = plan_schedule(fused, False)
+        assert burst.num_fused_chains > 0
+        assert burst.op_profiles(network) is not plain.op_profiles(network)
 
 
 class TestStrategies:
@@ -349,15 +393,15 @@ class TestFusedChainItinerary:
             == _epr_prep_latency(network, chain.nodes())
 
     @staticmethod
-    def _check_profiles(plan, mapping, network):
+    def _check_profiles(plan, network):
         """Profiles match the per-op formulas the schedulers used to apply."""
         from repro.core.scheduling import MigrationOp, prep_latency_for_pairs
 
-        profiles = plan.op_profiles(mapping, network)
-        assert plan.op_profiles(mapping, network) is profiles
+        profiles = plan.op_profiles(network)
+        assert plan.op_profiles(network) is profiles
         assert len(profiles) == len(plan.items)
         for index, (item, profile) in enumerate(zip(plan.items, profiles)):
-            item_map = plan.item_mapping(index, mapping)
+            item_map = plan.item_mappings[index]
             if profile.kind == "gate":
                 assert profile.prep_pairs == ()
                 assert (profile.prep, profile.num_remote_gates,
@@ -390,7 +434,10 @@ class TestFusedChainItinerary:
         mapping = mapping_for(12, 3)
         assignment = compile_assignment(circuit, mapping)
         plan = plan_schedule(assignment, burst=burst)
-        kinds = {p.kind for p in self._check_profiles(plan, mapping, network)}
+        # A static plan runs every item under the assignment's mapping.
+        assert all(m is mapping for m in plan.item_mappings)
+        assert plan.item_phases == [0] * len(plan.items)
+        kinds = {p.kind for p in self._check_profiles(plan, network)}
         # The burst plan fuses TP chains; the plain plan never does.
         assert ("tp-chain" in kinds) == burst
         assert {"gate", "tp"} <= kinds
@@ -410,7 +457,7 @@ class TestFusedChainItinerary:
         mapping = program.phases[0].mapping
         plan = plan_phased_schedule(program.phases, program.migrations,
                                     burst=True, overlap=True)
-        profiles = self._check_profiles(plan, mapping, network)
+        profiles = self._check_profiles(plan, network)
         assert "migration" in {p.kind for p in profiles}
         # A block and a fused chain of later phases count remote gates
         # differently under phase 0's mapping than under their own.

@@ -71,8 +71,6 @@ class TestOverlapProperties:
     def test_per_qubit_phase_causality_preserved(self, circuit):
         program = _compile(circuit, overlap=True)
         plan = plan_for_program(program)
-        if plan.item_phases is None:
-            return
         per_qubit = {}
         migrations = []
         for op in program.schedule.ops:

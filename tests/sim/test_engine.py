@@ -282,14 +282,15 @@ class TestChainLinkBooking:
             blocks.append(block)
         chain = FusedTPChain(blocks=blocks)
         return SchedulePlan(items=[chain], preds=[[]], num_fused_chains=1,
-                            burst=True)
+                            burst=True, item_mappings=[QubitMapping({0: 0})],
+                            item_phases=[0])
 
     def test_only_itinerary_pairs_traced(self):
         from repro.sim.engine import ExecutionEngine
 
         network = uniform_network(4, 2)
         plan = self._chain_plan([1, 3, 2])
-        engine = ExecutionEngine(plan, network, QubitMapping({0: 0}))
+        engine = ExecutionEngine(plan, network)
         result = engine.run()
         # Itinerary 0 -> 1 -> 3 -> 2 -> 0; the unused pairs (0, 3) and
         # (1, 2) of the chain's node set must not appear in the link trace.
@@ -303,7 +304,7 @@ class TestChainLinkBooking:
 
         network = apply_topology(uniform_network(4, 2), "line")
         plan = self._chain_plan([1, 3, 2])
-        engine = ExecutionEngine(plan, network, QubitMapping({0: 0}))
+        engine = ExecutionEngine(plan, network)
         result = engine.run()
         # Every itinerary hop expands to the physical links of its route;
         # on a line those are exactly the three adjacent links.
@@ -317,9 +318,8 @@ class TestChainLinkBooking:
 
         network = apply_topology(uniform_network(4, 2), "line")
         plan = self._chain_plan([1, 3, 2])
-        mapping = QubitMapping({0: 0})
-        free = ExecutionEngine(plan, network, mapping).run()
-        capped = ExecutionEngine(plan, network, mapping,
+        free = ExecutionEngine(plan, network).run()
+        capped = ExecutionEngine(plan, network,
                                  SimulationConfig(link_capacity=1)).run()
         # Links (0, 1) and (1, 2) each host two concurrent generations;
         # with capacity 1 they serialise into two batches.

@@ -21,12 +21,13 @@ def _compile(family, topology, remap):
     circuit, network = build_benchmark(family, NUM_QUBITS, NUM_NODES)
     if topology != "all-to-all":
         apply_topology(network, topology)
-    config = (AutoCommConfig(remap="bursts", phase_blocks=4)
-              if remap == "bursts" else None)
+    config = (None if remap == "never"
+              else AutoCommConfig(remap="bursts", phase_blocks=4,
+                                  overlap=remap == "bursts+overlap"))
     return compile_autocomm(circuit, network, config=config)
 
 
-@pytest.mark.parametrize("remap", ["never", "bursts"])
+@pytest.mark.parametrize("remap", ["never", "bursts", "bursts+overlap"])
 @pytest.mark.parametrize("topology", SUPPORTED_TOPOLOGIES)
 @pytest.mark.parametrize("family", sorted(BENCHMARK_FAMILIES))
 def test_benchmark_matrix_verifies_clean(family, topology, remap):

@@ -19,7 +19,7 @@ from repro.core.scheduling import MigrationOp
 from repro.hardware import LinkModel, apply_topology, uniform_network
 from repro.hardware.routing import EPRRoute
 from repro.sim import SimulationConfig, simulate_program
-from repro.sim.engine import mapping_for_program, plan_for_program
+from repro.sim.engine import plan_for_program
 from repro.verify import Severity, sanitize_simulation, verify_program
 from repro.verify.checks import (BookingCheck, CausalityCheck,
                                  DagAcyclicityCheck, ItemCoverageCheck,
@@ -397,8 +397,7 @@ class TestTraceLinkCapacity:
         config = SimulationConfig(link_capacity=1)
         result = simulate_program(program, config)
         plan = plan_for_program(program)
-        mapping = mapping_for_program(program)
-        profiles = plan.op_profiles(mapping, program.network)
+        profiles = plan.op_profiles(program.network)
         by_link = {}
         for i, op in enumerate(result.ops):
             if op.kind == "gate":

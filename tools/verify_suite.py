@@ -36,7 +36,9 @@ from repro.persist import CompileCache
 from repro.sim import SimulationConfig, simulate_program
 from repro.verify import sanitize_simulation, verify_program
 
-REMAP_MODES = ("never", "bursts")
+#: ``bursts+overlap`` stitches phase boundaries with per-qubit edges
+#: instead of barriers (``AutoCommConfig.overlap``).
+REMAP_MODES = ("never", "bursts", "bursts+overlap")
 
 
 def _compile(family: str, topology: str, remap: str, qubits: int,
@@ -44,8 +46,9 @@ def _compile(family: str, topology: str, remap: str, qubits: int,
     circuit, network = build_benchmark(family, qubits, nodes)
     if topology != "all-to-all":
         apply_topology(network, topology)
-    config = (AutoCommConfig(remap="bursts", phase_blocks=4)
-              if remap == "bursts" else None)
+    config = (None if remap == "never"
+              else AutoCommConfig(remap="bursts", phase_blocks=4,
+                                  overlap=remap == "bursts+overlap"))
     return compile_autocomm(circuit, network, config=config, cache=cache)
 
 
