@@ -770,8 +770,8 @@ def _build_plan(segments: Sequence[Tuple[QubitMapping, AssignmentResult]],
                    else list(assignment.items) for _, assignment in segments]
     num_fused = sum(isinstance(item, FusedTPChain)
                     for items in phase_items for item in items) if burst else 0
-    # Open-qubit sets cost a quarter to a half of a dependency build and
-    # only the overlap stitch of phases after the first reads them, so only
+    # Collecting open-qubit sets slows a dependency build markedly, and only
+    # the overlap stitch reads them, for the phases after the first; only
     # those phases collect them: ``(preds, open_qubits)`` there, ``preds``
     # everywhere else.
     deps = [_build_dependencies(items, num_qubits, commutation_aware=burst,
