@@ -10,9 +10,9 @@ a plain circuit, which the tests check against the original by simulation).
 The implementation folds the paper's three steps into one scan per
 qubit-node pair, processed in descending order of remote-gate count
 (preprocessing), with commutation-based deferral of intervening gates
-(linear merge, Algorithm 1) and sweeps over all pairs until no block grows
-(iterative refinement; a pair's scan absorbs all of its pair's remote
-gates, so here the first sweep already reaches that point):
+(linear merge, Algorithm 1) and one sweep over all pairs as the iterative
+refinement (a pair's scan absorbs all of its pair's remote gates, so one
+sweep already reaches the point where no block grows):
 
 * gates allowed inside a block (single-qubit gates on the hub, local gates
   confined to the remote node) are absorbed in place;
@@ -186,13 +186,12 @@ class CommAggregator:
     """
 
     def __init__(self, circuit: Circuit, mapping: QubitMapping,
-                 use_commutation: bool = True, max_sweeps: int = 3) -> None:
+                 use_commutation: bool = True) -> None:
         if circuit.num_qubits != mapping.num_qubits:
             raise ValueError("circuit and mapping disagree on qubit count")
         self.circuit = circuit
         self.mapping = mapping
         self.use_commutation = use_commutation
-        self.max_sweeps = max_sweeps
         #: node index per program qubit (dense list; mapping covers 0..n-1).
         self._node: List[int] = [mapping.node_of(q)
                                  for q in range(circuit.num_qubits)]
@@ -224,21 +223,19 @@ class CommAggregator:
     def run(self) -> AggregationResult:
         """Aggregate the circuit; ``stats`` then counts this run's work.
 
-        ``max_sweeps`` bounds the refinement sweeps over all pairs.  A
-        pair's pass absorbs every raw gate of its pair and no pass makes a
-        gate raw again, so the first sweep leaves no raw gate and a second
-        one never runs: ``max_sweeps=0`` wraps every remote gate in its own
-        block, and every positive value gives the same output.
+        One refinement sweep over all pairs is the whole search: a pair's
+        pass absorbs every raw gate of its pair and no pass makes a gate
+        raw again, so the first sweep leaves no raw gate and a second one
+        would find nothing to do.
         """
         self.stats = dict.fromkeys(_STATS, 0)
         with stage("index"):
             self._build_index(self.circuit.gates)
-        if self.max_sweeps > 0:
-            with stage("sweep"):
-                self.stats["sweeps"] = 1
-                for pair in self._pairs_by_weight_indexed():
-                    if self._histogram[pair]:
-                        self._aggregate_pair(pair)
+        with stage("sweep"):
+            self.stats["sweeps"] = 1
+            for pair in self._pairs_by_weight_indexed():
+                if self._histogram[pair]:
+                    self._aggregate_pair(pair)
         with stage("leftovers"):
             items = self._blockify_leftovers()
         blocks = [item for item in items if isinstance(item, CommBlock)]
@@ -436,8 +433,7 @@ class CommAggregator:
 
 
 def aggregate_communications(circuit: Circuit, mapping: QubitMapping,
-                             use_commutation: bool = True,
-                             max_sweeps: int = 3) -> AggregationResult:
+                             use_commutation: bool = True) -> AggregationResult:
     """Run the communication aggregation pass.
 
     Args:
@@ -446,7 +442,6 @@ def aggregate_communications(circuit: Circuit, mapping: QubitMapping,
         use_commutation: disable to reproduce the "no commutation" ablation of
             Figure 17(a) (blocks are then only formed from physically adjacent
             remote gates).
-        max_sweeps: maximum number of refinement sweeps over all pairs.
 
     Under an active :mod:`repro.obs` tracer the pass runs inside an
     ``aggregation`` span with ``index``/``sweep``/``leftovers`` children.
@@ -456,8 +451,7 @@ def aggregate_communications(circuit: Circuit, mapping: QubitMapping,
     """
     with stage("aggregation") as span:
         aggregator = CommAggregator(circuit, mapping,
-                                    use_commutation=use_commutation,
-                                    max_sweeps=max_sweeps)
+                                    use_commutation=use_commutation)
         if not span.enabled:
             return aggregator.run()
         before = commutation_cache_stats()

@@ -17,15 +17,17 @@ seeded from the previous phase's mapping.  A remap only happens where the
 phase's routed communication savings beat the migration bill — each qubit
 move is charged its routed teleport distance — and the moves are made
 explicit as :class:`~repro.core.scheduling.MigrationOp` teleports between
-the phases, scheduled and simulated like any other communication.  With the
-default ``remap = "never"`` the pipeline is byte-identical to the static
-one.
+the phases, scheduled and simulated like any other communication.  Both
+modes run one compile path: a static compile (the default ``remap =
+"never"``) is its one-phase case, the base aggregation under the initial
+mapping with no migrations.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from ..comm.blocks import CommBlock
@@ -65,10 +67,8 @@ class AutoCommConfig:
     schedule_strategy: str = "burst-greedy"
     #: Decompose the input to the CX basis before compiling.
     decompose: bool = True
-    #: Refinement sweeps of the aggregation pass.
-    max_sweeps: int = 3
     #: Dynamic inter-phase remapping: "never" keeps the paper's single
-    #: static mapping (byte-identical to the pre-phase pipeline); "bursts"
+    #: static mapping (a one-phase compile, no migrations); "bursts"
     #: segments the aggregated program at burst-phase boundaries and
     #: re-partitions incrementally between phases, migration-cost-aware.
     remap: str = "never"
@@ -203,10 +203,7 @@ class AutoCommCompiler:
                     cached = store.load(key)
                     span.set("hit", 1 if cached is not None else 0)
             if cached is None:
-                if self.config.remap != "never":
-                    program = self._compile_phased(circuit, network, mapping)
-                else:
-                    program = self._compile_static(circuit, network, mapping)
+                program = self._compile(circuit, network, mapping)
         if cached is not None:
             cached.spans = tracer.root
             return cached
@@ -229,9 +226,14 @@ class AutoCommCompiler:
         from ..persist.cache import resolve_cache
         return resolve_cache(cache)
 
-    def _compile_static(self, circuit: Circuit, network: QuantumNetwork,
-                        mapping: Optional[QubitMapping]) -> CompiledProgram:
-        """The paper's single-mapping pipeline."""
+    def _compile(self, circuit: Circuit, network: QuantumNetwork,
+                 mapping: Optional[QubitMapping]) -> CompiledProgram:
+        """Decompose, place and aggregate once, then compile the phase list.
+
+        A static compile is the one-phase case (see :meth:`_phases`).  It
+        keeps its shape: ``assignment`` set, ``phases``/``migrations``
+        ``None``, ``plan-burst``/``plan-plain`` spans.
+        """
         network.validate_capacity(circuit.num_qubits)
         with stage("decompose") as span:
             working = (decompose_to_cx(circuit) if self.config.decompose
@@ -239,28 +241,50 @@ class AutoCommCompiler:
             span.set("gates", len(working))
         if mapping is None:
             mapping = oee_partition(working, network).mapping
+        # The base aggregation discovers the burst structure the phases are
+        # sliced along; phase 0 reuses its blocks verbatim.
+        base = aggregate_communications(
+            working, mapping, use_commutation=self.config.use_commutation)
+        phases, migrations = self._phases(working, network, mapping, base)
+        static = self.config.remap == "never"
+        if static:
+            schedule = schedule_communications(
+                phases[0].assignment, network,
+                strategy=self.config.schedule_strategy)
+        else:
+            schedule = schedule_phased_communications(
+                phases, migrations, network,
+                strategy=self.config.schedule_strategy,
+                overlap=self.config.overlap)
 
-        aggregation = aggregate_communications(
-            working, mapping,
-            use_commutation=self.config.use_commutation,
-            max_sweeps=self.config.max_sweeps)
-        assignment = assign_communications(aggregation,
-                                           cat_only=self.config.cat_only,
-                                           network=network)
-        schedule = schedule_communications(assignment, network,
-                                           strategy=self.config.schedule_strategy)
-
+        moves = [move for boundary in migrations for move in boundary]
+        # Static programs have always reported the float 0.0 and a phased
+        # compile without moves the int 0; both are kept byte-identical.
+        migration_latency = sum(
+            (network.epr_latency(move.source, move.target)
+             + network.latency.t_teleport for move in moves),
+            0.0 if static else 0)
+        costs = [phase.assignment.cost for phase in phases]
+        total_epr_latency = (
+            sum(c.total_epr_latency for c in costs)
+            if all(c.total_epr_latency is not None for c in costs) else None)
         metrics = CompilationMetrics(
             name=circuit.name,
-            total_comm=assignment.cost.total_comm,
-            tp_comm=assignment.cost.tp_comm,
-            cat_comm=assignment.cost.cat_comm,
-            peak_rem_cx=assignment.cost.peak_remote_cx,
+            total_comm=sum(c.total_comm for c in costs),
+            tp_comm=sum(c.tp_comm for c in costs),
+            cat_comm=sum(c.cat_comm for c in costs),
+            peak_rem_cx=max((c.peak_remote_cx for c in costs), default=0.0),
             latency=schedule.latency,
-            num_blocks=len(assignment.blocks),
-            num_remote_gates=mapping.count_remote_gates(working),
-            total_epr_pairs=assignment.cost.total_epr_pairs,
-            total_epr_latency=assignment.cost.total_epr_latency,
+            num_blocks=sum(len(phase.blocks) for phase in phases),
+            num_remote_gates=sum(
+                phase.mapping.count_remote_gates(phase.aggregation.circuit)
+                for phase in phases),
+            total_epr_pairs=sum(c.total_epr_pairs for c in costs),
+            total_epr_latency=total_epr_latency,
+            num_phases=len(phases),
+            migration_moves=len(moves),
+            migration_latency=migration_latency,
+            boundary_bubble=schedule.boundary_bubble,
         )
         return CompiledProgram(
             name=circuit.name,
@@ -268,32 +292,29 @@ class AutoCommCompiler:
             circuit=working,
             mapping=mapping,
             network=network,
-            blocks=assignment.blocks,
+            blocks=[block for phase in phases for block in phase.blocks],
             metrics=metrics,
-            aggregation=aggregation,
-            assignment=assignment,
+            aggregation=base,
+            assignment=phases[0].assignment if static else None,
             schedule=schedule,
+            remap=self.config.remap,
+            phases=None if static else phases,
+            migrations=None if static else migrations,
         )
 
-    # ------------------------------------------------- phase-structured path
+    def _phases(self, working: Circuit, network: QuantumNetwork,
+                mapping: QubitMapping, base: AggregationResult):
+        """``(phases, migrations)``: one migration list per phase boundary.
 
-    def _compile_phased(self, circuit: Circuit, network: QuantumNetwork,
-                        mapping: Optional[QubitMapping]) -> CompiledProgram:
-        """The ``remap = "bursts"`` pipeline: segment, repartition, migrate."""
-        network.validate_capacity(circuit.num_qubits)
-        with stage("decompose") as span:
-            working = (decompose_to_cx(circuit) if self.config.decompose
-                       else circuit)
-            span.set("gates", len(working))
-        if mapping is None:
-            mapping = oee_partition(working, network).mapping
-
-        # The initial aggregation discovers the burst structure the phases
-        # are sliced along; phase 0 reuses its blocks verbatim.
-        base = aggregate_communications(
-            working, mapping,
-            use_commutation=self.config.use_commutation,
-            max_sweeps=self.config.max_sweeps)
+        Under ``remap = "never"`` the only phase is the base aggregation
+        under the initial mapping.  Otherwise the base items are segmented
+        at burst-phase boundaries and each later phase is repartitioned
+        and, when remapped, re-aggregated under its new mapping.
+        """
+        assign = partial(assign_communications, cat_only=self.config.cat_only,
+                         network=network)
+        if self.config.remap == "never":
+            return [CompiledPhase(0, mapping, base, assign(base))], []
         with stage("segment") as span:
             if self.config.phase_sizing == "auto":
                 segments, decisions = _segment_items_auto(
@@ -342,63 +363,13 @@ class AutoCommCompiler:
                 else:
                     aggregation = aggregate_communications(
                         phase_circuit, current,
-                        use_commutation=self.config.use_commutation,
-                        max_sweeps=self.config.max_sweeps)
-                assignment = assign_communications(
-                    aggregation, cat_only=self.config.cat_only,
-                    network=network)
+                        use_commutation=self.config.use_commutation)
+                assignment = assign(aggregation)
                 phase_span.set("blocks", len(assignment.blocks))
                 phases.append(CompiledPhase(index=index, mapping=current,
                                             aggregation=aggregation,
                                             assignment=assignment))
-
-        schedule = schedule_phased_communications(
-            phases, migrations, network,
-            strategy=self.config.schedule_strategy,
-            overlap=self.config.overlap)
-
-        latency_model = network.latency
-        all_moves = [move for boundary in migrations for move in boundary]
-        migration_latency = sum(
-            network.epr_latency(move.source, move.target)
-            + latency_model.t_teleport for move in all_moves)
-        costs = [phase.assignment.cost for phase in phases]
-        total_epr_latency = (
-            sum(c.total_epr_latency for c in costs)
-            if all(c.total_epr_latency is not None for c in costs) else None)
-        metrics = CompilationMetrics(
-            name=circuit.name,
-            total_comm=sum(c.total_comm for c in costs),
-            tp_comm=sum(c.tp_comm for c in costs),
-            cat_comm=sum(c.cat_comm for c in costs),
-            peak_rem_cx=max((c.peak_remote_cx for c in costs), default=0.0),
-            latency=schedule.latency,
-            num_blocks=sum(len(phase.blocks) for phase in phases),
-            num_remote_gates=sum(
-                phase.mapping.count_remote_gates(phase.aggregation.circuit)
-                for phase in phases),
-            total_epr_pairs=sum(c.total_epr_pairs for c in costs),
-            total_epr_latency=total_epr_latency,
-            num_phases=len(phases),
-            migration_moves=len(all_moves),
-            migration_latency=migration_latency,
-            boundary_bubble=schedule.boundary_bubble,
-        )
-        return CompiledProgram(
-            name=circuit.name,
-            compiler=self._compiler_label(),
-            circuit=working,
-            mapping=mapping,
-            network=network,
-            blocks=[block for phase in phases for block in phase.blocks],
-            metrics=metrics,
-            aggregation=base,
-            assignment=None,
-            schedule=schedule,
-            remap=self.config.remap,
-            phases=phases,
-            migrations=migrations,
-        )
+        return phases, migrations
 
     def _compiler_label(self) -> str:
         label = "autocomm"

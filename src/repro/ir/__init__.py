@@ -16,7 +16,6 @@ from .commutation import (
     commutes,
     commutes_with_all,
     commutes_through,
-    set_commutation_cache_enabled,
 )
 from .qasm import to_qasm, from_qasm
 from .transpile import (
@@ -42,7 +41,6 @@ __all__ = [
     "commutes_through",
     "clear_commutation_cache",
     "commutation_cache_stats",
-    "set_commutation_cache_enabled",
     "to_qasm",
     "from_qasm",
     "cancel_adjacent_inverses",

@@ -13,7 +13,9 @@ large circuits (the aggregation and scheduling passes ask the same
 structural question for thousands of concrete gate pairs) collapse to one
 dict lookup.  The matrix fallback keeps the engine *sound* for every
 registered gate pair; the rules only make the first occurrence of each
-pattern fast.
+pattern fast.  The cache is always on: it changes how fast an answer comes,
+never the answer, which the tests check against the uncached copy in
+:mod:`repro.ir.commutation_reference`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "commutes_through",
     "clear_commutation_cache",
     "commutation_cache_stats",
-    "set_commutation_cache_enabled",
 ]
 
 _ATOL = 1e-9
@@ -44,7 +45,6 @@ _ATOL = 1e-9
 # and the bound is far above what any benchmark circuit generates.
 _PAIR_CACHE: Dict[tuple, bool] = {}
 _PAIR_CACHE_MAX = 1 << 20
-_pair_cache_enabled = True
 _STATS = {"hits": 0, "misses": 0, "rule_decided": 0, "matrix_decided": 0}
 
 # Single-qubit gates that commute with being the *control* of a CX/CZ/CRZ/CP
@@ -92,18 +92,6 @@ def commutation_cache_stats() -> Dict[str, int]:
     info = _matrix_commutes_cached.cache_info()
     return {**_STATS, "size": len(_PAIR_CACHE),
             "matrix_cache_size": info.currsize}
-
-
-def set_commutation_cache_enabled(enabled: bool) -> bool:
-    """Toggle the pair-level cache (the matrix memo is always on).
-
-    Returns the previous setting.  Used by the perf-regression benchmarks to
-    time the uncached reference path; results are identical either way.
-    """
-    global _pair_cache_enabled
-    previous = _pair_cache_enabled
-    _pair_cache_enabled = bool(enabled)
-    return previous
 
 
 def _pair_key(a: Gate, b: Gate) -> tuple:
@@ -155,12 +143,6 @@ def commutes(gate_a: Gate, gate_b: Gate) -> bool:
     rule = _fast_rules(gate_a, gate_b)
     if rule is not None:
         return rule
-
-    if not _pair_cache_enabled:
-        rule = _overlap_rules(gate_a, gate_b)
-        if rule is not None:
-            return rule
-        return _matrix_commutes(gate_a, gate_b)
 
     # A single-qubit gate against a multi-qubit one only depends on where
     # the shared qubit sits in the multi-qubit gate: key on that position

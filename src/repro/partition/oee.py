@@ -35,17 +35,16 @@ preserved in :mod:`repro.partition.oee_reference`:
   scan over the numpy gain vector, entered only when the vectorized max
   shows an improving partner exists).
 
-Setting ``REPRO_OEE_REFERENCE=1`` routes :func:`oee_partition` /
-:func:`oee_repartition` back through the preserved scalar implementation
-(useful when bisecting a suspected partitioner issue); equivalence of the
-two paths is enforced by ``tests/partition/test_oee_vectorized.py``, the
-hypothesis properties in ``tests/properties/test_property_oee.py`` and the
-assertions inside ``benchmarks/bench_partition.py``.
+The vectorized search is the only production path; the scalar copy is
+kept for comparison alone.  Equivalence of the two is enforced by
+``tests/partition/test_oee_vectorized.py`` (down to whole phased compiles
+with the reference search patched into the pipeline), the hypothesis
+properties in ``tests/properties/test_property_oee.py`` and the assertions
+inside ``benchmarks/bench_partition.py``.
 """
 
 from __future__ import annotations
 
-import os
 from collections import defaultdict
 from typing import Dict, List, Optional, Sequence
 
@@ -64,12 +63,6 @@ __all__ = ["oee_partition", "oee_repartition", "OEEResult", "exchange_gain",
 #: Tolerance of the greedy tie-break: a candidate replaces the incumbent
 #: partner only when its gain exceeds the incumbent's by more than this.
 _EPS = 1e-12
-
-
-def _use_reference() -> bool:
-    """True when ``REPRO_OEE_REFERENCE`` requests the scalar search."""
-    return os.environ.get("REPRO_OEE_REFERENCE", "").lower() not in (
-        "", "0", "false", "no")
 
 
 class OEEResult:
@@ -393,15 +386,9 @@ def oee_partition(circuit: Circuit, network: QuantumNetwork,
         is engaged.
     """
     with stage("oee-partition") as span:
-        if _use_reference():
-            from .oee_reference import oee_partition_reference
-            result = oee_partition_reference(
-                circuit, network, initial=initial, max_rounds=max_rounds,
-                use_link_distances=use_link_distances)
-        else:
-            result = _oee_partition(circuit, network, initial=initial,
-                                    max_rounds=max_rounds,
-                                    use_link_distances=use_link_distances)
+        result = _oee_partition(circuit, network, initial=initial,
+                                max_rounds=max_rounds,
+                                use_link_distances=use_link_distances)
         _record_oee_span(span, result)
         return result
 
@@ -505,17 +492,10 @@ def oee_repartition(circuit: Circuit, network: QuantumNetwork,
         ``migration_cost`` report the moves relative to ``previous``.
     """
     with stage("oee-repartition") as span:
-        if _use_reference():
-            from .oee_reference import oee_repartition_reference
-            result = oee_repartition_reference(
-                circuit, network, previous, max_rounds=max_rounds,
-                use_link_distances=use_link_distances,
-                migration_costs=migration_costs)
-        else:
-            result = _oee_repartition(circuit, network, previous,
-                                      max_rounds=max_rounds,
-                                      use_link_distances=use_link_distances,
-                                      migration_costs=migration_costs)
+        result = _oee_repartition(circuit, network, previous,
+                                  max_rounds=max_rounds,
+                                  use_link_distances=use_link_distances,
+                                  migration_costs=migration_costs)
         _record_oee_span(span, result)
         return result
 

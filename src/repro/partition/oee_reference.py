@@ -17,10 +17,8 @@ It exists for two reasons:
   against the vectorized search and records the speedup in
   ``BENCH_partition.json``; CI fails when the speedup regresses.
 
-It also serves as an escape hatch: setting ``REPRO_OEE_REFERENCE=1`` in the
-environment makes :func:`repro.partition.oee_partition` /
-:func:`~repro.partition.oee_repartition` delegate here, which is useful when
-bisecting a suspected partitioner issue.
+Production code never calls it: :func:`repro.partition.oee_partition` /
+:func:`~repro.partition.oee_repartition` always run the vectorized search.
 
 Do not "optimize" this module: its slowness is the baseline being measured.
 """

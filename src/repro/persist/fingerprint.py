@@ -17,6 +17,7 @@ fields — see :mod:`repro.persist.codec`), which makes it
 from __future__ import annotations
 
 import hashlib
+from dataclasses import asdict
 from typing import Optional
 
 from ..core.pipeline import AutoCommConfig
@@ -54,18 +55,13 @@ def fingerprint_mapping(mapping: Optional[QubitMapping]) -> str:
 
 
 def fingerprint_config(config: AutoCommConfig) -> str:
-    """Hash of every pipeline knob (each field listed explicitly)."""
-    return _digest("config", {
-        "use_commutation": config.use_commutation,
-        "cat_only": config.cat_only,
-        "schedule_strategy": config.schedule_strategy,
-        "decompose": config.decompose,
-        "max_sweeps": config.max_sweeps,
-        "remap": config.remap,
-        "phase_blocks": config.phase_blocks,
-        "overlap": config.overlap,
-        "phase_sizing": config.phase_sizing,
-    })
+    """Hash of every pipeline knob.
+
+    Built from the dataclass fields themselves, so a knob added to
+    :class:`~repro.core.pipeline.AutoCommConfig` is keyed automatically and
+    the cache can never serve a program compiled under other settings.
+    """
+    return _digest("config", asdict(config))
 
 
 def compile_fingerprint(circuit: Circuit, network: QuantumNetwork,

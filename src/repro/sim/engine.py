@@ -87,9 +87,6 @@ class SimulationConfig:
     #: occupancy.  Observation only: latencies and Monte-Carlo streams are
     #: bit-identical with this on or off.
     record_metrics: bool = True
-    #: Pre-sample EPR attempt counts in vectorised batches (bitwise-identical
-    #: to the per-attempt loop on the same seed; disable to A/B-test).
-    batch_epr: bool = True
     #: Worker processes for :func:`run_monte_carlo`.  Each trial's stream is
     #: seeded independently from the master generator, so any worker count
     #: returns identical latencies, attempts and merged metrics; ``1``
@@ -224,18 +221,19 @@ class ExecutionEngine:
         self.epr = EPRProcess(network, p_success=self.config.p_epr,
                               retry_latency=self.config.retry_latency,
                               per_link=per_link)
-        # Batched pre-sampling serves the draws from a numpy clone of the
-        # generator without advancing the Python object, so it is only
-        # enabled for the engine's own private generator — a caller-supplied
-        # rng must observe the usual stream consumption.  It also pays a
-        # fixed setup cost (~tens of us), so below a few hundred expected
-        # draws the C-backed rejection loop is kept instead.  A link model
-        # with its own success probabilities mixes per-link draw
-        # probabilities, which the fixed-p batched stream cannot serve, so
-        # batching stays off there.
+        # Batched pre-sampling draws EPR attempt counts in vectorised
+        # batches, bitwise-identical to the per-attempt loop on the same
+        # seed.  It serves the draws from a numpy clone of the generator
+        # without advancing the Python object, so it is only enabled for the
+        # engine's own private generator — a caller-supplied rng must
+        # observe the usual stream consumption.  It also pays a fixed setup
+        # cost (~tens of us), so below a few hundred expected draws the
+        # C-backed rejection loop is kept instead.  A link model with its
+        # own success probabilities mixes per-link draw probabilities, which
+        # the fixed-p batched stream cannot serve, so batching stays off
+        # there.
         links_deterministic = link_model is None or link_model.deterministic
-        if (self.config.batch_epr and self.config.p_epr < 1.0
-                and engine_owns_rng
+        if (self.config.p_epr < 1.0 and engine_owns_rng
                 and (not per_link or links_deterministic)):
             if per_link:
                 # One attempt process per physical link of every route.

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from repro.ir import Circuit, Gate, commutes, commutes_through, commutes_with_all
 from repro.ir.commutation import (_matrix_commutes, clear_commutation_cache,
-                                  commutation_cache_stats,
-                                  set_commutation_cache_enabled)
+                                  commutation_cache_stats)
 from repro.ir.commutation_reference import commutes_reference
 from repro.ir.simulator import circuit_unitary
 
@@ -221,16 +220,6 @@ class TestRuleMatrixAgreement:
     def test_optimized_matches_reference(self, a, b):
         assert commutes(a, b) is commutes_reference(a, b)
 
-    @settings(max_examples=60, deadline=None)
-    @given(_random_gate(), _random_gate())
-    def test_cache_disabled_matches_enabled(self, a, b):
-        enabled = commutes(a, b)
-        previous = set_commutation_cache_enabled(False)
-        try:
-            assert commutes(a, b) is enabled
-        finally:
-            set_commutation_cache_enabled(previous)
-
 
 class TestCacheStatistics:
     def setup_method(self):
@@ -277,11 +266,3 @@ class TestCacheStatistics:
         assert stats == {"hits": 0, "misses": 0, "rule_decided": 0,
                          "matrix_decided": 0, "size": 0,
                          "matrix_cache_size": 0}
-
-    def test_disabling_cache_stops_population(self):
-        previous = set_commutation_cache_enabled(False)
-        try:
-            commutes(Gate("cy", (0, 1)), Gate("ch", (0, 1)))
-            assert commutation_cache_stats()["size"] == 0
-        finally:
-            set_commutation_cache_enabled(previous)

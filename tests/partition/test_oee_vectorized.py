@@ -11,13 +11,12 @@ import pytest
 
 from repro.circuits import (bv_circuit, mctr_circuit, qaoa_maxcut_circuit,
                             qft_circuit, rca_circuit_for_width)
-from repro.core import AutoCommConfig, compile_autocomm
+from repro.core import AutoCommConfig, compile_autocomm, pipeline
 from repro.hardware import LinkModel, LinkSpec, apply_topology, uniform_network
 from repro.partition import (
     exchange_gain,
     exchange_gain_vector,
     interaction_matrix,
-    oee_partition,
     oee_partition_reference,
     oee_repartition_reference,
     round_robin_mapping,
@@ -123,8 +122,22 @@ class TestPipelineEquivalence:
         apply_topology(network, "line")
         config = AutoCommConfig(remap="bursts", phase_blocks=3)
         vectorized = compile_autocomm(circuit, network, config=config)
-        monkeypatch.setenv("REPRO_OEE_REFERENCE", "1")
+
+        calls = []
+
+        def counted(search):
+            def run(*args, **kwargs):
+                calls.append(search.__name__)
+                return search(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(pipeline, "oee_partition",
+                            counted(oee_partition_reference))
+        monkeypatch.setattr(pipeline, "oee_repartition",
+                            counted(oee_repartition_reference))
         reference = compile_autocomm(circuit, network, config=config)
+        assert {"oee_partition_reference",
+                "oee_repartition_reference"} <= set(calls)
         assert (vectorized.mapping.as_dict()
                 == reference.mapping.as_dict())
         assert len(vectorized.phases) == len(reference.phases)
@@ -139,37 +152,6 @@ class TestPipelineEquivalence:
                      for m in boundary]
         assert vec_moves == ref_moves
         assert (vectorized.schedule.latency == reference.schedule.latency)
-
-
-class TestReferenceEscapeHatch:
-    def test_env_var_routes_through_reference(self, monkeypatch):
-        calls = []
-        from repro.partition import oee_reference
-
-        original = oee_reference.oee_partition_reference
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(oee_reference, "oee_partition_reference", spy)
-        circuit = qft_circuit(10)
-        network = uniform_network(2, 5)
-        baseline = oee_partition(circuit, network)
-        assert not calls
-        monkeypatch.setenv("REPRO_OEE_REFERENCE", "1")
-        routed = oee_partition(circuit, network)
-        assert calls
-        assert routed.mapping.as_dict() == baseline.mapping.as_dict()
-
-    def test_env_var_falsey_values_stay_vectorized(self, monkeypatch):
-        from repro.partition.oee import _use_reference
-
-        for value in ("", "0", "false", "no"):
-            monkeypatch.setenv("REPRO_OEE_REFERENCE", value)
-            assert not _use_reference()
-        monkeypatch.setenv("REPRO_OEE_REFERENCE", "1")
-        assert _use_reference()
 
 
 class TestGainVector:

@@ -1,5 +1,6 @@
 """Compile fingerprints: determinism, input sensitivity, process stability."""
 
+import dataclasses
 import subprocess
 import sys
 
@@ -91,6 +92,17 @@ class TestSensitivity:
                                                   phase_blocks=4))
                 != fingerprint_config(AutoCommConfig(remap="bursts",
                                                      phase_blocks=8)))
+
+    def test_every_config_field_matters(self):
+        base = AutoCommConfig()
+        bump = {bool: lambda v: not v, int: lambda v: v + 1,
+                str: lambda v: v + "-other"}
+        for field in dataclasses.fields(base):
+            value = getattr(base, field.name)
+            changed = dataclasses.replace(
+                base, **{field.name: bump[type(value)](value)})
+            assert fingerprint_config(changed) != fingerprint_config(base), \
+                field.name
 
     def test_mapping_matters(self):
         circuit, network = _inputs()

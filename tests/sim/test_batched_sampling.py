@@ -11,11 +11,12 @@ import random
 
 import pytest
 
-from repro.circuits import qft_circuit
+from repro.circuits import build_benchmark, qft_circuit
 from repro.core import compile_autocomm
 from repro.hardware import uniform_network
 from repro.ir import decompose_to_cx
-from repro.sim import SimulationConfig, run_monte_carlo, simulate_program
+from repro.sim import (ExecutionEngine, SimulationConfig, plan_for_program,
+                       run_monte_carlo, simulate_program)
 from repro.sim.epr_process import BatchedAttemptSampler, EPRProcess
 
 
@@ -113,17 +114,33 @@ class TestMonteCarloEquivalence:
         network = uniform_network(3, 4)
         return compile_autocomm(circuit, network)
 
+    @pytest.fixture(scope="class")
+    def batched_program(self):
+        # Large enough (over a thousand EPR preparations) for the engine to
+        # engage batched sampling.
+        circuit, network = build_benchmark("UCCSD", 8, 4)
+        return compile_autocomm(circuit, network)
+
     @pytest.mark.parametrize("p_epr", [0.25, 0.5])
-    def test_batched_and_loop_latencies_identical(self, program, p_epr):
-        batched = run_monte_carlo(program, SimulationConfig(
-            p_epr=p_epr, trials=20, seed=42, record_trace=False,
-            batch_epr=True))
-        loop = run_monte_carlo(program, SimulationConfig(
-            p_epr=p_epr, trials=20, seed=42, record_trace=False,
-            batch_epr=False))
-        assert batched.latencies == loop.latencies
-        assert batched.epr_attempts == loop.epr_attempts
-        assert batched.trial_seeds == loop.trial_seeds
+    def test_batched_and_loop_latencies_identical(self, batched_program,
+                                                  p_epr):
+        # The engine batches only the generator it owns; a caller-supplied
+        # generator on the same seed keeps the per-attempt loop.
+        program = batched_program
+        plan = plan_for_program(program)
+        for seed in range(10):
+            config = SimulationConfig(p_epr=p_epr, seed=seed,
+                                      record_trace=False)
+            engine = ExecutionEngine(plan, program.network, config=config)
+            assert engine.epr._batched is not None
+            batched = engine.run()
+            looped = ExecutionEngine(plan, program.network, config=config,
+                                     rng=random.Random(seed))
+            assert looped.epr._batched is None
+            loop = looped.run()
+            assert batched.latency == loop.latency
+            assert ([op.epr_attempts for op in batched.ops]
+                    == [op.epr_attempts for op in loop.ops])
 
     def test_single_trial_reproduces_from_recorded_seed(self, program):
         config = SimulationConfig(p_epr=0.5, trials=3, seed=9,

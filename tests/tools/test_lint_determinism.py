@@ -157,6 +157,42 @@ class TestHashId:
         assert linter.check_file(relaxed) == []
 
 
+class TestEnvRead:
+    def test_environ_get(self):
+        src = "import os\nx = os.environ.get('REPRO_X')\n"
+        assert _rules(src) == ["env-read"]
+
+    def test_environ_subscript_and_membership(self):
+        src = ("import os\n"
+               "x = os.environ['REPRO_X']\n"
+               "y = 'REPRO_Y' in os.environ\n")
+        assert _rules(src) == ["env-read", "env-read"]
+
+    def test_getenv(self):
+        assert _rules("import os\nx = os.getenv('REPRO_X', '')\n") == [
+            "env-read"]
+
+    def test_from_import(self):
+        src = ("from os import environ, getenv, path\n"
+               "x = environ.get('REPRO_X')\n")
+        assert _rules(src) == ["env-read", "env-read"]
+
+    def test_other_os_use_allowed(self):
+        src = ("import os\n"
+               "p = os.path.join('a', 'b')\n"
+               "n = os.cpu_count()\n"
+               "e = config.environ\n")
+        assert _rules(src) == []
+
+    def test_cache_dir_readers_are_allowlisted(self):
+        for module in ("persist/cache.py", "core/pipeline.py"):
+            path = REPO_ROOT / "src" / "repro" / module
+            assert "env-read" in linter._allowed_rules(path)
+            assert linter.check_file(path) == []
+            unallowed = linter.check_source(path.read_text(), str(path))
+            assert [f.rule for f in unallowed] == ["env-read"]
+
+
 class TestAllowlistAndTree:
     def test_allowlist_suppresses_rule(self):
         src = "import numpy as np\nrng = np.random.RandomState()\n"

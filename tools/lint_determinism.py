@@ -25,6 +25,11 @@ constructs that silently break that promise:
   address; neither may leak into persisted payloads or cache fingerprints.
   Opt-in: applied only where ``STRICT_RULES`` says so (``repro/persist``),
   where every emitted byte must be stable across processes.
+* ``env-read`` — ``os.environ`` / ``os.getenv`` (and ``from os import
+  environ/getenv``).  An environment variable is a hidden switch: the same
+  call behaves differently depending on the shell it ran in.  Behaviour
+  comes from explicit arguments and config objects; deployment settings
+  are allowlisted per file with a reason.
 
 Per-file exemptions live in ``ALLOWLIST`` (path suffix -> rule ids), each
 with a reason a reviewer can audit; ``STRICT_RULES`` is the inverse — path
@@ -48,6 +53,11 @@ ALLOWLIST: Mapping[str, FrozenSet[str]] = {
     # the seeded random.Random stream (see _SCRATCH_STATE and set_state);
     # no unseeded draw can ever happen.
     "sim/epr_process.py": frozenset({"numpy-random"}),
+    # REPRO_CACHE_DIR is a deployment setting: it says where compiled
+    # artifacts may be stored, never how a program compiles — a cache hit
+    # returns the same bytes a fresh compile would.
+    "persist/cache.py": frozenset({"env-read"}),
+    "core/pipeline.py": frozenset({"env-read"}),
 }
 
 #: Path fragment -> extra opt-in rule ids enforced there.  The persistence
@@ -65,6 +75,7 @@ _RANDOM_GLOBAL_FNS = {
 }
 _WALL_CLOCK_FNS = {"now", "utcnow", "today"}
 _TIME_FNS = {"time", "time_ns", "ctime"}
+_ENV_NAMES = {"environ", "getenv"}
 #: Rules that apply only where STRICT_RULES opts a path in.
 _OPT_IN_RULES = frozenset({"hash-id"})
 
@@ -121,6 +132,12 @@ class _DeterminismVisitor(ast.NodeVisitor):
     # ----------------------------------------------------------- imports
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.module == "os":
+            for alias in node.names:
+                if alias.name in _ENV_NAMES:
+                    self._add(node, "env-read",
+                              f"'from os import {alias.name}' reads the "
+                              "environment; pass the setting explicitly")
         if node.module == "random":
             for alias in node.names:
                 if alias.name in _RANDOM_GLOBAL_FNS:
@@ -130,6 +147,13 @@ class _DeterminismVisitor(ast.NodeVisitor):
                               f"'from random import {alias.name}' binds the "
                               "shared global RNG; use a seeded "
                               "random.Random instance")
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if node.attr in _ENV_NAMES and _dotted(node.value) == "os":
+            self._add(node, "env-read",
+                      f"os.{node.attr} reads the environment, a hidden "
+                      "switch; pass the setting explicitly")
         self.generic_visit(node)
 
     # ------------------------------------------------------------- calls
@@ -258,7 +282,8 @@ def iter_py_files(root: Path) -> Iterable[Path]:
 def main(argv: Tuple[str, ...] = None) -> int:
     parser = argparse.ArgumentParser(
         description="ban nondeterminism sources (global RNGs, wall-clock "
-                    "reads, set-order iteration) from the package sources")
+                    "reads, set-order iteration, environment reads) from "
+                    "the package sources")
     parser.add_argument("paths", nargs="*", type=Path,
                         default=[Path("src/repro")],
                         help="files or directories to lint "
