@@ -54,11 +54,12 @@ from repro.circuits import mctr_circuit, qaoa_maxcut_circuit, qft_circuit
 from repro.core import compile_autocomm
 from repro.hardware import apply_topology, uniform_network
 from repro.partition import (
+    oee_partition,
     oee_partition_reference,
+    oee_repartition,
     oee_repartition_reference,
     round_robin_mapping,
 )
-from repro.partition.oee import _oee_partition, _oee_repartition
 from repro.sim import SimulationConfig, run_monte_carlo
 
 DEFAULT_REPEAT = 3
@@ -135,12 +136,12 @@ def _bench_config(config: _Config, repeat: int) -> Dict[str, object]:
     seed = round_robin_mapping(circuit.num_qubits, network)
 
     part_vec_s, part_vec = _time_median(
-        lambda: _oee_partition(circuit, network, initial=seed), repeat)
+        lambda: oee_partition(circuit, network, initial=seed), repeat)
     part_ref_s, part_ref = _time_median(
         lambda: oee_partition_reference(circuit, network, initial=seed),
         repeat)
     repart_vec_s, repart_vec = _time_median(
-        lambda: _oee_repartition(circuit, network, seed), repeat)
+        lambda: oee_repartition(circuit, network, seed), repeat)
     repart_ref_s, repart_ref = _time_median(
         lambda: oee_repartition_reference(circuit, network, seed), repeat)
 

@@ -43,10 +43,9 @@ class GPTPCompiler:
     # ------------------------------------------------------------------ public
 
     def compile(self, circuit: Circuit, network: QuantumNetwork,
-                mapping: Optional[QubitMapping] = None,
-                decompose: bool = True) -> CompiledProgram:
+                mapping: Optional[QubitMapping] = None) -> CompiledProgram:
         network.validate_capacity(circuit.num_qubits)
-        working = decompose_to_cx(circuit) if decompose else circuit
+        working = decompose_to_cx(circuit)
         if mapping is None:
             mapping = oee_partition(working, network).mapping
 

@@ -65,8 +65,6 @@ class AutoCommConfig:
     cat_only: bool = False
     #: Scheduling strategy: "burst-greedy" (AutoComm) or "greedy" (Figure 17c).
     schedule_strategy: str = "burst-greedy"
-    #: Decompose the input to the CX basis before compiling.
-    decompose: bool = True
     #: Dynamic inter-phase remapping: "never" keeps the paper's single
     #: static mapping (a one-phase compile, no migrations); "bursts"
     #: segments the aggregated program at burst-phase boundaries and
@@ -236,8 +234,7 @@ class AutoCommCompiler:
         """
         network.validate_capacity(circuit.num_qubits)
         with stage("decompose") as span:
-            working = (decompose_to_cx(circuit) if self.config.decompose
-                       else circuit)
+            working = decompose_to_cx(circuit)
             span.set("gates", len(working))
         if mapping is None:
             mapping = oee_partition(working, network).mapping

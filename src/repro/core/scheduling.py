@@ -381,16 +381,6 @@ def _item_qubits(item: SchedulableItem, num_qubits: int) -> Tuple[int, ...]:
     return item.qubits
 
 
-def _items_commute(a: SchedulableItem, b: SchedulableItem) -> bool:
-    """Does every gate of ``a`` commute with every gate of ``b``?
-
-    Standalone (unmemoised) helper; the plan builder routes the same check
-    through :class:`_PairwiseCommutation` so the verdict is computed once
-    per item pair.
-    """
-    return _PairwiseCommutation().items_commute(a, b)
-
-
 def _build_dependencies(items: Sequence[SchedulableItem], num_qubits: int,
                         commutation_aware: bool,
                         lookback: int = 12,
@@ -401,7 +391,9 @@ def _build_dependencies(items: Sequence[SchedulableItem], num_qubits: int,
     With ``commutation_aware`` enabled, an item may skip the dependency on
     the most recent items sharing a qubit when they commute (pairwise,
     bounded lookback), which is what allows two commutable blocks with a
-    shared qubit or node to run in parallel.
+    shared qubit or node to run in parallel.  Without it no pair may skip,
+    which is plain program order: each item depends on the latest earlier
+    item on each of its qubits.
 
     With ``collect_open`` the return value is ``(preds, open_qubits)``
     where ``open_qubits[i]`` is the set of item ``i``'s qubits for which
@@ -412,25 +404,6 @@ def _build_dependencies(items: Sequence[SchedulableItem], num_qubits: int,
     intra-phase graph does not already carry.
     """
     open_qubits: List[Set[int]] = []
-    if not commutation_aware:
-        # Plain program order: each item depends on the latest earlier item
-        # per qubit, so only that latest index needs tracking.
-        preds = []
-        last_on_qubit: Dict[int, int] = {}
-        for index, item in enumerate(items):
-            if isinstance(item, Gate) and item.is_barrier:
-                qubits = range(num_qubits)
-            else:
-                qubits = _touched_set(item)
-            chosen = {last_on_qubit[q] for q in qubits if q in last_on_qubit}
-            preds.append(sorted(chosen))
-            if collect_open:
-                open_qubits.append({q for q in qubits
-                                    if q not in last_on_qubit})
-            for qubit in qubits:
-                last_on_qubit[qubit] = index
-        return (preds, open_qubits) if collect_open else preds
-
     if oracle is None:
         oracle = _PairwiseCommutation()
     preds: List[List[int]] = [[] for _ in items]
@@ -446,7 +419,8 @@ def _build_dependencies(items: Sequence[SchedulableItem], num_qubits: int,
             qubits = _touched_set(item)
         chosen: Set[int] = set()
         open_set: Set[int] = set()
-        both_blocks_possible = isinstance(item, (CommBlock, FusedTPChain))
+        both_blocks_possible = commutation_aware and isinstance(
+            item, (CommBlock, FusedTPChain))
         for qubit in qubits:
             chain = history[qubit]
             if not chain:

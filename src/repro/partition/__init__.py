@@ -2,7 +2,7 @@
 
 from .interaction_graph import interaction_graph, interaction_matrix, cut_weight
 from .mapping import QubitMapping, round_robin_mapping, block_mapping
-from .oee import (oee_partition, oee_repartition, OEEResult, exchange_gain,
+from .oee import (oee_partition, oee_repartition, OEEResult,
                   exchange_gain_vector, migration_distance_matrix)
 from .oee_reference import (exchange_gain_reference, oee_partition_reference,
                             oee_repartition_reference)
@@ -17,7 +17,6 @@ __all__ = [
     "oee_partition",
     "oee_repartition",
     "OEEResult",
-    "exchange_gain",
     "exchange_gain_vector",
     "migration_distance_matrix",
     "exchange_gain_reference",

@@ -13,22 +13,31 @@ before AutoComm runs.
 Vectorized search
 -----------------
 
-The search state lives on numpy: the interaction graph is a dense weight
-matrix ``W``, the assignment an index vector ``A``, and each pivot qubit's
-gains against *every* candidate partner come from one gathered vector
-expression instead of a pair of adjacency-dict walks per candidate.  The
-state matrices are updated incrementally after each accepted swap (rank-one
-column/outer-product updates), so a full improvement round is O(n) vector
-ops per pivot rather than O(n * degree) python arithmetic per pair.
+The search state lives on numpy: the interaction counts are a dense weight
+matrix ``W`` read straight from the circuit
+(:func:`~repro.partition.interaction_graph.interaction_matrix`), the
+assignment an index vector ``A``, and the objective a node-distance matrix
+``D``.  The unweighted remote-gate cut is the unit-distance case
+``D = 1 - I``; a routed topology supplies its route costs instead.  Each
+pivot qubit's gains against *every* candidate partner come from one
+gathered vector expression, and the state matrices are updated
+incrementally after each accepted swap (a rank-one outer-product update),
+so a full improvement round is O(n) vector ops per pivot.  The initial and
+final cuts are priced from the same ``W``, ``D`` and ``A``.
+
+:func:`oee_partition` and :func:`oee_repartition` run one search loop: a
+fresh partition pivots each active qubit against the active qubits after
+it, a migration-aware repartition lets every qubit be a partner and
+charges each exchange its migration bill.
 
 Two invariants keep the swap sequence — and therefore every mapping, phase
 split and migration plan downstream — bit-identical to the scalar search
 preserved in :mod:`repro.partition.oee_reference`:
 
-* Interaction weights are integer gate counts and node distances are hop
-  counts or dyadic link-latency sums, so every gain is computed exactly in
-  float64 no matter how the terms are grouped; regrouping the sums onto
-  matrix products cannot change the value.
+* Interaction weights are integer gate counts and node distances are 0/1,
+  hop counts or dyadic link-latency sums, so every gain and every cut is
+  computed exactly in float64 no matter how the terms are grouped;
+  regrouping the sums onto matrix products cannot change the value.
 * Partner selection replays the reference tie-break exactly: candidates are
   scanned in the reference order and a partner is accepted only when its
   gain beats the *last accepted* gain by more than ``1e-12`` (a cheap python
@@ -45,19 +54,17 @@ inside ``benchmarks/bench_partition.py``.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from ..hardware.network import QuantumNetwork
 from ..ir.circuit import Circuit
 from ..obs.span import stage
-from .interaction_graph import cut_weight, interaction_graph
+from .interaction_graph import interaction_matrix
 from .mapping import QubitMapping, block_mapping
 
-__all__ = ["oee_partition", "oee_repartition", "OEEResult", "exchange_gain",
+__all__ = ["oee_partition", "oee_repartition", "OEEResult",
            "exchange_gain_vector", "migration_distance_matrix"]
 
 #: Tolerance of the greedy tie-break: a candidate replaces the incumbent
@@ -91,54 +98,6 @@ class OEEResult:
                 f"{self.num_exchanges} exchanges, {self.rounds} rounds)")
 
 
-def exchange_gain(weights: Dict[int, Dict[int, float]], assignment: Dict[int, int],
-                  qubit_a: int, qubit_b: int,
-                  node_distances: Optional[List[List[float]]] = None) -> float:
-    """Cut-weight reduction from swapping the nodes of ``qubit_a`` and ``qubit_b``.
-
-    Positive gain means the swap reduces the number of remote gates — or,
-    with ``node_distances`` (route costs of a routed topology: link-latency
-    sums, or hop counts on uniform links), the routed cost those remote
-    gates would incur.  The edge
-    between the two exchanged qubits never contributes: its endpoints swap
-    nodes, so its (symmetric) distance is unchanged.
-
-    This scalar form prices one pair; the search itself evaluates whole
-    candidate rows at once via :class:`_GainState` /
-    :func:`exchange_gain_vector`.
-    """
-    node_a = assignment[qubit_a]
-    node_b = assignment[qubit_b]
-    if node_a == node_b:
-        return 0.0
-    gain = 0.0
-    if node_distances is None:
-        for neighbour, weight in weights[qubit_a].items():
-            if neighbour == qubit_b:
-                continue
-            node_n = assignment[neighbour]
-            gain += weight * ((node_n != node_a) - (node_n != node_b))
-        for neighbour, weight in weights[qubit_b].items():
-            if neighbour == qubit_a:
-                continue
-            node_n = assignment[neighbour]
-            gain += weight * ((node_n != node_b) - (node_n != node_a))
-        return gain
-    dist_a = node_distances[node_a]
-    dist_b = node_distances[node_b]
-    for neighbour, weight in weights[qubit_a].items():
-        if neighbour == qubit_b:
-            continue
-        node_n = assignment[neighbour]
-        gain += weight * (dist_a[node_n] - dist_b[node_n])
-    for neighbour, weight in weights[qubit_b].items():
-        if neighbour == qubit_a:
-            continue
-        node_n = assignment[neighbour]
-        gain += weight * (dist_b[node_n] - dist_a[node_n])
-    return gain
-
-
 def exchange_gain_vector(weights, assignment: Sequence[int], qubit_a: int,
                          node_distances=None) -> "np.ndarray":
     """Gains of swapping ``qubit_a`` with *every* qubit, as one numpy vector.
@@ -146,37 +105,38 @@ def exchange_gain_vector(weights, assignment: Sequence[int], qubit_a: int,
     ``weights`` is the dense symmetric interaction matrix
     (:func:`~repro.partition.interaction_graph.interaction_matrix`),
     ``assignment`` a length-n node-index sequence.  Entry ``b`` equals
-    ``exchange_gain(..., qubit_a, b)``; entries where ``b`` shares
-    ``qubit_a``'s node (including ``b == qubit_a``) are 0.0, matching the
-    scalar early-return.  This is the vectorized gain math the OEE search
-    runs on, exposed for the property tests that pin it against the scalar
-    reference.
+    :func:`~repro.partition.oee_reference.exchange_gain_reference` for the
+    pair ``(qubit_a, b)``; entries where ``b`` shares ``qubit_a``'s node
+    (including ``b == qubit_a``) are 0.0, matching the scalar early-return.
+    This is the vectorized gain math the OEE search runs on, exposed for
+    the property tests that pin it against the scalar reference.
     """
     W = np.asarray(weights, dtype=np.float64)
     A = np.asarray(assignment, dtype=np.int64)
-    num_nodes = int(A.max()) + 1 if A.size else 1
-    distances = None
-    if node_distances is not None:
+    if node_distances is None:
+        distances = _unit_distances(int(A.max()) + 1 if A.size else 1)
+    else:
         distances = np.asarray(node_distances, dtype=np.float64)
-        num_nodes = distances.shape[0]
-    state = _GainState(W, A, num_nodes, distances)
+    state = _GainState(W, A, distances)
     gains = state.gain_vector(qubit_a)
     gains[A == A[qubit_a]] = 0.0
     return gains
 
 
+def _unit_distances(num_nodes: int) -> "np.ndarray":
+    """``1 - I``: the distances under which the cut counts remote gates."""
+    return 1.0 - np.eye(num_nodes)
+
+
 class _GainState:
     """Incrementally-maintained vector state of one OEE search.
 
-    Uniform (unweighted-distance) objective: ``S[q, m]`` is the total
-    interaction weight between qubit ``q`` and the qubits currently on node
-    ``m`` (``S = W @ onehot(A)``), so the gain of swapping ``a`` and ``b``
-    is ``S[a, nb] - S[a, na] + S[b, na] - S[b, nb] - 2 W[a, b]``.
-
-    Routed objective: ``S[q, m]`` generalises to the distance-priced load
-    ``sum_n W[q, n] * D[m, A[n]]`` (``S = W @ D.T[A]``), whose gain formula
-    mirrors the scalar one with an explicit correction for the swapped
-    pair's own edge.  Both forms admit rank-one updates per accepted swap.
+    ``S[q, m]`` is the distance-priced load ``sum_n W[q, n] * D[m, A[n]]``
+    (``S = W @ D.T[A]``): what qubit ``q``'s interactions would cost if it
+    sat on node ``m``.  The gain of a swap follows the scalar formula with
+    an explicit correction for the swapped pair's own edge, and each
+    accepted swap is a rank-one update of ``S``.  The unweighted objective
+    is ``D = 1 - I``.
 
     For migration-aware repartitioning, ``move`` holds each qubit's
     effective move-cost row (home node priced at zero, exactly like the
@@ -184,33 +144,29 @@ class _GainState:
     pays under ``A``.
     """
 
-    def __init__(self, W: "np.ndarray", A: "np.ndarray", num_nodes: int,
-                 distances: Optional["np.ndarray"],
-                 home: Optional["np.ndarray"] = None,
+    def __init__(self, W: "np.ndarray", A: "np.ndarray",
+                 distances: "np.ndarray",
                  migration: Optional["np.ndarray"] = None) -> None:
-        n = W.shape[0]
-        self.n = n
         self.W = W
         self.A = A
         self.D = distances
-        self._rows = np.arange(n)
-        if distances is None:
-            onehot = np.zeros((n, num_nodes))
-            if n:
-                onehot[self._rows, A] = 1.0
-            self.S = W @ onehot
-        else:
-            self.S = W @ distances.T[A] if n else np.zeros((0, num_nodes))
-        self.S_self = self.S[self._rows, A] if n else np.zeros(0)
+        self._rows = np.arange(W.shape[0])
+        self.S = W @ distances.T[A]
+        self.S_self = self.S[self._rows, A]
         if migration is None:
             self.move = None
             self.cur_move = None
         else:
-            self.home = home
-            move = migration[home].copy()
-            move[self._rows, home] = 0.0
+            # The search starts from the seed, so ``A`` is each qubit's home.
+            move = migration[A]
+            move[self._rows, A] = 0.0
             self.move = move
             self.cur_move = move[self._rows, A]
+
+    def cut(self) -> float:
+        """Distance-priced weight of the edges cut by the current ``A``."""
+        A = self.A
+        return float((np.triu(self.W, 1) * self.D[A[:, None], A]).sum())
 
     def gain_vector(self, qubit_a: int) -> "np.ndarray":
         """Raw gain of swapping ``qubit_a`` with each qubit (length n).
@@ -219,22 +175,17 @@ class _GainState:
         meaningless — callers mask them before use.
         """
         A = self.A
+        D = self.D
         node_a = A[qubit_a]
         row = self.S[qubit_a]
-        if self.D is None:
-            gains = (row.take(A) - row[node_a]
-                     + self.S[:, node_a] - self.S_self
-                     - 2.0 * self.W[qubit_a])
-        else:
-            D = self.D
-            # The swapped pair's own edge is excluded by the scalar form;
-            # remove its two (generally asymmetric-safe) contributions.
-            own_edge = self.W[qubit_a] * (
-                (D[node_a].take(A) - D.diagonal().take(A))
-                + (D[:, node_a].take(A) - D[node_a, node_a]))
-            gains = ((row[node_a] - row.take(A))
-                     + (self.S_self - self.S[:, node_a])
-                     - own_edge)
+        # The swapped pair's own edge is excluded by the scalar form;
+        # remove its two (generally asymmetric-safe) contributions.
+        own_edge = self.W[qubit_a] * (
+            (D[node_a].take(A) - D.diagonal().take(A))
+            + (D[:, node_a].take(A) - D[node_a, node_a]))
+        gains = ((row[node_a] - row.take(A))
+                 + (self.S_self - self.S[:, node_a])
+                 - own_edge)
         if self.move is not None:
             # Migration delta, grouped exactly like the scalar accumulation:
             # ((pay_a_now + pay_b_now) - pay_a_there) - pay_b_here.
@@ -269,11 +220,7 @@ class _GainState:
         node_a = int(A[qubit_a])
         node_b = int(A[qubit_b])
         delta = self.W[qubit_a] - self.W[qubit_b]
-        if self.D is None:
-            self.S[:, node_a] -= delta
-            self.S[:, node_b] += delta
-        else:
-            self.S += np.outer(delta, self.D[:, node_b] - self.D[:, node_a])
+        self.S += np.outer(delta, self.D[:, node_b] - self.D[:, node_a])
         A[qubit_a] = node_b
         A[qubit_b] = node_a
         self.S_self = self.S[self._rows, A]
@@ -281,40 +228,11 @@ class _GainState:
             self.cur_move[qubit_a] = self.move[qubit_a, node_b]
             self.cur_move[qubit_b] = self.move[qubit_b, node_a]
 
-    def as_dict(self) -> Dict[int, int]:
-        return {q: int(self.A[q]) for q in range(self.n)}
-
-
-def _weight_matrix(graph: nx.Graph, num_qubits: int) -> "np.ndarray":
-    """Dense symmetric weight matrix of an interaction graph.
-
-    Built from the graph (not the circuit) so the gate list is scanned once
-    per search; matches
-    :func:`~repro.partition.interaction_graph.interaction_matrix`.
-    """
-    W = np.zeros((num_qubits, num_qubits))
-    for a, b, data in graph.edges(data=True):
-        w = data.get("weight", 1.0)
-        W[a, b] = w
-        W[b, a] = w
-    return W
-
 
 def _active_qubits(W: "np.ndarray") -> "np.ndarray":
     """Qubits with at least one interaction, in index order (the reference
     iterates ``sorted(weights.keys())``, which is the same set and order)."""
-    if W.size == 0:
-        return np.zeros(0, dtype=np.int64)
     return np.flatnonzero((W != 0.0).any(axis=1))
-
-
-def _neighbour_weights(graph: nx.Graph) -> Dict[int, Dict[int, float]]:
-    weights: Dict[int, Dict[int, float]] = defaultdict(dict)
-    for a, b, data in graph.edges(data=True):
-        w = data.get("weight", 1.0)
-        weights[a][b] = w
-        weights[b][a] = w
-    return weights
 
 
 def _topology_distances(network: QuantumNetwork,
@@ -328,9 +246,8 @@ def _topology_distances(network: QuantumNetwork,
 
     ``None`` (auto) engages distance weighting only when the network
     carries a routing table with non-uniform hop counts or weighted (link-
-    latency) routes; an unweighted all-to-all table (all hops 1) takes the
-    unweighted path, whose arithmetic — and therefore whose mapping — is
-    bit-identical to the pre-routing code.
+    latency) routes.  A ``None`` result means the unweighted remote-gate
+    cut, which the search prices with unit distances.
     """
     routing = getattr(network, "routing", None)
     if use_link_distances is None:
@@ -386,55 +303,10 @@ def oee_partition(circuit: Circuit, network: QuantumNetwork,
         is engaged.
     """
     with stage("oee-partition") as span:
-        result = _oee_partition(circuit, network, initial=initial,
-                                max_rounds=max_rounds,
-                                use_link_distances=use_link_distances)
+        result = _search(circuit, network, initial, max_rounds,
+                         use_link_distances)
         _record_oee_span(span, result)
         return result
-
-
-def _oee_partition(circuit: Circuit, network: QuantumNetwork,
-                   initial: Optional[QubitMapping] = None,
-                   max_rounds: int = 50,
-                   use_link_distances: Optional[bool] = None) -> OEEResult:
-    """The vectorized extreme-exchange search behind :func:`oee_partition`."""
-    network.validate_capacity(circuit.num_qubits)
-    distances = _topology_distances(network, use_link_distances)
-    graph = interaction_graph(circuit)
-    mapping = initial if initial is not None else block_mapping(circuit.num_qubits, network)
-    assignment = mapping.as_dict()
-    initial_cut = cut_weight(graph, assignment, node_distances=distances)
-
-    n = circuit.num_qubits
-    W = _weight_matrix(graph, n)
-    A = np.array([assignment[q] for q in range(n)], dtype=np.int64)
-    dist_matrix = (None if distances is None
-                   else np.asarray(distances, dtype=np.float64))
-    state = _GainState(W, A, network.num_nodes, dist_matrix)
-
-    # Only qubits with at least one interaction can change the cut.
-    active = _active_qubits(W)
-    active_list = active.tolist()
-    num_exchanges = 0
-    rounds = 0
-    for rounds in range(1, max_rounds + 1):
-        improved = False
-        for i, qubit_a in enumerate(active_list):
-            # Greedy "extreme" step: find the partner with the largest gain
-            # among the not-yet-pivoted active qubits.
-            best_partner = state.best_partner(qubit_a, active[i + 1:])
-            if best_partner is not None:
-                state.swap(qubit_a, best_partner)
-                num_exchanges += 1
-                improved = True
-        if not improved:
-            break
-
-    assignment = state.as_dict()
-    final_cut = cut_weight(graph, assignment, node_distances=distances)
-    result_mapping = QubitMapping(assignment, network)
-    return OEEResult(result_mapping, initial_cut, final_cut, num_exchanges,
-                     rounds)
 
 
 def migration_distance_matrix(network: QuantumNetwork) -> List[List[float]]:
@@ -492,53 +364,57 @@ def oee_repartition(circuit: Circuit, network: QuantumNetwork,
         ``migration_cost`` report the moves relative to ``previous``.
     """
     with stage("oee-repartition") as span:
-        result = _oee_repartition(circuit, network, previous,
-                                  max_rounds=max_rounds,
-                                  use_link_distances=use_link_distances,
-                                  migration_costs=migration_costs)
+        result = _search(circuit, network, previous, max_rounds,
+                         use_link_distances,
+                         migration=(migration_costs
+                                    if migration_costs is not None
+                                    else migration_distance_matrix(network)))
         _record_oee_span(span, result)
         return result
 
 
-def _oee_repartition(circuit: Circuit, network: QuantumNetwork,
-                     previous: QubitMapping,
-                     max_rounds: int = 50,
-                     use_link_distances: Optional[bool] = None,
-                     migration_costs: Optional[List[List[float]]] = None
-                     ) -> OEEResult:
-    """The vectorized migration-aware search behind :func:`oee_repartition`."""
-    network.validate_capacity(circuit.num_qubits)
-    if previous.num_qubits != circuit.num_qubits:
-        raise ValueError("previous mapping and circuit disagree on qubit count")
-    distances = _topology_distances(network, use_link_distances)
-    migration = (migration_costs if migration_costs is not None
-                 else migration_distance_matrix(network))
-    graph = interaction_graph(circuit)
-    home = previous.as_dict()
-    assignment = dict(home)
-    initial_cut = cut_weight(graph, assignment, node_distances=distances)
+def _search(circuit: Circuit, network: QuantumNetwork,
+            seed: Optional[QubitMapping], max_rounds: int,
+            use_link_distances: Optional[bool],
+            migration: Optional[List[List[float]]] = None) -> OEEResult:
+    """The one extreme-exchange search behind both entry points.
 
+    Starts from ``seed`` (the balanced block mapping when ``None``).
+    Without ``migration`` each active qubit pivots against the active
+    qubits after it; with it every qubit is a candidate partner and each
+    exchange pays the change in its migration bill away from ``seed``.
+    """
     n = circuit.num_qubits
-    W = _weight_matrix(graph, n)
-    A = np.array([assignment[q] for q in range(n)], dtype=np.int64)
-    home_arr = np.array([home[q] for q in range(n)], dtype=np.int64)
-    dist_matrix = (None if distances is None
-                   else np.asarray(distances, dtype=np.float64))
-    state = _GainState(W, A, network.num_nodes, dist_matrix,
-                       home=home_arr,
-                       migration=np.asarray(migration, dtype=np.float64))
+    network.validate_capacity(n)
+    if seed is None:
+        seed = block_mapping(n, network)
+    elif seed.num_qubits != n:
+        raise ValueError("seed mapping and circuit disagree on qubit count")
+    distances = _topology_distances(network, use_link_distances)
+    D = (_unit_distances(network.num_nodes) if distances is None
+         else np.asarray(distances, dtype=np.float64))
+    W = interaction_matrix(circuit)
+    home = seed.as_dict()
+    state = _GainState(
+        W, np.array([home[q] for q in range(n)], dtype=np.int64), D,
+        migration=(None if migration is None
+                   else np.asarray(migration, dtype=np.float64)))
+    initial_cut = state.cut()
 
-    # Only qubits interacting in this phase can *earn* a move, but any
-    # qubit may serve as the displaced swap partner (exchanges preserve
-    # per-node load, so capacity is maintained by construction).
-    active_list = _active_qubits(W).tolist()
+    # Only qubits with at least one interaction can change the cut (or, in
+    # a repartition, *earn* a move).  A repartition lets any qubit serve
+    # as the displaced swap partner; exchanges preserve per-node load, so
+    # capacity is maintained by construction.
+    active = _active_qubits(W)
     all_qubits = np.arange(n)
     num_exchanges = 0
     rounds = 0
     for rounds in range(1, max_rounds + 1):
         improved = False
-        for qubit_a in active_list:
-            best_partner = state.best_partner(qubit_a, all_qubits)
+        for i, qubit_a in enumerate(active.tolist()):
+            # Greedy "extreme" step: find the partner with the largest gain.
+            partners = active[i + 1:] if migration is None else all_qubits
+            best_partner = state.best_partner(qubit_a, partners)
             if best_partner is not None:
                 state.swap(qubit_a, best_partner)
                 num_exchanges += 1
@@ -546,11 +422,12 @@ def _oee_repartition(circuit: Circuit, network: QuantumNetwork,
         if not improved:
             break
 
-    assignment = state.as_dict()
-    final_cut = cut_weight(graph, assignment, node_distances=distances)
-    moves = [q for q in range(n) if assignment[q] != home[q]]
-    total_migration = sum(migration[home[q]][assignment[q]] for q in moves)
-    return OEEResult(QubitMapping(assignment, network), initial_cut,
-                     final_cut, num_exchanges, rounds,
-                     migration_moves=len(moves),
-                     migration_cost=total_migration)
+    assignment = {q: int(node) for q, node in enumerate(state.A)}
+    result = OEEResult(QubitMapping(assignment, network), initial_cut,
+                       state.cut(), num_exchanges, rounds)
+    if migration is not None:
+        moves = [q for q in range(n) if assignment[q] != home[q]]
+        result.migration_moves = len(moves)
+        result.migration_cost = sum(migration[home[q]][assignment[q]]
+                                    for q in moves)
+    return result

@@ -130,14 +130,6 @@ class TestPipeline:
         assert autocomm.metrics.latency < sparse.metrics.latency
         assert autocomm.metrics.peak_rem_cx > sparse.metrics.peak_rem_cx
 
-    def test_decompose_flag(self):
-        circuit = qft_circuit(6)
-        network = uniform_network(2, 3)
-        program = compile_autocomm(circuit, network,
-                                   config=AutoCommConfig(decompose=False))
-        # Without decomposition the compiled circuit still contains CRZ gates.
-        assert any(g.name == "crz" for g in program.circuit)
-
     def test_compiled_program_against_snippet_latency_claim(self):
         # Section 4.4: the walk-through achieves a sizeable latency saving
         # over executing each remote CX independently.  The margin here is

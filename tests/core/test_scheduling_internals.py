@@ -11,7 +11,6 @@ from repro.core.scheduling import (
     FusedTPChain,
     _build_dependencies,
     _epr_prep_latency,
-    _items_commute,
     _PairwiseCommutation,
 )
 from repro.core.scheduling_reference import _items_commute_reference
@@ -107,19 +106,20 @@ class TestItemsCommute:
     def test_blocks_with_shared_commuting_gates(self):
         a = cat_block([Gate("cx", (0, 2))], 0, 0, 1)
         b = cat_block([Gate("cx", (0, 3))], 0, 0, 1)
-        assert _items_commute(a, b)
+        assert _PairwiseCommutation().items_commute(a, b)
 
     def test_block_vs_gate(self):
         a = cat_block([Gate("cx", (0, 2))], 0, 0, 1)
-        assert _items_commute(a, Gate("t", (0,)))
-        assert not _items_commute(a, Gate("h", (0,)))
+        assert _PairwiseCommutation().items_commute(a, Gate("t", (0,)))
+        assert not _PairwiseCommutation().items_commute(a, Gate("h", (0,)))
 
     def test_fused_chain_participates(self):
         a = cat_block([Gate("cx", (0, 2))], 0, 0, 1, scheme=CommScheme.TP)
         b = cat_block([Gate("cx", (0, 3))], 0, 0, 2, scheme=CommScheme.TP)
         chain = FusedTPChain(blocks=[a, b])
-        assert _items_commute(chain, Gate("rz", (0,), (0.2,)))
-        assert not _items_commute(chain, Gate("h", (2,)))
+        assert _PairwiseCommutation().items_commute(
+            chain, Gate("rz", (0,), (0.2,)))
+        assert not _PairwiseCommutation().items_commute(chain, Gate("h", (2,)))
 
     def test_oracle_matches_full_cross_product(self):
         """Skipping axis-matched gate pairs changes no item verdict."""

@@ -8,7 +8,7 @@ from repro.ir import Circuit
 from repro.partition import (
     block_mapping,
     cut_weight,
-    exchange_gain,
+    exchange_gain_reference,
     interaction_graph,
     interaction_matrix,
     migration_distance_matrix,
@@ -59,7 +59,7 @@ class TestExchangeGain:
         weights = {q: dict(graph[q]) for q in graph.nodes}
         weights = {q: {n: d["weight"] for n, d in graph[q].items()} for q in graph.nodes}
         bad = {0: 0, 1: 1, 2: 0, 3: 1}
-        gain = exchange_gain(weights, bad, 1, 2)
+        gain = exchange_gain_reference(weights, bad, 1, 2)
         assert gain == pytest.approx(4.0)
 
     def test_zero_gain_same_node(self):
@@ -67,7 +67,7 @@ class TestExchangeGain:
         graph = interaction_graph(circuit)
         weights = {q: {n: d["weight"] for n, d in graph[q].items()} for q in graph.nodes}
         assignment = {0: 0, 1: 0, 2: 1, 3: 1}
-        assert exchange_gain(weights, assignment, 0, 1) == 0.0
+        assert exchange_gain_reference(weights, assignment, 0, 1) == 0.0
 
 
 class TestOEE:
@@ -100,6 +100,18 @@ class TestOEE:
         network = uniform_network(2, 4)
         with pytest.raises(ValueError):
             oee_partition(circuit, network)
+
+    @pytest.mark.parametrize("seed_qubits", [6, 3], ids=["larger", "smaller"])
+    def test_seed_must_match_qubit_count(self, seed_qubits):
+        # A larger seed used to be truncated silently and a smaller one
+        # raised a bare KeyError; both entry points now reject it.
+        circuit = qft_circuit(4)
+        network = uniform_network(2, 3)
+        seed = block_mapping(seed_qubits, network)
+        with pytest.raises(ValueError, match="disagree on qubit count"):
+            oee_partition(circuit, network, initial=seed)
+        with pytest.raises(ValueError, match="disagree on qubit count"):
+            oee_repartition(circuit, network, seed)
 
     def test_oee_mapping_covers_all_qubits(self):
         circuit = bv_circuit(12)

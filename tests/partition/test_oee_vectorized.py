@@ -14,14 +14,15 @@ from repro.circuits import (bv_circuit, mctr_circuit, qaoa_maxcut_circuit,
 from repro.core import AutoCommConfig, compile_autocomm, pipeline
 from repro.hardware import LinkModel, LinkSpec, apply_topology, uniform_network
 from repro.partition import (
-    exchange_gain,
+    exchange_gain_reference,
     exchange_gain_vector,
     interaction_matrix,
+    oee_partition,
     oee_partition_reference,
+    oee_repartition,
     oee_repartition_reference,
     round_robin_mapping,
 )
-from repro.partition.oee import _oee_partition, _oee_repartition
 from repro.partition.interaction_graph import interaction_graph
 
 FAMILIES = [
@@ -57,11 +58,19 @@ class TestPartitionEquivalence:
     @pytest.mark.parametrize("topology", TOPOLOGIES,
                              ids=[t or "all-to-all" for t in TOPOLOGIES])
     @pytest.mark.parametrize("nodes", [2, 4])
-    def test_partition_matches_reference(self, family, make, topology, nodes):
+    @pytest.mark.parametrize("use_link_distances", [None, False],
+                             ids=["auto-distances", "unit-distances"])
+    def test_partition_matches_reference(self, family, make, topology, nodes,
+                                         use_link_distances):
+        # ``False`` on a routed topology opts out of distance weighting:
+        # the search then prices the cut with unit distances.
         circuit = make()
         network = _network(circuit.num_qubits, nodes, topology)
-        assert_results_equal(oee_partition_reference(circuit, network),
-                             _oee_partition(circuit, network))
+        assert_results_equal(
+            oee_partition_reference(circuit, network,
+                                    use_link_distances=use_link_distances),
+            oee_partition(circuit, network,
+                          use_link_distances=use_link_distances))
 
     @pytest.mark.parametrize("family,make", FAMILIES,
                              ids=[f[0] for f in FAMILIES])
@@ -75,10 +84,10 @@ class TestPartitionEquivalence:
         seed = round_robin_mapping(circuit.num_qubits, network)
         assert_results_equal(
             oee_partition_reference(circuit, network, initial=seed),
-            _oee_partition(circuit, network, initial=seed))
+            oee_partition(circuit, network, initial=seed))
         assert_results_equal(
             oee_repartition_reference(circuit, network, seed),
-            _oee_repartition(circuit, network, seed))
+            oee_repartition(circuit, network, seed))
 
     def test_heterogeneous_links_match(self):
         circuit = qft_circuit(16)
@@ -87,10 +96,10 @@ class TestPartitionEquivalence:
                                            (2, 3): LinkSpec(18.5)})
         apply_topology(network, "line", link_model=model)
         assert_results_equal(oee_partition_reference(circuit, network),
-                             _oee_partition(circuit, network))
+                             oee_partition(circuit, network))
         seed = round_robin_mapping(16, network)
         assert_results_equal(oee_repartition_reference(circuit, network, seed),
-                             _oee_repartition(circuit, network, seed))
+                             oee_repartition(circuit, network, seed))
 
     def test_migration_cost_override_with_nonzero_diagonal(self):
         # The scalar move_cost charges nothing at a qubit's home node even
@@ -104,7 +113,7 @@ class TestPartitionEquivalence:
         assert_results_equal(
             oee_repartition_reference(circuit, network, seed,
                                       migration_costs=costs),
-            _oee_repartition(circuit, network, seed, migration_costs=costs))
+            oee_repartition(circuit, network, seed, migration_costs=costs))
 
     def test_idle_circuit_has_no_exchanges(self):
         from repro.ir import Circuit
@@ -112,7 +121,7 @@ class TestPartitionEquivalence:
         circuit = Circuit(6, name="idle")
         network = uniform_network(3, 2)
         assert_results_equal(oee_partition_reference(circuit, network),
-                             _oee_partition(circuit, network))
+                             oee_partition(circuit, network))
 
 
 class TestPipelineEquivalence:
@@ -173,7 +182,7 @@ class TestGainVector:
                                              qubit_a,
                                              node_distances=node_distances)
                 for qubit_b in range(10):
-                    expected = exchange_gain(weights, assignment, qubit_a,
-                                             qubit_b,
-                                             node_distances=node_distances)
+                    expected = exchange_gain_reference(
+                        weights, assignment, qubit_a, qubit_b,
+                        node_distances=node_distances)
                     assert gains[qubit_b] == expected

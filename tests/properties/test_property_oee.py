@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.circuits import random_circuit
 from repro.hardware import apply_topology, uniform_network
-from repro.partition import (exchange_gain, exchange_gain_vector,
-                             oee_partition_reference,
-                             oee_repartition_reference, round_robin_mapping)
-from repro.partition.oee import _oee_partition, _oee_repartition
+from repro.partition import (exchange_gain_reference, exchange_gain_vector,
+                             oee_partition, oee_partition_reference,
+                             oee_repartition, oee_repartition_reference,
+                             round_robin_mapping)
 
 
 @st.composite
@@ -65,8 +65,8 @@ class TestExchangeGainProperties:
         for qubit_a in range(n):
             gains = exchange_gain_vector(weights, assignment, qubit_a)
             for qubit_b in range(n):
-                expected = exchange_gain(weight_map, assign_map,
-                                         qubit_a, qubit_b)
+                expected = exchange_gain_reference(weight_map, assign_map,
+                                                   qubit_a, qubit_b)
                 assert gains[qubit_b] == expected
 
     @settings(max_examples=60, deadline=None)
@@ -80,9 +80,9 @@ class TestExchangeGainProperties:
             gains = exchange_gain_vector(weights, assignment, qubit_a,
                                          node_distances=distances)
             for qubit_b in range(n):
-                expected = exchange_gain(weight_map, assign_map,
-                                         qubit_a, qubit_b,
-                                         node_distances=dist_rows)
+                expected = exchange_gain_reference(weight_map, assign_map,
+                                                   qubit_a, qubit_b,
+                                                   node_distances=dist_rows)
                 assert gains[qubit_b] == expected
 
 
@@ -98,7 +98,7 @@ class TestSearchProperties:
             apply_topology(network, topology)
         initial = round_robin_mapping(num_qubits, network)
         reference = oee_partition_reference(circuit, network, initial=initial)
-        vectorized = _oee_partition(circuit, network, initial=initial)
+        vectorized = oee_partition(circuit, network, initial=initial)
         assert vectorized.mapping.as_dict() == reference.mapping.as_dict()
         assert vectorized.final_cut == reference.final_cut
         assert vectorized.num_exchanges == reference.num_exchanges
@@ -115,7 +115,7 @@ class TestSearchProperties:
             apply_topology(network, topology)
         previous = round_robin_mapping(num_qubits, network)
         reference = oee_repartition_reference(circuit, network, previous)
-        vectorized = _oee_repartition(circuit, network, previous)
+        vectorized = oee_repartition(circuit, network, previous)
         assert vectorized.mapping.as_dict() == reference.mapping.as_dict()
         assert vectorized.final_cut == reference.final_cut
         assert vectorized.num_exchanges == reference.num_exchanges
