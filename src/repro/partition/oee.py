@@ -14,8 +14,8 @@ Vectorized search
 -----------------
 
 The search state lives on numpy: the interaction counts are a dense weight
-matrix ``W`` read straight from the circuit
-(:func:`~repro.partition.interaction_graph.interaction_matrix`), the
+matrix ``W`` read straight from the circuit's pair histogram (the matrix
+:func:`~repro.partition.interaction_graph.interaction_matrix` builds), the
 assignment an index vector ``A``, and the objective a node-distance matrix
 ``D``.  The unweighted remote-gate cut is the unit-distance case
 ``D = 1 - I``; a routed topology supplies its route costs instead.  Each
@@ -23,7 +23,7 @@ pivot qubit's gains against *every* candidate partner come from one
 gathered vector expression, and the state matrices are updated
 incrementally after each accepted swap (a rank-one outer-product update),
 so a full improvement round is O(n) vector ops per pivot.  The initial and
-final cuts are priced from the same ``W``, ``D`` and ``A``.
+final cuts are priced from the same edge weights, ``D`` and ``A``.
 
 :func:`oee_partition` and :func:`oee_repartition` run one search loop: a
 fresh partition pivots each active qubit against the active qubits after
@@ -35,9 +35,10 @@ split and migration plan downstream — bit-identical to the scalar search
 preserved in :mod:`repro.partition.oee_reference`:
 
 * Interaction weights are integer gate counts and node distances are 0/1,
-  hop counts or dyadic link-latency sums, so every gain and every cut is
-  computed exactly in float64 no matter how the terms are grouped;
-  regrouping the sums onto matrix products cannot change the value.
+  hop counts or dyadic link-latency sums, so every gain is computed exactly
+  in float64 no matter how the terms are grouped; regrouping the sums onto
+  matrix products cannot change the value.  The cuts are added edge by edge
+  in the reference's order, so they keep its bits for any latency.
 * Partner selection replays the reference tie-break exactly: candidates are
   scanned in the reference order and a partner is accepted only when its
   gain beats the *last accepted* gain by more than ``1e-12`` (a cheap python
@@ -61,7 +62,6 @@ import numpy as np
 from ..hardware.network import QuantumNetwork
 from ..ir.circuit import Circuit
 from ..obs.span import stage
-from .interaction_graph import interaction_matrix
 from .mapping import QubitMapping, block_mapping
 
 __all__ = ["oee_partition", "oee_repartition", "OEEResult",
@@ -163,11 +163,6 @@ class _GainState:
             self.move = move
             self.cur_move = move[self._rows, A]
 
-    def cut(self) -> float:
-        """Distance-priced weight of the edges cut by the current ``A``."""
-        A = self.A
-        return float((np.triu(self.W, 1) * self.D[A[:, None], A]).sum())
-
     def gain_vector(self, qubit_a: int) -> "np.ndarray":
         """Raw gain of swapping ``qubit_a`` with each qubit (length n).
 
@@ -227,6 +222,35 @@ class _GainState:
         if self.move is not None:
             self.cur_move[qubit_a] = self.move[qubit_a, node_b]
             self.cur_move[qubit_b] = self.move[qubit_b, node_a]
+
+
+def _interaction_edges(circuit: Circuit):
+    """The circuit's interaction edges as ``(lower, upper, weight)`` arrays.
+
+    The edges come in the order ``cut_weight`` walks the interaction graph:
+    by lower endpoint, and each endpoint's edges in gate order.  A stable
+    sort of the gate-ordered pair histogram on the lower endpoint replays it.
+    """
+    edges = sorted(circuit.interaction_pairs().items(),
+                   key=lambda item: item[0][0])
+    lower = np.array([pair[0] for pair, _ in edges], dtype=np.int64)
+    upper = np.array([pair[1] for pair, _ in edges], dtype=np.int64)
+    weight = np.array([count for _, count in edges], dtype=np.float64)
+    return lower, upper, weight
+
+
+def _cut(edges, D: "np.ndarray", A: "np.ndarray") -> float:
+    """Distance-priced weight of the edges that ``A`` cuts.
+
+    A running sum in edge order gives ``cut_weight``'s bits even when link
+    latencies are not dyadic, where a regrouped sum may differ in the last
+    place.
+    """
+    lower, upper, weight = edges
+    nodes_a, nodes_b = A[lower], A[upper]
+    cut = nodes_a != nodes_b
+    prices = weight[cut] * D[nodes_a[cut], nodes_b[cut]]
+    return float(np.cumsum(prices)[-1]) if prices.size else 0.0
 
 
 def _active_qubits(W: "np.ndarray") -> "np.ndarray":
@@ -323,8 +347,7 @@ def migration_distance_matrix(network: QuantumNetwork) -> List[List[float]]:
     routing = getattr(network, "routing", None)
     if routing is not None:
         return routing.cost_matrix()
-    n = network.num_nodes
-    return [[0.0 if i == j else 1.0 for j in range(n)] for i in range(n)]
+    return _unit_distances(network.num_nodes).tolist()
 
 
 def oee_repartition(circuit: Circuit, network: QuantumNetwork,
@@ -393,13 +416,17 @@ def _search(circuit: Circuit, network: QuantumNetwork,
     distances = _topology_distances(network, use_link_distances)
     D = (_unit_distances(network.num_nodes) if distances is None
          else np.asarray(distances, dtype=np.float64))
-    W = interaction_matrix(circuit)
+    edges = _interaction_edges(circuit)
+    lower, upper, weight = edges
+    W = np.zeros((n, n))
+    W[lower, upper] = weight
+    W[upper, lower] = weight
     home = seed.as_dict()
     state = _GainState(
         W, np.array([home[q] for q in range(n)], dtype=np.int64), D,
         migration=(None if migration is None
                    else np.asarray(migration, dtype=np.float64)))
-    initial_cut = state.cut()
+    initial_cut = _cut(edges, D, state.A)
 
     # Only qubits with at least one interaction can change the cut (or, in
     # a repartition, *earn* a move).  A repartition lets any qubit serve
@@ -424,7 +451,7 @@ def _search(circuit: Circuit, network: QuantumNetwork,
 
     assignment = {q: int(node) for q, node in enumerate(state.A)}
     result = OEEResult(QubitMapping(assignment, network), initial_cut,
-                       state.cut(), num_exchanges, rounds)
+                       _cut(edges, D, state.A), num_exchanges, rounds)
     if migration is not None:
         moves = [q for q in range(n) if assignment[q] != home[q]]
         result.migration_moves = len(moves)

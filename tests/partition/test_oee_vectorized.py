@@ -10,7 +10,8 @@ unchanged by the rewrite.
 import pytest
 
 from repro.circuits import (bv_circuit, mctr_circuit, qaoa_maxcut_circuit,
-                            qft_circuit, rca_circuit_for_width)
+                            qft_circuit, random_circuit,
+                            rca_circuit_for_width)
 from repro.core import AutoCommConfig, compile_autocomm, pipeline
 from repro.hardware import LinkModel, LinkSpec, apply_topology, uniform_network
 from repro.partition import (
@@ -98,6 +99,21 @@ class TestPartitionEquivalence:
         assert_results_equal(oee_partition_reference(circuit, network),
                              oee_partition(circuit, network))
         seed = round_robin_mapping(16, network)
+        assert_results_equal(oee_repartition_reference(circuit, network, seed),
+                             oee_repartition(circuit, network, seed))
+
+    @pytest.mark.parametrize("topology", ["line", "ring", "grid"])
+    def test_non_dyadic_links_match(self, topology):
+        # 13.3 and 0.1 have no exact float64 form, so a cut summed in any
+        # order but the reference's edge order drifts in the last place.
+        # Random gates reach pairs out of lower-endpoint order.
+        circuit = random_circuit(30, 400, seed=5)
+        network = uniform_network(6, 5)
+        model = LinkModel(LinkSpec(13.3), {(0, 1): LinkSpec(0.1)})
+        apply_topology(network, topology, link_model=model)
+        assert_results_equal(oee_partition_reference(circuit, network),
+                             oee_partition(circuit, network))
+        seed = round_robin_mapping(30, network)
         assert_results_equal(oee_repartition_reference(circuit, network, seed),
                              oee_repartition(circuit, network, seed))
 
