@@ -83,8 +83,9 @@ from .baselines import (
 )
 from .circuits import BENCHMARK_FAMILIES, build_benchmark
 from .core import AutoCommConfig, compile_autocomm
-from .hardware import (LINK_PROFILES, SUPPORTED_TOPOLOGIES, apply_topology,
-                       load_link_spec, uniform_network)
+from .hardware import (DEFAULT_LATENCY, LINK_PROFILES, SUPPORTED_TOPOLOGIES,
+                       LinkModel, apply_topology, link_model_from_profile,
+                       load_link_spec, topology_graph, uniform_network)
 from .ir import Circuit, from_qasm, to_qasm
 from .obs import (PID_COMPILE, RunReport, report_for_program,
                   simulation_trace_events, span_trace_events,
@@ -150,7 +151,7 @@ def _add_verify_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
-    """Compile-cache options shared by compile/compare/simulate/profile/verify."""
+    """Compile-cache options shared by compile/compare/simulate/verify."""
     parser.add_argument("--cache-dir", type=Path, default=None, metavar="PATH",
                         help="persistent compile-cache directory: store the "
                              "compiled artifact there and serve repeat "
@@ -279,10 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
                                       "trials (default 1 = in-process); "
                                       "results are identical for any value")
     simulate_parser.add_argument("--link-capacity", type=int, default=None,
-                                 help="uniform concurrent EPR generations "
-                                      "per link (default: unlimited); "
-                                      "equivalent to a link-spec whose "
-                                      "default carries this capacity, and "
+                                 help="concurrent EPR generations per link, "
+                                      "on every link the link model leaves "
+                                      "unbounded (default: unlimited); "
                                       "mutually exclusive with --link-spec "
                                       "— prefer per-link capacities there")
     simulate_parser.add_argument("--timeline", action="store_true",
@@ -341,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "BENCH_compiler.json)")
     _add_topology_arguments(profile_parser)
     _add_remap_arguments(profile_parser)
-    _add_cache_arguments(profile_parser)
 
     trace_parser = subparsers.add_parser(
         "trace", help="compile + simulate a program and export a Chrome-"
@@ -485,6 +484,17 @@ def _make_network(circuit: Circuit, nodes: int, qubits_per_node: Optional[int],
     return network
 
 
+def _bound_links(model: LinkModel, capacity: int) -> LinkModel:
+    """``model`` with ``capacity`` on every link spec that has none."""
+    def bound(spec):
+        if spec.capacity is not None:
+            return spec
+        return spec.merged(capacity=capacity)
+    return LinkModel(bound(model.default),
+                     {link: bound(spec)
+                      for link, spec in model.overrides.items()})
+
+
 def _network_from_args(circuit: Circuit, args):
     topology = getattr(args, "topology", "all-to-all")
     grid_columns = getattr(args, "grid_columns", None)
@@ -496,7 +506,8 @@ def _network_from_args(circuit: Circuit, args):
     if link_spec is not None and link_profile is not None:
         raise SystemExit("error: --link-spec and --link-profile are "
                          "mutually exclusive")
-    if link_spec is not None and getattr(args, "link_capacity", None) is not None:
+    link_capacity = getattr(args, "link_capacity", None)
+    if link_spec is not None and link_capacity is not None:
         raise SystemExit(
             "error: --link-spec and --link-capacity are mutually exclusive; "
             "set per-link (or \"default\") capacities in the link-spec file "
@@ -505,12 +516,24 @@ def _network_from_args(circuit: Circuit, args):
     if link_spec is not None:
         if not link_spec.exists():
             raise SystemExit(f"error: no such link-spec file: {link_spec}")
-        from .hardware import DEFAULT_LATENCY
         try:
             link_model = load_link_spec(link_spec, DEFAULT_LATENCY.t_epr)
         except ValueError as exc:
             raise SystemExit(f"error: {exc}")
     try:
+        if link_capacity is not None:
+            # --link-capacity N is part of the link model: every link the
+            # profile (or the uniform model) leaves unbounded gets N.
+            if link_profile is None:
+                link_model = LinkModel.uniform_model(DEFAULT_LATENCY.t_epr)
+            else:
+                link_model = link_model_from_profile(
+                    link_profile,
+                    topology_graph(topology, args.nodes,
+                                   grid_columns=grid_columns),
+                    DEFAULT_LATENCY.t_epr)
+                link_profile = None
+            link_model = _bound_links(link_model, link_capacity)
         return _make_network(circuit, args.nodes, args.qubits_per_node,
                              args.comm_qubits, topology=topology,
                              swap_overhead=getattr(args, "swap_overhead", 1.0),
@@ -540,8 +563,8 @@ def _autocomm_config(args) -> Optional[AutoCommConfig]:
                           overlap=overlap, phase_sizing=phase_sizing)
 
 
-def _compiler_for_args(args):
-    """The compile callable the compiler/remap/cache flags select."""
+def _compiler_for_args(args, cache):
+    """The compile callable the compiler/remap flags select, using ``cache``."""
     config = _autocomm_config(args)
     name = getattr(args, "compiler", "autocomm")
     if config is not None and name != "autocomm":
@@ -549,7 +572,6 @@ def _compiler_for_args(args):
                          f"compiler, not {name!r}")
     if name != "autocomm":
         return COMPILERS[name]
-    cache = _cache_for_args(args)
 
     def autocomm_compiler(circuit, network, mapping=None,
                           config=config, cache=cache):
@@ -561,7 +583,7 @@ def _compiler_for_args(args):
 
 def _compile_program(circuit: Circuit, network, args):
     """Compile with the selected compiler, honouring the remap flags."""
-    return _compiler_for_args(args)(circuit, network)
+    return _compiler_for_args(args, _cache_for_args(args))(circuit, network)
 
 
 def _report_rows(program) -> List[dict]:
@@ -728,8 +750,6 @@ def _cmd_simulate(args) -> int:
         raise SystemExit(f"error: --workers must be >= 1, got {args.workers}")
     if args.retry_latency is not None and args.retry_latency <= 0:
         raise SystemExit("error: --retry-latency must be positive")
-    if args.link_capacity is not None and args.link_capacity < 1:
-        raise SystemExit("error: --link-capacity must be >= 1")
     circuit = _load_circuit(args.qasm)
     network = _network_from_args(circuit, args)
     program = _compile_program(circuit, network, args)
@@ -748,12 +768,10 @@ def _cmd_simulate(args) -> int:
     link_model = network.link_model
     constrained_links = link_model is not None and (
         link_model.has_capacities or not link_model.deterministic)
-    if (args.p_epr < 1.0 or args.trials > 1
-            or args.link_capacity is not None or constrained_links):
+    if args.p_epr < 1.0 or args.trials > 1 or constrained_links:
         config = SimulationConfig(p_epr=args.p_epr,
                                   retry_latency=args.retry_latency,
                                   seed=args.seed, trials=args.trials,
-                                  link_capacity=args.link_capacity,
                                   ideal_links=args.ideal_links,
                                   workers=args.workers)
         monte_carlo = run_monte_carlo(program, config)
@@ -928,7 +946,9 @@ def _cmd_profile(args) -> int:
 
     circuit = _load_circuit(args.qasm)
     network = _network_from_args(circuit, args)
-    compiler = _compiler_for_args(args)
+    # Always compile cold: a cache hit would time a disk load, not the
+    # compiler.
+    compiler = _compiler_for_args(args, cache=False)
 
     compile_times = []
     for _ in range(args.repeat):

@@ -125,15 +125,6 @@ class CommBlock:
     def num_remote_gates(self, mapping: QubitMapping) -> int:
         return len(self.remote_gates(mapping))
 
-    def partner_qubits(self, mapping: QubitMapping) -> Tuple[int, ...]:
-        """Sorted remote-node qubits the hub interacts with."""
-        partners: Set[int] = set()
-        for gate in self.remote_gates(mapping):
-            for q in gate.qubits:
-                if q != self.hub_qubit:
-                    partners.add(q)
-        return tuple(sorted(partners))
-
     def gate_counts(self) -> Tuple[int, int]:
         """(multi-qubit, single-qubit) gate counts, cached per gate list."""
         slot = self._analysis_cache.get("counts")
@@ -184,31 +175,6 @@ class CommBlock:
         if roles == {"target"}:
             return CommPattern.UNIDIRECTIONAL_TARGET
         return CommPattern.BIDIRECTIONAL
-
-    def hub_blocking_gates(self, mapping: QubitMapping) -> List[Gate]:
-        """Single-qubit gates on the hub that separate remote gates.
-
-        These are the gates that prevent a single Cat-Comm invocation
-        (Section 4.3: "no single-qubit gate on the control qubit separates
-        two-qubit gates").  Diagonal gates never block a control-pattern
-        block and X-axis gates never block a target-pattern block.
-        """
-        pattern = self.pattern(mapping)
-        transparent = (_CONTROL_TRANSPARENT
-                       if pattern is CommPattern.UNIDIRECTIONAL_CONTROL
-                       else _TARGET_TRANSPARENT)
-        remote = [i for i, g in enumerate(self.gates)
-                  if g.is_two_qubit and mapping.is_remote(g)]
-        if len(remote) < 2:
-            return []
-        first, last = remote[0], remote[-1]
-        blocking = []
-        for i in range(first + 1, last):
-            gate = self.gates[i]
-            if (gate.is_single_qubit and gate.qubits[0] == self.hub_qubit
-                    and gate.name not in transparent):
-                blocking.append(gate)
-        return blocking
 
     def cat_comm_cost(self, mapping: QubitMapping) -> int:
         """Number of Cat-Comm invocations (EPR pairs) needed for this block."""

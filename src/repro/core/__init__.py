@@ -36,7 +36,6 @@ from .metrics import (
 )
 from .pipeline import (AutoCommConfig, AutoCommCompiler, CompiledPhase,
                        CompiledProgram, compile_autocomm)
-from .collective import CollectiveBlock, form_collectives, collective_latency
 
 __all__ = [
     "AggregationResult",
@@ -72,7 +71,4 @@ __all__ = [
     "CompiledPhase",
     "CompiledProgram",
     "compile_autocomm",
-    "CollectiveBlock",
-    "form_collectives",
-    "collective_latency",
 ]

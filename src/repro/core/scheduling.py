@@ -200,34 +200,6 @@ class ScheduleResult:
         """Assignment items covered by the schedule (fused chains count all)."""
         return sum(op.num_items for op in self.ops)
 
-    def parallelism_profile(self, resolution: int = 200) -> List[int]:
-        """Sampled count of concurrently running communications over time.
-
-        Samples ``resolution + 1`` points covering ``[0, latency]``
-        *inclusive*: the final time point is a real sample (an op running
-        up to the horizon counts there), and a zero-duration op counts at
-        the sample landing exactly on its instant.  Pre-fix, the horizon
-        sample was dropped (off-by-one) and zero-duration ops never
-        counted anywhere.
-        """
-        comm = self.comm_ops()
-        if not comm or self.latency <= 0:
-            return []
-
-        def active(op: ScheduledOp, t: float) -> bool:
-            if op.start == op.end:
-                return op.start == t
-            if t == self.latency:
-                return op.start < t <= op.end
-            return op.start <= t < op.end
-
-        samples = []
-        for i in range(resolution + 1):
-            # The horizon sample is the exact latency, not a rounded ratio.
-            t = self.latency if i == resolution else self.latency * i / resolution
-            samples.append(sum(1 for op in comm if active(op, t)))
-        return samples
-
 
 # ---------------------------------------------------------------------------
 # Fusion of sequential TP-Comm blocks
@@ -528,8 +500,7 @@ class SchedulePlan:
         The default ``__dict__.update`` restore would happen to leave the
         cache slots at whatever ``__getstate__`` stored, but that symmetry
         is an accident callers should not depend on; resetting here makes
-        unpickled (and :mod:`repro.persist`-deserialized, which reuses this
-        path) plans safe by construction: both caches rebuild on demand.
+        unpickled plans safe by construction: both caches rebuild on demand.
         """
         self.__dict__.update(state)
         self._succs = None

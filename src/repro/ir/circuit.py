@@ -4,8 +4,7 @@ A :class:`Circuit` is an ordered list of :class:`~repro.ir.gates.Gate`
 instructions over ``num_qubits`` globally-indexed qubits.  It supports the
 usual construction helpers (``circuit.cx(0, 1)``), composition, inversion,
 depth/width accounting and qubit-usage queries.  The distributed-computing
-layers treat circuits purely as gate lists; the heavy analysis (dependency
-graphs, commutation) lives in :mod:`repro.ir.dag` and
+layers treat circuits purely as gate lists; commutation analysis lives in
 :mod:`repro.ir.commutation`.
 """
 

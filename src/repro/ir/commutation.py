@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import islice
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -32,8 +32,6 @@ __all__ = [
     "GateFrontier",
     "pauli_axes",
     "commutes",
-    "commutes_with_all",
-    "commutes_through",
     "clear_commutation_cache",
     "commutation_cache_stats",
 ]
@@ -281,21 +279,6 @@ class GateFrontier:
                     if not commutes(gate, other):
                         return False
         return True
-
-
-def commutes_with_all(gate: Gate, gates: Iterable[Gate]) -> bool:
-    """True when ``gate`` commutes with every gate in ``gates``."""
-    return all(commutes(gate, other) for other in gates)
-
-
-def commutes_through(gate: Gate, gates: Sequence[Gate]) -> bool:
-    """True when ``gate`` can be moved across the whole sequence ``gates``.
-
-    Because commutation is checked pairwise this is sufficient (though not
-    necessary) for the reordering ``[gates..., gate] -> [gate, gates...]`` to
-    preserve the circuit semantics.
-    """
-    return commutes_with_all(gate, gates)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ that real:
 
 * :mod:`repro.persist.codec` — versioned canonical payloads
   (``to_payload``/``from_payload``) for circuits, networks (routing tables
-  and link models included), qubit mappings, schedule plans and whole
-  compiled programs, with JSON and deterministic-gzip writers;
+  and link models included), qubit mappings and whole compiled programs,
+  with JSON and deterministic-gzip writers;
 * :mod:`repro.persist.fingerprint` — stable SHA-256 content addresses over
   the compilation inputs (circuit, network, mapping,
   :class:`~repro.core.pipeline.AutoCommConfig`);
@@ -29,8 +29,7 @@ from .codec import (SCHEMA_VERSION, canonical_json, circuit_from_payload,
                     circuit_to_payload, dumps_program, load_program,
                     loads_program, mapping_from_payload, mapping_to_payload,
                     network_from_payload, network_to_payload,
-                    plan_from_payload, plan_to_payload, program_from_payload,
-                    program_to_payload, save_program)
+                    program_from_payload, program_to_payload, save_program)
 from .fingerprint import (compile_fingerprint, fingerprint_circuit,
                           fingerprint_config, fingerprint_mapping,
                           fingerprint_network)
@@ -40,7 +39,6 @@ __all__ = [
     "circuit_to_payload", "circuit_from_payload",
     "network_to_payload", "network_from_payload",
     "mapping_to_payload", "mapping_from_payload",
-    "plan_to_payload", "plan_from_payload",
     "program_to_payload", "program_from_payload",
     "save_program", "load_program", "dumps_program", "loads_program",
     "fingerprint_circuit", "fingerprint_network", "fingerprint_mapping",

@@ -2,10 +2,10 @@
 
 Every compiler output this repository produces — :class:`~repro.ir.circuit.Circuit`,
 :class:`~repro.core.pipeline.CompiledProgram` (static and phase-structured),
-:class:`~repro.core.scheduling.SchedulePlan`,
 :class:`~repro.hardware.network.QuantumNetwork` with its routing table and
-link model — converts to a versioned, JSON-ready *payload* and back.  The
-format is canonical by construction:
+link model — converts to a versioned, JSON-ready *payload* and back.
+Schedule plans are not serialized: a program rebuilds its plan on demand.
+The format is canonical by construction:
 
 * every payload is a plain dict/list/scalar tree with explicit field lists
   (no ``__dict__`` dumps), so two structurally equal objects serialize to
@@ -41,8 +41,7 @@ from ..core.aggregation import AggregationResult
 from ..core.assignment import AssignmentResult
 from ..core.metrics import CompilationMetrics
 from ..core.pipeline import CompiledPhase, CompiledProgram
-from ..core.scheduling import (FusedTPChain, MigrationOp, SchedulePlan,
-                               ScheduleResult, ScheduledOp)
+from ..core.scheduling import MigrationOp, ScheduleResult, ScheduledOp
 from ..hardware.epr import CommResourceTracker
 from ..hardware.links import LinkModel
 from ..hardware.network import QuantumNetwork
@@ -60,7 +59,6 @@ __all__ = [
     "circuit_to_payload", "circuit_from_payload",
     "network_to_payload", "network_from_payload",
     "mapping_to_payload", "mapping_from_payload",
-    "plan_to_payload", "plan_from_payload",
     "program_to_payload", "program_from_payload",
     "save_program", "load_program",
     "dumps_program", "loads_program",
@@ -488,79 +486,6 @@ def migration_to_payload(move: MigrationOp) -> List[int]:
 def migration_from_payload(payload: List[int]) -> MigrationOp:
     qubit, source, target = payload
     return MigrationOp(qubit=qubit, source=source, target=target)
-
-
-def plan_to_payload(plan: SchedulePlan) -> Payload:
-    """Serialize a standalone schedule plan (items, dependencies, caches dropped)."""
-    items: List[List[Any]] = []
-    for item in plan.items:
-        if isinstance(item, CommBlock):
-            items.append(["b", block_to_payload(item)])
-        elif isinstance(item, FusedTPChain):
-            items.append(["c", [block_to_payload(b) for b in item.blocks]])
-        elif isinstance(item, MigrationOp):
-            items.append(["m", migration_to_payload(item)])
-        else:
-            items.append(["g", gate_to_payload(item)])
-    # Plans repeat a handful of mapping objects across many items; store
-    # each distinct mapping once (identity-deduplicated with ``is`` — never
-    # ``id()``) plus a per-item index list.
-    unique: List[QubitMapping] = []
-    indices: List[int] = []
-    for mapping in plan.item_mappings:
-        position = None
-        for seen_index, seen in enumerate(unique):
-            if seen is mapping:
-                position = seen_index
-                break
-        if position is None:
-            position = len(unique)
-            unique.append(mapping)
-        indices.append(position)
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "schedule-plan",
-        "items": items,
-        "preds": [list(plist) for plist in plan.preds],
-        "num_fused_chains": plan.num_fused_chains,
-        "burst": plan.burst,
-        "overlap": plan.overlap,
-        "item_phases": list(plan.item_phases),
-        "mappings": [mapping_to_payload(m) for m in unique],
-        "item_mapping_indices": indices,
-    }
-
-
-def plan_from_payload(payload: Payload,
-                      network: Optional[QuantumNetwork] = None
-                      ) -> SchedulePlan:
-    _check_schema(payload, "schedule-plan")
-    items: List[Any] = []
-    for tag, value in payload["items"]:
-        if tag == "b":
-            items.append(block_from_payload(value))
-        elif tag == "c":
-            items.append(FusedTPChain(
-                blocks=[block_from_payload(b) for b in value]))
-        elif tag == "m":
-            items.append(migration_from_payload(value))
-        else:
-            items.append(gate_from_payload(value))
-    unique = [mapping_from_payload(m, network) for m in payload["mappings"]]
-    # Rebuild through __setstate__ — the same path unpickling takes — so the
-    # lazy ``_succs``/``_profiles`` caches start empty and rebuild on demand.
-    plan = SchedulePlan.__new__(SchedulePlan)
-    plan.__setstate__({
-        "items": items,
-        "preds": [list(plist) for plist in payload["preds"]],
-        "num_fused_chains": payload["num_fused_chains"],
-        "burst": payload["burst"],
-        "overlap": payload["overlap"],
-        "item_phases": [int(p) for p in payload["item_phases"]],
-        "item_mappings": [unique[i]
-                          for i in payload["item_mapping_indices"]],
-    })
-    return plan
 
 
 # ---------------------------------------------------------------------------

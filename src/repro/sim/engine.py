@@ -66,14 +66,6 @@ class SimulationConfig:
     seed: Optional[int] = None
     #: Monte-Carlo trials for :func:`run_monte_carlo`.
     trials: int = 1
-    #: Uniform fallback for concurrent EPR generations per link (None =
-    #: unlimited, the analytical model's assumption; node comm qubits still
-    #: constrain).  Semantically a default-only link capacity: a link whose
-    #: :class:`~repro.hardware.links.LinkModel` spec carries its own
-    #: capacity uses that (see ``ExecutionEngine._effective_capacity``),
-    #: and combining this knob with a capacity-bearing link model is
-    #: rejected as ambiguous.
-    link_capacity: Optional[int] = None
     #: Ignore link capacities and per-link success probabilities (per-link
     #: *latencies* are kept — the analytical model includes them).  This is
     #: the analytical scheduler's idealisation; the schedule validator turns
@@ -206,17 +198,10 @@ class ExecutionEngine:
         #: therefore shared across Monte-Carlo trials.
         self._profiles = plan.op_profiles(network)
         link_model = network.link_model
-        if (self.config.link_capacity is not None and link_model is not None
-                and link_model.has_capacities):
-            raise ValueError(
-                "ambiguous link capacities: the network's link model "
-                "already defines per-link capacities; drop the global "
-                "link_capacity (--link-capacity) or the capacities in the "
-                "link spec")
         #: Whether any link bounds concurrent EPR generations this run.
-        self._capacity_constrained = not self.config.ideal_links and (
-            self.config.link_capacity is not None
-            or (link_model is not None and link_model.has_capacities))
+        self._capacity_constrained = (
+            not self.config.ideal_links and link_model is not None
+            and link_model.has_capacities)
         per_link = network.heterogeneous_links and not self.config.ideal_links
         self.epr = EPRProcess(network, p_success=self.config.p_epr,
                               retry_latency=self.config.retry_latency,
@@ -401,11 +386,11 @@ class ExecutionEngine:
         # it has capacity slots (a fused chain whose routed hops revisit a
         # link), the excess generations serialise into batches, stretching
         # the preparation window accordingly.  Each link batches against its
-        # *own* capacity (link-model spec, or the uniform fallback).
+        # *own* capacity (its link-model spec).
         capped = []
         if self._capacity_constrained:
             for (a, b), count in links:
-                capacity = self._effective_capacity(a, b)
+                capacity = self.network.link_capacity(a, b)
                 if capacity is not None:
                     capped.append((self._link_schedule(a, b, capacity),
                                    min(count, capacity), -(-count // capacity)))
@@ -434,20 +419,6 @@ class ExecutionEngine:
                            num_items=profile.num_items,
                            epr_pairs=profile.epr_pairs,
                            queue_wait=prep_start - max(0.0, ready - prep))
-
-    def _effective_capacity(self, node_a: int, node_b: int) -> Optional[int]:
-        """Concurrent-generation bound of one link for this run.
-
-        The link model's own capacity wins; links it leaves unbounded fall
-        back to the uniform ``link_capacity`` knob (the deprecated global
-        flag, mapped onto a default for every link).  ``None`` = unlimited.
-        """
-        if self.config.ideal_links:
-            return None
-        capacity = self.network.link_capacity(node_a, node_b)
-        if capacity is not None:
-            return capacity
-        return self.config.link_capacity
 
     def _find_window(self, nodes: Sequence[int],
                      capped: Sequence[Tuple[SlotSchedule, int, int]],

@@ -241,24 +241,6 @@ class EPRProcess:
             return self.retry_latency
         return self.pair_latency(node_a, node_b)
 
-    def mean_generation_time(self, node_a: int, node_b: int) -> float:
-        """Expected preparation time: success cost plus expected retries."""
-        p = self.p_success
-        return (self.pair_latency(node_a, node_b)
-                + self.attempt_latency(node_a, node_b) * (1.0 - p) / p)
-
-    def expected_prep(self, nodes: Sequence[int]) -> float:
-        """The deterministic preparation the analytical scheduler charges.
-
-        A communication spanning several nodes (a fused TP chain) is charged
-        its slowest pair, mirroring the scheduler's accounting.
-        """
-        nodes = list(nodes)
-        if len(nodes) < 2:
-            return self.network.latency.t_epr
-        return max(self.pair_latency(a, b)
-                   for i, a in enumerate(nodes) for b in nodes[i + 1:])
-
     # --------------------------------------------------------------- sampling
 
     def sample_pair(self, rng: random.Random, node_a: int,
@@ -326,19 +308,6 @@ class EPRProcess:
                     f"EPR generation exceeded {self.max_attempts} attempts "
                     f"(p_success={p_success})")
         return attempts
-
-    def sample(self, rng: random.Random, nodes: Sequence[int]) -> EPRSample:
-        """Sample the preparation for a communication spanning ``nodes``.
-
-        All pairs generate concurrently, so the communication waits for the
-        slowest pair; with ``p_success = 1`` this equals
-        :meth:`expected_prep` exactly.
-        """
-        nodes = list(nodes)
-        if len(nodes) < 2:
-            return EPRSample(attempts=1, duration=self.network.latency.t_epr)
-        return self.sample_pairs(rng, [(a, b) for i, a in enumerate(nodes)
-                                       for b in nodes[i + 1:]])
 
     def sample_pairs(self, rng: random.Random,
                      pairs: Sequence[Tuple[int, int]]) -> EPRSample:

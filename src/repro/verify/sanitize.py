@@ -10,7 +10,7 @@ capacity admits, or execute an item before its dependencies retired.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .checks import _error, _peak_concurrency
 from .diagnostics import Diagnostic
@@ -150,7 +150,7 @@ class TraceLinkCapacityCheck(CheckPass):
             if not profile.prep_pairs:
                 continue
             for link, count in profile.links:
-                capacity = self._capacity(ctx, link)
+                capacity = network.link_capacity(*link)
                 if capacity is None:
                     continue
                 # The engine books min(count, capacity) concurrent slots
@@ -158,7 +158,7 @@ class TraceLinkCapacityCheck(CheckPass):
                 per_link.setdefault(link, []).append(
                     (op.prep_start, op.start, min(count, capacity)))
         for link, intervals in sorted(per_link.items()):
-            capacity = self._capacity(ctx, link)
+            capacity = network.link_capacity(*link)
             if capacity is None:
                 continue
             peak, when = _peak_concurrency(intervals)
@@ -168,10 +168,3 @@ class TraceLinkCapacityCheck(CheckPass):
                              f"t={when} on a capacity-{capacity} link",
                     link=link))
         return diags
-
-    @staticmethod
-    def _capacity(ctx: TraceContext, link: Tuple[int, int]) -> Optional[int]:
-        capacity = ctx.network.link_capacity(*link)
-        if capacity is not None:
-            return capacity
-        return getattr(ctx.config, "link_capacity", None)

@@ -6,8 +6,6 @@ from repro.circuits import qft_circuit
 from repro.comm import CommBlock, CommScheme
 from repro.core import (
     FusedTPChain,
-    ScheduledOp,
-    ScheduleResult,
     aggregate_communications,
     assign_communications,
     fuse_tp_chains,
@@ -302,39 +300,6 @@ class TestStrategies:
                                         strategy="greedy")
         assert burst.mode in ("burst", "plain")
         assert plain.mode == "plain"
-
-    def test_parallelism_profile_shape(self):
-        network = uniform_network(2, 4)
-        circuit = decompose_to_cx(qft_circuit(8))
-        schedule = schedule_communications(compile_assignment(circuit, mapping_for(8, 2)),
-                                           network)
-        profile = schedule.parallelism_profile(resolution=50)
-        assert len(profile) == 51
-        assert max(profile) >= 1
-
-    def test_parallelism_profile_covers_horizon_and_instant_ops(self):
-        """Regression: the final sample and zero-duration ops must count.
-
-        The old bucketing sampled ``t < latency`` only, so the op finishing
-        the schedule never appeared at the horizon, and ops with
-        ``start == end`` (instantaneous in the cost model) were invisible
-        at every sample.
-        """
-        ops = [ScheduledOp(index=0, kind="comm", start=0.0, end=10.0,
-                           nodes=(0, 1)),
-               ScheduledOp(index=1, kind="comm", start=5.0, end=5.0,
-                           nodes=(0,)),
-               ScheduledOp(index=2, kind="comm", start=10.0, end=10.0,
-                           nodes=(1,))]
-        schedule = ScheduleResult(ops=ops, latency=10.0, resources=None,
-                                  num_comm_ops=3, num_fused_chains=0)
-        profile = schedule.parallelism_profile(resolution=10)
-        assert len(profile) == 11
-        # Sample at t=5.0 sees the long op plus the instantaneous one.
-        assert profile[5] == 2
-        # The horizon sample still sees the op that ends the schedule,
-        # plus the instantaneous op sitting exactly at the horizon.
-        assert profile[10] == 2
 
 
 class TestFusedChainItinerary:

@@ -94,18 +94,6 @@ class TestUniformLinkModelEquivalence:
         assert explicit.latencies == plain.latencies
         assert explicit.epr_attempts == plain.epr_attempts
 
-    def test_uniform_capacity_model_matches_global_flag(self):
-        """--link-capacity's uniform-LinkModel mapping changes nothing."""
-        config_flag = SimulationConfig(p_epr=0.7, seed=9, trials=3,
-                                       link_capacity=1, record_trace=False)
-        flag = run_monte_carlo(_compiled("line"), config_flag)
-        model = LinkModel.uniform_model(DEFAULT_LATENCY.t_epr, capacity=1)
-        config_model = SimulationConfig(p_epr=0.7, seed=9, trials=3,
-                                        record_trace=False)
-        modelled = run_monte_carlo(_compiled("line", model), config_model)
-        assert modelled.latencies == flag.latencies
-        assert modelled.epr_attempts == flag.epr_attempts
-
 
 class TestHeterogeneousReplayExactness:
     @pytest.mark.parametrize("kind", SUPPORTED_TOPOLOGIES)
@@ -168,12 +156,6 @@ class TestPerLinkStochastics:
         assert (sum(noisy.latencies) / len(noisy.latencies)
                 > sum(clean.latencies) / len(clean.latencies))
         assert sum(noisy.epr_attempts) > sum(clean.epr_attempts)
-
-    def test_capacity_conflict_rejected(self):
-        model = LinkModel.uniform_model(12.0, capacity=2)
-        program = _compiled("line", model)
-        with pytest.raises(ValueError, match="ambiguous link capacities"):
-            simulate_program(program, SimulationConfig(link_capacity=1))
 
     def test_per_link_capacity_serialises_generations(self):
         """A capacity-1 link stretches ops that revisit it; unlimited

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ir import Circuit, Gate, commutes, commutes_through, commutes_with_all
+from repro.ir import Circuit, Gate, commutes
 from repro.ir.commutation import (_matrix_commutes, clear_commutation_cache,
                                   commutation_cache_stats)
 from repro.ir.commutation_reference import commutes_reference
@@ -160,17 +160,6 @@ class TestTwoQubitRules:
 
 
 class TestHelpers:
-    def test_commutes_with_all(self):
-        gate = Gate("rz", (0,), (0.4,))
-        others = [Gate("cx", (0, 1)), Gate("t", (0,)), Gate("h", (2,))]
-        assert commutes_with_all(gate, others)
-        assert not commutes_with_all(Gate("h", (0,)), others)
-
-    def test_commutes_through_sequence(self):
-        sequence = [Gate("cx", (0, 1)), Gate("cx", (0, 2))]
-        assert commutes_through(Gate("t", (0,)), sequence)
-        assert not commutes_through(Gate("x", (0,)), sequence)
-
     def test_cache_can_be_cleared(self):
         assert commutes(Gate("cy", (0, 1)), Gate("ch", (0, 1))) is matrix_says(
             Gate("cy", (0, 1)), Gate("ch", (0, 1)))

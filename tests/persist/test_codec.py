@@ -115,17 +115,6 @@ class TestProgramCodec:
         assert (loaded.schedule.boundary_bubble
                 == program.schedule.boundary_bubble)
 
-    def test_overlapped_plan_round_trip(self):
-        from repro.persist.codec import plan_from_payload, plan_to_payload
-        from repro.sim.engine import plan_for_program
-        program = _compiled(remap="bursts+overlap")
-        plan = plan_for_program(program)
-        assert plan.overlap and plan.item_phases is not None
-        loaded = plan_from_payload(plan_to_payload(plan), program.network)
-        assert loaded.overlap == plan.overlap
-        assert loaded.item_phases == plan.item_phases
-        assert loaded.preds == plan.preds
-
     def test_schema_version_enforced(self):
         payload = program_to_payload(_compiled(num_qubits=6, nodes=2))
         payload["schema"] = SCHEMA_VERSION + 1

@@ -1,5 +1,5 @@
-"""Property-based tests for the extension modules (transpile, topology,
-collective) and for the paper's Section 3.2 claims."""
+"""Property-based tests for network topologies and for the paper's
+Section 3.2 claims."""
 
 
 import networkx as nx
@@ -7,39 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import qft_inverse_burst_bound
-from repro.circuits import random_circuit
-from repro.core import aggregate_communications, assign_communications, form_collectives
-from repro.core.collective import CollectiveBlock
-from repro.comm import CommBlock
 from repro.hardware import apply_topology, hop_counts, topology_graph, uniform_network
-from repro.ir import optimize_circuit
-from repro.ir.simulator import (
-    random_statevector,
-    simulate,
-    states_equal_up_to_global_phase,
-)
-from repro.partition import QubitMapping
-
-
-class TestTranspileProperties:
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(5, 60))
-    def test_optimize_preserves_semantics_and_never_grows(self, seed, num_gates):
-        circuit = random_circuit(4, num_gates, seed=seed)
-        optimized = optimize_circuit(circuit)
-        assert len(optimized) <= len(circuit)
-        state = random_statevector(4, seed=seed % 97)
-        assert states_equal_up_to_global_phase(
-            simulate(circuit, initial_state=state),
-            simulate(optimized, initial_state=state))
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_optimize_is_idempotent(self, seed):
-        circuit = random_circuit(4, 40, seed=seed)
-        once = optimize_circuit(circuit)
-        twice = optimize_circuit(once)
-        assert len(twice) == len(once)
 
 
 class TestTopologyProperties:
@@ -62,42 +30,6 @@ class TestTopologyProperties:
             assert network.epr_latency(a, b) == pytest.approx(
                 base * (1 + overhead * (count - 1)))
             assert network.epr_latency(a, b) >= base
-
-
-class TestCollectiveProperties:
-    NUM_QUBITS = 6
-    MAPPING = QubitMapping({q: q // 2 for q in range(NUM_QUBITS)})
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(5, 25))
-    def test_collectivisation_conserves_blocks_and_comms(self, seed, num_gates):
-        circuit = random_circuit(self.NUM_QUBITS, num_gates, seed=seed,
-                                 two_qubit_prob=0.7)
-        assignment = assign_communications(
-            aggregate_communications(circuit, self.MAPPING))
-        items = form_collectives(assignment)
-        blocks_seen = 0
-        comms_seen = 0
-        for item in items:
-            if isinstance(item, CollectiveBlock):
-                blocks_seen += len(item)
-                comms_seen += item.comm_count(self.MAPPING)
-            elif isinstance(item, CommBlock):
-                blocks_seen += 1
-                comms_seen += item.epr_cost(self.MAPPING)
-        assert blocks_seen == len(assignment.blocks)
-        assert comms_seen == assignment.cost.total_comm
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_collectives_span_exactly_one_link(self, seed):
-        circuit = random_circuit(self.NUM_QUBITS, 20, seed=seed, two_qubit_prob=0.7)
-        assignment = assign_communications(
-            aggregate_communications(circuit, self.MAPPING))
-        for item in form_collectives(assignment):
-            if isinstance(item, CollectiveBlock):
-                for block in item.blocks:
-                    assert tuple(sorted(block.nodes)) == item.nodes
 
 
 class TestSection32Claims:

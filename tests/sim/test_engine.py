@@ -7,7 +7,8 @@ import pytest
 from repro import AutoCommConfig, compile_autocomm
 from repro.circuits import qft_circuit
 from repro.circuits.suite import BenchmarkSpec
-from repro.hardware import DEFAULT_LATENCY, LatencyModel, uniform_network
+from repro.hardware import (DEFAULT_LATENCY, LatencyModel, LinkModel,
+                            uniform_network)
 from repro.hardware.topology import apply_topology
 from repro.ir import Circuit, decompose_to_cx
 from repro.partition import QubitMapping
@@ -143,13 +144,13 @@ class TestStochasticExecution:
 
 class TestLinkContention:
     def test_capacity_one_serialises_parallel_preps(self):
-        network = uniform_network(2, 4)
         circuit = Circuit(8).cx(0, 4).cx(1, 5)
         mapping = QubitMapping({q: q // 4 for q in range(8)})
-        program = compile_autocomm(circuit, network, mapping=mapping)
-        base = simulate_program(program)
-        capped = simulate_program(program,
-                                  SimulationConfig(link_capacity=1))
+        base = simulate_program(compile_autocomm(
+            circuit, uniform_network(2, 4), mapping=mapping))
+        capped = simulate_program(compile_autocomm(
+            circuit, _capped(uniform_network(2, 4), "all-to-all", 1),
+            mapping=mapping))
         assert capped.latency > base.latency
         preps = sorted((op.prep_start, op.start) for op in capped.comm_ops())
         # Second prep may only begin once the first has finished.
@@ -187,15 +188,23 @@ class TestLinkContention:
         # concurrent slots of one link), plain all-to-all programs, and a
         # phased remap+overlap program whose migrations share the loop.
         circuit, network = BenchmarkSpec(family, qubits, nodes).build()
-        if topology is not None:
+        if capacity is not None:
+            network = _capped(network, topology, capacity)
+        elif topology is not None:
             network = apply_topology(network, topology)
         config = (AutoCommConfig(remap="bursts", overlap=True) if remap
                   else None)
         program = compile_autocomm(circuit, network, config=config,
                                    cache=False)
         assert [_trial_digest(simulate_program(program, SimulationConfig(
-            p_epr=0.5, seed=seed, link_capacity=capacity,
-            record_trace=False))) for seed in range(3)] == expected
+            p_epr=0.5, seed=seed, record_trace=False)))
+            for seed in range(3)] == expected
+
+
+def _capped(network, topology, capacity):
+    """``network`` on ``topology`` with every link bounded to ``capacity``."""
+    model = LinkModel.uniform_model(network.latency.t_epr, capacity=capacity)
+    return apply_topology(network, topology, link_model=model)
 
 
 def _trial_digest(result):
@@ -316,11 +325,11 @@ class TestChainLinkBooking:
         from repro.hardware import apply_topology
         from repro.sim.engine import ExecutionEngine
 
-        network = apply_topology(uniform_network(4, 2), "line")
         plan = self._chain_plan([1, 3, 2])
-        free = ExecutionEngine(plan, network).run()
-        capped = ExecutionEngine(plan, network,
-                                 SimulationConfig(link_capacity=1)).run()
+        free = ExecutionEngine(
+            plan, apply_topology(uniform_network(4, 2), "line")).run()
+        capped = ExecutionEngine(
+            plan, _capped(uniform_network(4, 2), "line", 1)).run()
         # Links (0, 1) and (1, 2) each host two concurrent generations;
         # with capacity 1 they serialise into two batches.
         assert capped.latency > free.latency

@@ -4,8 +4,13 @@ import random
 
 import pytest
 
+from repro.core.scheduling import prep_latency_for_pairs
 from repro.hardware import DEFAULT_LATENCY, apply_topology, uniform_network
 from repro.sim import EPRProcess, EPRSample
+
+
+#: Every pair of nodes 0-2, which a three-node communication generates.
+ALL_PAIRS = [(0, 1), (0, 2), (1, 2)]
 
 
 @pytest.fixture
@@ -37,14 +42,14 @@ class TestDeterministicMode:
         process = EPRProcess(network, p_success=1.0)
         rng = random.Random(123)
         before = rng.getstate()
-        process.sample(rng, (0, 1, 2))
+        process.sample_pairs(rng, ALL_PAIRS)
         assert rng.getstate() == before
 
-    def test_sample_equals_expected_prep_at_p_one(self, network):
+    def test_sample_pairs_equals_analytical_prep_at_p_one(self, network):
         process = EPRProcess(network, p_success=1.0)
-        for nodes in [(0, 1), (0, 2), (0, 1, 2)]:
-            sample = process.sample(random.Random(1), nodes)
-            assert sample.duration == process.expected_prep(nodes)
+        for pairs in [[(0, 1)], [(0, 2)], ALL_PAIRS]:
+            sample = process.sample_pairs(random.Random(1), pairs)
+            assert sample.duration == prep_latency_for_pairs(network, pairs)
 
     def test_topology_overrides_respected(self):
         network = apply_topology(uniform_network(4, 2), "line",
@@ -52,8 +57,9 @@ class TestDeterministicMode:
         process = EPRProcess(network, p_success=1.0)
         assert process.pair_latency(0, 3) == pytest.approx(
             3 * DEFAULT_LATENCY.t_epr)
-        assert process.expected_prep((0, 1, 3)) == pytest.approx(
-            3 * DEFAULT_LATENCY.t_epr)
+        sample = process.sample_pairs(random.Random(0),
+                                      [(0, 1), (0, 3), (1, 3)])
+        assert sample.duration == pytest.approx(3 * DEFAULT_LATENCY.t_epr)
 
 
 class TestStochasticMode:
@@ -86,15 +92,10 @@ class TestStochasticMode:
         # Geometric with p=0.5 has mean 2; allow generous sampling slack.
         assert sum(samples) / len(samples) == pytest.approx(2.0, rel=0.1)
 
-    def test_mean_generation_time_formula(self, network):
-        process = EPRProcess(network, p_success=0.25, retry_latency=4.0)
-        expected = DEFAULT_LATENCY.t_epr + 4.0 * 0.75 / 0.25
-        assert process.mean_generation_time(0, 1) == pytest.approx(expected)
-
     def test_multi_node_sample_takes_slowest_pair(self, network):
         process = EPRProcess(network, p_success=0.5)
         rng = random.Random(3)
-        sample = process.sample(rng, (0, 1, 2))
+        sample = process.sample_pairs(rng, ALL_PAIRS)
         # Three pairs generate concurrently; at least one attempt each.
         assert sample.attempts >= 3
         assert sample.duration >= DEFAULT_LATENCY.t_epr

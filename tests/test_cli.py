@@ -670,6 +670,33 @@ class TestProfileStageRows:
         assert {child["name"] for child in stages["children"]} \
             >= {"aggregation", "assignment", "scheduling"}
 
+    def test_profile_ignores_the_compile_cache(self, qasm_file, tmp_path,
+                                               monkeypatch, capsys):
+        """Every profiled compile is cold, even with REPRO_CACHE_DIR set."""
+        import json
+
+        from repro.persist import CACHE_DIR_ENV
+
+        def names(span):
+            yield span["name"]
+            for child in span["children"]:
+                yield from names(child)
+
+        cache_dir = tmp_path / "cache"
+        monkeypatch.setenv(CACHE_DIR_ENV, str(cache_dir))
+        target = tmp_path / "bench.json"
+        assert main(["profile", str(qasm_file), "--nodes", "2",
+                     "--repeat", "2", "--json", str(target)]) == 0
+        stages = json.loads(target.read_text())["stages"]
+        assert "cache-lookup" not in set(names(stages))
+        assert not cache_dir.exists() or not any(cache_dir.iterdir())
+
+    @pytest.mark.parametrize("flag", [["--cache-dir", "c"], ["--no-cache"]])
+    def test_profile_has_no_cache_flags(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["profile", "p.qasm", "--nodes", "2",
+                                       *flag])
+
 
 class TestIdealLinksFlag:
     @pytest.fixture

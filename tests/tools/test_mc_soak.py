@@ -68,17 +68,11 @@ def test_phased_and_capped_programs_soaked():
     assert "QFT-30@4 line cap 1" in names
 
 
-def test_capped_trials_pass_the_capacity(program, monkeypatch):
-    seen = []
-    real = mc_soak.run_monte_carlo
-
-    def spy(program, config):
-        seen.append(config.link_capacity)
-        return real(program, config)
-
-    monkeypatch.setattr(mc_soak, "run_monte_carlo", spy)
-    assert mc_soak.soak(program, trials=2, seed=3, link_capacity=1) == []
-    assert seen == [1, 1]
+def test_capped_program_carries_the_capacity():
+    spec = mc_soak.SoakProgram("QFT", 12, 4, "line", link_capacity=1)
+    program = spec.compile()
+    assert program.network.link_capacity(0, 1) == 1
+    assert mc_soak.soak(program, trials=2, seed=3) == []
 
 
 def test_main_exit_status(monkeypatch, capsys):

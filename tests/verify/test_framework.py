@@ -6,7 +6,8 @@ import pytest
 
 from repro.circuits import qft_circuit
 from repro.core import AutoCommConfig, compile_autocomm
-from repro.hardware import apply_topology, uniform_network
+from repro.hardware import (DEFAULT_LATENCY, LinkModel, apply_topology,
+                            uniform_network)
 from repro.sim import SimulationConfig, simulate_program
 from repro.verify import (CheckPass, Diagnostic, Location, Severity,
                           VerificationReport, program_passes, register_pass,
@@ -23,11 +24,12 @@ EXPECTED_TRACE_PASSES = [
 ]
 
 
-def _compiled(topology="all-to-all", remap="never", num_qubits=10, nodes=3):
+def _compiled(topology="all-to-all", remap="never", num_qubits=10, nodes=3,
+              link_model=None):
     circuit = qft_circuit(num_qubits)
     network = uniform_network(nodes, -(-num_qubits // nodes))
     if topology != "all-to-all":
-        apply_topology(network, topology)
+        apply_topology(network, topology, link_model=link_model)
     config = (AutoCommConfig(remap="bursts", phase_blocks=4)
               if remap == "bursts" else None)
     return compile_autocomm(circuit, network, config=config)
@@ -142,8 +144,9 @@ class TestCleanPrograms:
         assert report.clean, report.render()
 
     def test_capacity_limited_simulation_sanitizes_clean(self):
-        program = _compiled(topology="line")
-        config = SimulationConfig(link_capacity=1)
+        model = LinkModel.uniform_model(DEFAULT_LATENCY.t_epr, capacity=1)
+        program = _compiled(topology="line", link_model=model)
+        config = SimulationConfig()
         result = simulate_program(program, config)
         report = sanitize_simulation(program, result, config)
         assert report.clean, report.render()

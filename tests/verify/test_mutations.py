@@ -16,7 +16,8 @@ import pytest
 from repro.circuits import qft_circuit
 from repro.core import AutoCommConfig, compile_autocomm
 from repro.core.scheduling import MigrationOp
-from repro.hardware import LinkModel, apply_topology, uniform_network
+from repro.hardware import (DEFAULT_LATENCY, LinkModel, apply_topology,
+                            uniform_network)
 from repro.hardware.routing import EPRRoute
 from repro.sim import SimulationConfig, simulate_program
 from repro.sim.engine import plan_for_program
@@ -393,9 +394,9 @@ class TestTraceCommQubits:
 
 class TestTraceLinkCapacity:
     def test_capacity_overflow_detected(self):
-        program = _static_program()
-        config = SimulationConfig(link_capacity=1)
-        result = simulate_program(program, config)
+        model = LinkModel.uniform_model(DEFAULT_LATENCY.t_epr, capacity=1)
+        program = _static_program(link_model=model)
+        result, config = _simulated(program)
         plan = plan_for_program(program)
         profiles = plan.op_profiles(program.network)
         by_link = {}

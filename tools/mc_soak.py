@@ -34,7 +34,7 @@ if str(_SRC) not in sys.path:
 
 from repro.circuits.suite import BenchmarkSpec
 from repro.core import AutoCommConfig, compile_autocomm
-from repro.hardware.topology import apply_topology
+from repro.hardware import LinkModel, apply_topology
 from repro.sim import SimulationConfig, run_monte_carlo
 
 
@@ -62,8 +62,12 @@ class SoakProgram(NamedTuple):
     def compile(self):
         circuit, network = BenchmarkSpec(self.family, self.qubits,
                                          self.nodes).build()
-        if self.topology is not None:
-            network = apply_topology(network, self.topology)
+        if self.topology is not None or self.link_capacity is not None:
+            # The capacity is part of the network's (uniform) link model.
+            network = apply_topology(
+                network, self.topology or "all-to-all",
+                link_model=LinkModel.uniform_model(
+                    network.latency.t_epr, capacity=self.link_capacity))
         config = (AutoCommConfig(remap="bursts", overlap=True) if self.remap
                   else None)
         return compile_autocomm(circuit, network, config=config, cache=False)
@@ -79,16 +83,14 @@ PROGRAMS: Tuple[SoakProgram, ...] = (
 P_EPR = 0.5
 
 
-def soak(program, trials: int, seed: int,
-         link_capacity: Optional[int] = None) -> List[str]:
+def soak(program, trials: int, seed: int) -> List[str]:
     """Run ``trials`` seeded trials of one program; return the failures."""
     expected = program.schedule.num_scheduled_items()
     seeds = random.Random(seed)
     failures: List[str] = []
     for _ in range(trials):
         config = SimulationConfig(p_epr=P_EPR, seed=seeds.getrandbits(63),
-                                  trials=1, record_trace=False,
-                                  link_capacity=link_capacity)
+                                  trials=1, record_trace=False)
         try:
             trial = run_monte_carlo(program, config).sample_trial
         except Exception as exc:
@@ -114,7 +116,7 @@ def main(argv: Sequence[str] = ()) -> int:
     for spec in PROGRAMS:
         program = spec.compile()
         start = time.perf_counter()
-        failures = soak(program, args.trials, args.seed, spec.link_capacity)
+        failures = soak(program, args.trials, args.seed)
         elapsed = time.perf_counter() - start
         print(f"{spec.name}: {args.trials} trials, "
               f"{len(failures)} failed, {args.trials / elapsed:.1f} trials/s")
