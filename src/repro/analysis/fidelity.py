@@ -64,17 +64,15 @@ def fidelity_breakdown(program: CompiledProgram,
 
     Inter-phase qubit migrations of a dynamically remapped program each
     consume one EPR pair (a teleport), so they count as communications;
-    local-gate classification follows each phase's own mapping.
+    local-gate classification follows each phase's own mapping (a static
+    program is one phase).
     """
     num_comm = program.metrics.total_comm + program.metrics.migration_moves
     num_2q_local = 0
     num_1q = 0
-    phases = getattr(program, "phases", None)
-    gate_scopes = ([(phase.aggregation.circuit, phase.mapping)
-                    for phase in phases] if phases
-                   else [(program.circuit, program.mapping)])
-    for circuit, mapping in gate_scopes:
-        for gate in circuit:
+    for phase in program.phase_view:
+        mapping = phase.mapping
+        for gate in phase.aggregation.circuit:
             if gate.is_multi_qubit and not mapping.is_remote(gate):
                 num_2q_local += 1
             elif gate.is_single_qubit:

@@ -115,17 +115,13 @@ def _op_symbol(kind: str) -> str:
 def burst_histogram(program: CompiledProgram, max_width: int = 40) -> str:
     """Histogram of burst-block sizes (remote CX gates per block).
 
-    Phase-structured programs classify each phase's blocks under that
-    phase's own mapping (a later-phase block pooled into
-    ``program.blocks`` is only meaningful under the mapping it was
-    aggregated with).
+    Each phase's blocks are classified under that phase's own mapping (a
+    later-phase block pooled into ``program.blocks`` is only meaningful
+    under the mapping it was aggregated with); a static program is one
+    phase.
     """
-    if program.phases is not None:
-        sizes = [block.num_remote_gates(phase.mapping)
-                 for phase in program.phases for block in phase.blocks]
-    else:
-        sizes = [block.num_remote_gates(program.mapping)
-                 for block in program.blocks]
+    sizes = [block.num_remote_gates(phase.mapping)
+             for phase in program.phase_view for block in phase.blocks]
     if not sizes:
         return "(no burst blocks)"
     counts: Dict[int, int] = {}

@@ -20,7 +20,9 @@ explicit as :class:`~repro.core.scheduling.MigrationOp` teleports between
 the phases, scheduled and simulated like any other communication.  Both
 modes run one compile path: a static compile (the default ``remap =
 "never"``) is its one-phase case, the base aggregation under the initial
-mapping with no migrations.
+mapping with no migrations.  Past the compiler a static program stays the
+one-phase case: :attr:`CompiledProgram.phase_view` is the one phase list
+that scheduling, replay, verification and analysis read.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..comm.blocks import CommBlock
 from ..hardware.network import QuantumNetwork
@@ -40,9 +42,9 @@ from ..partition.oee import oee_partition, oee_repartition
 from .aggregation import (AggregationResult, ScheduleItem,
                           aggregate_communications)
 from .assignment import AssignmentResult, assign_communications
-from .metrics import (CompilationMetrics, burst_distribution,
-                      communication_loads, distribution_from_loads)
-from .scheduling import (MigrationOp, ScheduleResult, schedule_communications,
+from .metrics import (CompilationMetrics, communication_loads,
+                      distribution_from_loads)
+from .scheduling import (MigrationOp, ScheduleResult,
                          schedule_phased_communications)
 
 __all__ = ["AutoCommConfig", "CompiledPhase", "CompiledProgram",
@@ -129,18 +131,30 @@ class CompiledProgram:
     #: equivalence comparison.
     spans: Optional[Span] = None
 
+    @property
+    def phase_view(self) -> Tuple[CompiledPhase, ...]:
+        """The stored ``phases``, or a static program's one phase built from
+        its own objects (so the plan memo keyed on them is hit); read-only.
+        :class:`ValueError` when a static program lacks its passes."""
+        if self.phases:
+            return tuple(self.phases)
+        if self.aggregation is None or self.assignment is None:
+            raise ValueError(
+                f"program {self.name!r} carries no assignment result; "
+                "compile it with a pipeline that keeps intermediate passes")
+        return (CompiledPhase(0, self.mapping, self.aggregation,
+                              self.assignment),)
+
     def burst_distribution(self, max_x: Optional[int] = None) -> Dict[int, float]:
         """Figure 15 distribution for this compiled program.
 
-        Phase-structured programs pool per-phase communication loads, each
-        classified under its own phase mapping.
+        Communication loads are pooled over the phases, each classified
+        under its own phase mapping.
         """
-        if self.phases is not None:
-            loads: List[float] = []
-            for phase in self.phases:
-                loads.extend(communication_loads(phase.blocks, phase.mapping))
-            return distribution_from_loads(loads, max_x=max_x)
-        return burst_distribution(self.blocks, self.mapping, max_x=max_x)
+        loads: List[float] = []
+        for phase in self.phase_view:
+            loads.extend(communication_loads(phase.blocks, phase.mapping))
+        return distribution_from_loads(loads, max_x=max_x)
 
     def summary(self) -> Dict[str, object]:
         data = self.metrics.as_dict()
@@ -243,18 +257,13 @@ class AutoCommCompiler:
         base = aggregate_communications(
             working, mapping, use_commutation=self.config.use_commutation)
         phases, migrations = self._phases(working, network, mapping, base)
-        static = self.config.remap == "never"
-        if static:
-            schedule = schedule_communications(
-                phases[0].assignment, network,
-                strategy=self.config.schedule_strategy)
-        else:
-            schedule = schedule_phased_communications(
-                phases, migrations, network,
-                strategy=self.config.schedule_strategy,
-                overlap=self.config.overlap)
+        schedule = schedule_phased_communications(
+            phases, migrations, network,
+            strategy=self.config.schedule_strategy,
+            overlap=self.config.overlap)
 
-        moves = [move for boundary in migrations for move in boundary]
+        static = migrations is None
+        moves = [move for boundary in migrations or () for move in boundary]
         # Static programs have always reported the float 0.0 and a phased
         # compile without moves the int 0; both are kept byte-identical.
         migration_latency = sum(
@@ -296,7 +305,7 @@ class AutoCommCompiler:
             schedule=schedule,
             remap=self.config.remap,
             phases=None if static else phases,
-            migrations=None if static else migrations,
+            migrations=migrations,
         )
 
     def _phases(self, working: Circuit, network: QuantumNetwork,
@@ -304,14 +313,15 @@ class AutoCommCompiler:
         """``(phases, migrations)``: one migration list per phase boundary.
 
         Under ``remap = "never"`` the only phase is the base aggregation
-        under the initial mapping.  Otherwise the base items are segmented
-        at burst-phase boundaries and each later phase is repartitioned
-        and, when remapped, re-aggregated under its new mapping.
+        under the initial mapping, with no boundary list (``None``).
+        Otherwise the base items are segmented at burst-phase boundaries
+        and each later phase is repartitioned and, when remapped,
+        re-aggregated under its new mapping.
         """
         assign = partial(assign_communications, cat_only=self.config.cat_only,
                          network=network)
         if self.config.remap == "never":
-            return [CompiledPhase(0, mapping, base, assign(base))], []
+            return [CompiledPhase(0, mapping, base, assign(base))], None
         with stage("segment") as span:
             if self.config.phase_sizing == "auto":
                 segments, decisions = _segment_items_auto(

@@ -20,12 +20,16 @@ strict program order between blocks and performs no fusion.
 
 :func:`plan_phased_schedule` is the one plan builder: per-phase TP fusion,
 per-phase dependency graphs, then a barrier or an overlap stitch across the
-phase boundaries.  A static program is its one-phase case
-(:func:`plan_schedule`: the assignment's own mapping, no migrations, the
-barrier stitch), so every plan carries per-item mappings and phases.
-:func:`run_plan` is the one event loop over a :class:`SchedulePlan`; the
-analytical scheduler and the execution engine in :mod:`repro.sim` drive it
-with their own placement steps over per-item facts computed once per plan
+phase boundaries.  :func:`schedule_phased_communications` is the one
+scheduler: it prices every plan of one named, preference-ordered candidate
+pool (burst or plain, overlapped or barrier boundaries) and keeps the
+earliest-finishing one.  A static program is the one-phase case of both
+(:func:`plan_schedule` and :func:`schedule_communications`: the
+assignment's own mapping, no boundary list, the barrier plans), so every
+plan carries per-item mappings and phases.  :func:`run_plan` is the one
+event loop over a :class:`SchedulePlan`; the analytical scheduler and the
+execution engine in :mod:`repro.sim` drive it with their own placement
+steps over per-item facts computed once per plan
 (:meth:`SchedulePlan.op_profiles`).
 """
 
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+from typing import (Any, Callable, Dict, List, Optional, Sequence,
                     Set, Tuple, Union)
 
 from ..comm.blocks import CommBlock, CommScheme
@@ -73,13 +77,6 @@ class MigrationOp:
     @property
     def nodes(self) -> Tuple[int, int]:
         return (self.source, self.target)
-
-    @property
-    def touched_set(self) -> frozenset:
-        return frozenset((self.qubit,))
-
-    def num_remote_gates(self, mapping: QubitMapping) -> int:
-        return 0
 
 
 @dataclass
@@ -206,8 +203,9 @@ class ScheduleResult:
 # ---------------------------------------------------------------------------
 
 def _touched_set(item: SchedulableItem) -> frozenset:
-    """Cached qubit set of a schedulable item (no per-call allocation)."""
-    if isinstance(item, (CommBlock, FusedTPChain, MigrationOp)):
+    """Cached qubit set of a block, fused chain or gate (migrations join a
+    plan only in the phase stitches, after the dependency graphs)."""
+    if isinstance(item, (CommBlock, FusedTPChain)):
         return item.touched_set
     return item.qubit_set
 
@@ -606,25 +604,27 @@ class OpProfile:
 def plan_schedule(assignment: AssignmentResult, burst: bool) -> SchedulePlan:
     """Build the schedulable units and dependency graph for one program.
 
-    The one-phase case of :func:`plan_phased_schedule`: the assignment's
-    own mapping, no migrations, the barrier stitch.  Burst plans fuse TP
+    The static case of :func:`plan_phased_schedule`: one phase under the
+    assignment's own mapping and no boundary list.  Burst plans fuse TP
     chains and build commutation-aware dependencies; plain plans keep
     strict program order.  The plan is memoised on the assignment (see
     :func:`plan_phased_schedule`), so the burst-greedy scheduler, the plain
     fallback and the execution simulator all share the same two plans.
     """
-    return _memoised_plan(((assignment.mapping, assignment),), (), burst,
-                          overlap=False, phased=False)
+    return _memoised_plan(((assignment.mapping, assignment),), None, burst,
+                          overlap=False)
 
 
 def plan_phased_schedule(phases: Sequence,
-                         migrations: Sequence[Sequence[MigrationOp]],
+                         migrations: Optional[Sequence[Sequence[MigrationOp]]],
                          burst: bool, overlap: bool = False) -> SchedulePlan:
     """Build one combined plan over a phase-structured program.
 
     ``phases`` are the pipeline's ``CompiledPhase`` objects (anything with
     ``mapping`` and ``assignment`` works); ``migrations`` holds one list of
-    :class:`MigrationOp` per phase boundary (``len(phases) - 1`` entries).
+    :class:`MigrationOp` per phase boundary (``len(phases) - 1`` entries),
+    or is ``None`` for a static program, whose one phase has no boundary
+    list (as in ``CompiledProgram.migrations``).
 
     Construction fuses TP chains per phase (burst only), builds each
     phase's dependency graph under its own mapping (commutation-aware under
@@ -645,32 +645,35 @@ def plan_phased_schedule(phases: Sequence,
     call with a different phase or migration list (sharing the same first
     assignment) rebuilds instead of returning a stale plan.
     """
-    if len(migrations) != max(0, len(phases) - 1):
-        raise ValueError("need exactly one migration list per phase boundary")
-    segments = tuple((phase.mapping, phase.assignment) for phase in phases)
-    return _memoised_plan(segments, migrations, burst, overlap, phased=True)
+    return _memoised_plan(tuple((p.mapping, p.assignment) for p in phases),
+                          migrations, burst, overlap)
 
 
 def _memoised_plan(segments: Tuple[Tuple[QubitMapping, AssignmentResult], ...],
-                   migrations: Sequence[Sequence[MigrationOp]], burst: bool,
-                   overlap: bool, phased: bool) -> SchedulePlan:
-    """The memo shared by both entry points, then :func:`_build_plan`.
+                   migrations: Optional[Sequence[Sequence[MigrationOp]]],
+                   burst: bool, overlap: bool) -> SchedulePlan:
+    """The memo shared by every entry point, then :func:`_build_plan`.
 
-    ``phased`` only picks the span: ``plan-phased-*`` for phase-structured
-    programs, ``plan-burst``/``plan-plain`` for static ones.
+    ``migrations`` is ``None`` for a static program; that only picks the
+    span: ``plan-burst``/``plan-plain`` for static programs,
+    ``plan-phased-*`` for phase-structured ones.
     """
+    moves = tuple(tuple(boundary) for boundary in migrations or ())
+    if len(moves) != max(0, len(segments) - 1):
+        raise ValueError("need exactly one migration list per phase boundary")
     anchor = segments[0][1]
     cache = getattr(anchor, "_plan_cache", None)
     if cache is None:
         cache = anchor._plan_cache = {}
-    source = (segments, tuple(tuple(moves) for moves in migrations))
+    source = (segments, moves)
     entry = cache.get((burst, overlap))
     if entry is not None and _same_source(entry[0], source):
         return entry[1]
 
     mode = "burst" if burst else "plain"
+    phased = migrations is not None
     with stage(f"plan-phased-{mode}" if phased else f"plan-{mode}") as span:
-        plan, oracle = _build_plan(segments, migrations, burst, overlap)
+        plan, oracle = _build_plan(segments, moves, burst, overlap)
         if span.enabled:
             span.set("items", len(plan.items))
             span.set("fused_chains", plan.num_fused_chains)
@@ -879,13 +882,18 @@ def run_plan(plan: SchedulePlan, place: Callable[[int, float], Any]
     return placed
 
 
-def _burst_modes(strategy: str) -> Tuple[bool, ...]:
-    """Burst flags of a strategy's candidate plans, in preference order."""
-    if strategy == "burst-greedy":
-        return (True, False)
-    if strategy == "greedy":
-        return (False,)
-    raise ValueError(f"unknown scheduling strategy {strategy!r}")
+#: The schedule candidate pool, ``(name, burst, overlap)`` in preference
+#: order: a later candidate wins only with a strictly lower latency, so
+#: each refinement (burst over plain, overlapped over barrier boundaries)
+#: keeps the plan it refines in the pool and is never worse than it.
+#: ``"greedy"`` keeps the plain plans, a compile without ``overlap`` (every
+#: static one) the barrier plans.
+_CANDIDATES = (
+    ("overlap_burst", True, True),
+    ("overlap_plain", False, True),
+    ("burst", True, False),
+    ("plain", False, False),
+)
 
 
 def schedule_communications(assignment: AssignmentResult,
@@ -901,30 +909,54 @@ def schedule_communications(assignment: AssignmentResult,
             ``"greedy"`` for the plain as-soon-as-possible schedule used by
             the baselines and the Figure 17(c) ablation.
 
-    The burst-aware schedule is adaptive: commutation-driven reordering and
-    TP fusion almost always help, but greedy list scheduling under resource
+    The one-phase call of :func:`schedule_phased_communications`: the
+    burst-aware schedule is adaptive — commutation-driven reordering and TP
+    fusion almost always help, but greedy list scheduling under resource
     constraints can exhibit anomalies, so ``"burst-greedy"`` also schedules
     the plain plan and keeps it only when it finishes strictly earlier.
     """
-    bursts = _burst_modes(strategy)
-    return _pick_schedule((plan_schedule(assignment, burst=burst)
-                           for burst in bursts), network)
+    return _pick_schedule(((assignment.mapping, assignment),), None, network,
+                          strategy, overlap=False)
 
 
-def _pick_schedule(plans: Iterable[SchedulePlan],
-                   network: QuantumNetwork) -> ScheduleResult:
-    """Schedule each candidate plan and keep the earliest-finishing one.
+def schedule_phased_communications(
+        phases: Sequence,
+        migrations: Optional[Sequence[Sequence[MigrationOp]]],
+        network: QuantumNetwork, strategy: str = "burst-greedy",
+        overlap: bool = False) -> ScheduleResult:
+    """Schedule a program's phases and migration teleports.
 
-    ``plans`` come in preference order: a later candidate displaces the
-    current winner only with a strictly lower latency, so ties go to the
-    earlier plan.  The winner's ``boundary_bubble`` is filled in (0.0 for
-    single-phase plans).
+    ``phases`` and ``migrations`` are as in :func:`plan_phased_schedule`.
+    Every candidate of :data:`_CANDIDATES` that ``strategy`` and
+    ``overlap`` select is scheduled and the earliest-finishing one wins, so
+    the overlapped schedule is *never worse* than the barrier one.
     """
+    return _pick_schedule(tuple((p.mapping, p.assignment) for p in phases),
+                          migrations, network, strategy, overlap)
+
+
+def _pick_schedule(segments: Tuple[Tuple[QubitMapping, AssignmentResult], ...],
+                   migrations: Optional[Sequence[Sequence[MigrationOp]]],
+                   network: QuantumNetwork, strategy: str,
+                   overlap: bool) -> ScheduleResult:
+    """Schedule each selected candidate plan; keep the earliest-finishing one.
+
+    Candidates come from :data:`_CANDIDATES` in preference order; each sets
+    a ``latency_<name>`` counter on the ``scheduling`` span.  The winner's
+    ``boundary_bubble`` is filled in (0.0 for single-phase plans).
+    """
+    if strategy not in ("burst-greedy", "greedy"):
+        raise ValueError(f"unknown scheduling strategy {strategy!r}")
+    plain_only = strategy == "greedy"
     with stage("scheduling") as span:
         result: Optional[ScheduleResult] = None
         result_plan: Optional[SchedulePlan] = None
-        for plan in plans:
+        for name, burst, overlapped in _CANDIDATES:
+            if (burst and plain_only) or (overlapped and not overlap):
+                continue
+            plan = _memoised_plan(segments, migrations, burst, overlapped)
             candidate = _execute_plan(plan, network)
+            span.set(f"latency_{name}", candidate.latency)
             if result is None or candidate.latency < result.latency:
                 result, result_plan = candidate, plan
         result.boundary_bubble = compute_boundary_bubble(result_plan,
@@ -1028,7 +1060,7 @@ def _reserve_comm(resources: CommResourceTracker, nodes: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# Phase-structured scheduling (dynamic inter-phase remapping)
+# Phase boundaries (dynamic inter-phase remapping)
 # ---------------------------------------------------------------------------
 
 def compute_boundary_bubble(plan: SchedulePlan,
@@ -1063,29 +1095,3 @@ def compute_boundary_bubble(plan: SchedulePlan,
     ordered = sorted(windows)
     return sum(max(0.0, windows[later][0] - windows[earlier][1])
                for earlier, later in zip(ordered, ordered[1:]))
-
-
-def schedule_phased_communications(phases: Sequence,
-                                   migrations: Sequence[Sequence[MigrationOp]],
-                                   network: QuantumNetwork,
-                                   strategy: str = "burst-greedy",
-                                   overlap: bool = False
-                                   ) -> ScheduleResult:
-    """Schedule a phase-structured program (phases + migration teleports).
-
-    The same adaptive strategy as :func:`schedule_communications`: under
-    ``"burst-greedy"`` both the burst-aware and the plain combined plans are
-    scheduled and the earlier-finishing one wins.  With ``overlap`` the
-    candidate set doubles to include the zero-bubble (overlapped-boundary)
-    plans, preferred on ties — greedy list scheduling under resource
-    constraints can exhibit anomalies, so keeping the barrier plans in the
-    pool makes the overlapped schedule *never worse* than the barrier one
-    by construction.
-    """
-    bursts = _burst_modes(strategy)
-    overlaps = (True, False) if overlap else (False,)
-    return _pick_schedule((plan_phased_schedule(phases, migrations,
-                                                burst=burst,
-                                                overlap=overlapped)
-                           for overlapped in overlaps for burst in bursts),
-                          network)

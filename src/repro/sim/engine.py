@@ -12,8 +12,9 @@ uses, and EPR pairs are produced by a (possibly stochastic)
 Two properties anchor the design:
 
 * **Deterministic equivalence** — the engine replays the exact plan
-  (:func:`repro.core.scheduling.plan_phased_schedule`, whose one-phase case
-  is :func:`~repro.core.scheduling.plan_schedule`) the analytical scheduler
+  (:func:`repro.core.scheduling.plan_phased_schedule` over the program's
+  ``phase_view``: a static program is its one-phase case, so one lookup,
+  :func:`plan_for_program`, serves every program) the analytical scheduler
   used through the same event loop (:func:`repro.core.scheduling.run_plan`),
   so placement decisions come in the same ``(ready time, item index)``
   order by construction.  Every plan carries the mapping of each item, so
@@ -42,8 +43,7 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.pipeline import CompiledProgram
-from ..core.scheduling import (SchedulePlan, plan_phased_schedule,
-                               plan_schedule, run_plan)
+from ..core.scheduling import SchedulePlan, plan_phased_schedule, run_plan
 from ..hardware.epr import CommResourceTracker, SlotSchedule
 from ..hardware.network import QuantumNetwork
 from ..obs.metrics import MetricsRegistry
@@ -487,46 +487,22 @@ class ExecutionEngine:
 # Program-level entry points
 # ---------------------------------------------------------------------------
 
-def _require_assignment(program: CompiledProgram):
-    if program.assignment is None:
-        raise ValueError(
-            f"program {program.name!r} carries no assignment result; "
-            "compile it with a pipeline that keeps intermediate passes")
-    return program.assignment
-
-
-def _program_burst(program: CompiledProgram) -> bool:
-    return program.schedule is not None and program.schedule.mode == "burst"
-
-
-def _program_overlap(program: CompiledProgram) -> bool:
-    """Whether the winning analytical schedule used overlapped boundaries."""
-    return (program.schedule is not None
-            and getattr(program.schedule, "overlap", False))
-
-
-def _plan_for(program: CompiledProgram) -> SchedulePlan:
+def plan_for_program(program: CompiledProgram) -> SchedulePlan:
     """The plan the program's analytical schedule was computed from.
 
-    Phase-structured programs replay the combined phased plan (per-phase
-    items plus inter-phase migration teleports); plans are memoised on the
-    underlying assignment, so the engine executes the *same* plan object
-    the analytical scheduler priced — including, since the zero-bubble
-    boundaries change, whether that plan's cross-phase dependencies are
-    barrier edges or overlapped per-qubit edges.
+    One lookup over :attr:`~repro.core.pipeline.CompiledProgram.phase_view`
+    (a static program is its one phase, with no boundary list) and the
+    winning schedule's burst and overlap flags.  Plans are memoised on the
+    underlying assignment, so the engine executes — and the static
+    verifier (:mod:`repro.verify`) analyses — the *same* plan object the
+    analytical scheduler priced, including whether its cross-phase
+    dependencies are barrier edges or overlapped per-qubit edges.
     """
-    if getattr(program, "phases", None):
-        return plan_phased_schedule(program.phases, program.migrations or [],
-                                    burst=_program_burst(program),
-                                    overlap=_program_overlap(program))
-    assignment = _require_assignment(program)
-    return plan_schedule(assignment, burst=_program_burst(program))
-
-
-#: Public name for the plan accessor: the static verifier
-#: (:mod:`repro.verify`) analyses the same plan object the analytical
-#: scheduler priced and the engine replays.
-plan_for_program = _plan_for
+    schedule = program.schedule
+    return plan_phased_schedule(
+        program.phase_view, program.migrations,
+        burst=schedule is not None and schedule.mode == "burst",
+        overlap=schedule is not None and schedule.overlap)
 
 
 def simulate_program(program: CompiledProgram,
@@ -538,7 +514,7 @@ def simulate_program(program: CompiledProgram,
     result reproduces ``program.schedule.latency`` exactly.
     """
     config = config or SimulationConfig()
-    engine = ExecutionEngine(_plan_for(program), program.network,
+    engine = ExecutionEngine(plan_for_program(program), program.network,
                              config=config)
     return engine.run()
 
@@ -615,7 +591,7 @@ def run_monte_carlo(program: CompiledProgram,
     # The plan (items + dependency graph) is identical across trials and its
     # commutation analysis dominates planning cost, so build it once (each
     # worker process receives the finished plan, not the program to re-plan).
-    plan = _plan_for(program)
+    plan = plan_for_program(program)
 
     workers = min(config.workers, config.trials)
     if workers > 1:

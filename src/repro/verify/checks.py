@@ -128,20 +128,14 @@ class ItemCoverageCheck(CheckPass):
         profiles = plan.op_profiles(ctx.network)
 
         # Plan-level coverage of the assignment passes' output.
-        expected: Optional[int] = None
-        if program.phases:
-            expected = sum(len(phase.assignment.items)
-                           for phase in program.phases)
-            expected += sum(len(moves)
-                            for moves in (program.migrations or []))
-        elif program.assignment is not None:
-            expected = len(program.assignment.items)
-        if expected is not None:
-            covered = sum(profile.num_items for profile in profiles)
-            if covered != expected:
-                diags.append(_error(
-                    self.id, f"plan covers {covered} assignment items, "
-                             f"expected {expected}"))
+        expected = sum(len(phase.assignment.items)
+                       for phase in program.phase_view)
+        expected += sum(len(moves) for moves in program.migrations or ())
+        covered = sum(profile.num_items for profile in profiles)
+        if covered != expected:
+            diags.append(_error(
+                self.id, f"plan covers {covered} assignment items, "
+                         f"expected {expected}"))
 
         schedule = program.schedule
         if schedule is None:

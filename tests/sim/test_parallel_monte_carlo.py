@@ -16,7 +16,7 @@ from repro.circuits import qft_circuit
 from repro.core import AutoCommConfig, compile_autocomm
 from repro.hardware import apply_topology, uniform_network
 from repro.sim import SimulationConfig, run_monte_carlo
-from repro.sim.engine import _chunk_seeds, _plan_for
+from repro.sim.engine import _chunk_seeds, plan_for_program
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +119,7 @@ class TestParallelEquality:
 
 class TestPlanPickling:
     def test_schedule_plan_drops_lazy_caches(self, program):
-        plan = _plan_for(program)
+        plan = plan_for_program(program)
         plan.successors()
         plan.op_profiles(program.network)
         assert plan._succs is not None and plan._profiles is not None
