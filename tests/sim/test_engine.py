@@ -157,36 +157,44 @@ class TestLinkContention:
         assert preps[1][0] >= preps[0][1] - 1e-9
 
     @pytest.mark.parametrize("family,qubits,nodes,topology,remap,capacity,"
-                             "expected", [
-        pytest.param("QFT", 30, 4, "line", False, 1, [
+                             "seeds,expected", [
+        pytest.param("QFT", 30, 4, "line", False, 1, range(3), [
             (8342.7, "162807639e6b2989"),
             (7710.600000000002, "1b86d7b0941cbf05"),
             (8077.900000000002, "4785c8badbd6c58a")], id="qft30-line-cap1"),
-        pytest.param("QAOA", 30, 4, "ring", False, 2, [
+        pytest.param("QAOA", 30, 4, "ring", False, 2, range(3), [
             (305.70000000000005, "a073de3140cdab2d"),
             (242.10000000000002, "c06fb2cd81e66186"),
             (290.50000000000006, "a543a54527d88cb7")], id="qaoa30-ring-cap2"),
-        pytest.param("QFT", 30, 4, None, False, None, [
+        pytest.param("QFT", 30, 4, None, False, None, range(3), [
             (3939.8999999999983, "e668b8bde198e48f"),
             (3846.3999999999983, "e089cd5bc215db96"),
             (4017.199999999999, "c8fe8e20f0113601")], id="qft30"),
-        pytest.param("UCCSD", 8, 4, None, False, None, [
+        pytest.param("UCCSD", 8, 4, None, False, None, range(3), [
             (25683.099999999762, "15b0c7208b9ff4cb"),
             (26185.999999999745, "e04ce0c44fd8461e"),
             (26487.099999999737, "915f2df95438262f")], id="uccsd8"),
-        pytest.param("QAOA", 100, 10, "line", True, None, [
+        pytest.param("UCCSD", 8, 4, None, False, None,
+                     [2 ** 32, 2 ** 40 + 12345, 6917529027641081857], [
+            (25478.79999999975, "2e7ef746b557845d"),
+            (25355.499999999705, "f965def08f006da7"),
+            (25586.19999999975, "1dcd034cc4b10ae5")],
+            id="uccsd8-wide-seeds"),
+        pytest.param("QAOA", 100, 10, "line", True, None, range(3), [
             (1196.4999999999995, "0e4ffd64fde7434e"),
             (1155.1999999999996, "5bd6b411732636b9"),
             (982.5999999999997, "139406ed321f3e5c")],
             id="qaoa100-line-remap-overlap"),
     ])
     def test_seeded_trials_pinned(self, family, qubits, nodes, topology,
-                                  remap, capacity, expected):
+                                  remap, capacity, seeds, expected):
         # Pinned per-seed digests (latency, every op's window and EPR
         # counts, every comm-qubit reservation) of seeded trials: the
         # link-capacity window search (capacity 2 on the ring asks for two
         # concurrent slots of one link), plain all-to-all programs, and a
         # phased remap+overlap program whose migrations share the loop.
+        # Monte-Carlo trial seeds are 63-bit, so one case pins seeds that
+        # need more than one 32-bit word of Mersenne-Twister key.
         circuit, network = BenchmarkSpec(family, qubits, nodes).build()
         if capacity is not None:
             network = _capped(network, topology, capacity)
@@ -198,7 +206,7 @@ class TestLinkContention:
                                    cache=False)
         assert [_trial_digest(simulate_program(program, SimulationConfig(
             p_epr=0.5, seed=seed, record_trace=False)))
-            for seed in range(3)] == expected
+            for seed in seeds] == expected
 
 
 def _capped(network, topology, capacity):
