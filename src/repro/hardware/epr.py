@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .network import QuantumNetwork
 
@@ -176,16 +176,22 @@ class CommResourceTracker:
         return self._schedules[node].earliest(duration, not_before, prep)
 
     def earliest_joint(self, nodes: Sequence[int], duration: float,
-                       not_before: float = 0.0,
-                       prep: float = 0.0) -> Tuple[float, Dict[int, int]]:
+                       not_before: float = 0.0, prep: float = 0.0,
+                       links: Sequence[Tuple[SlotSchedule, int]] = ()
+                       ) -> Tuple[float, Dict[int, int]]:
         """Earliest start time when *every* node in ``nodes`` has a free slot.
 
         The window tested is ``[start, (start + prep) + duration)``, the one
-        callers book.  Returns the start time and the chosen slot per node.
-        Uses a simple fixed-point iteration: propose the max of per-node
-        earliest starts, re-check each node at that time, repeat until
-        stable.
+        callers book.  Each ``(schedule, count)`` of ``links`` additionally
+        needs ``count`` of that schedule's slots free over a non-empty prep
+        window ``[start, start + prep)``.  Returns the start time and the
+        chosen slot per node.  Every per-node and per-link search answers
+        the earliest feasible time at or after its argument, so iterating
+        them from ``not_before`` until none moves the proposal reaches the
+        earliest time all accept; slots are picked at that time.
         """
+        if prep <= 0:
+            links = ()
         time = not_before
         for _ in range(1000):
             slots: Dict[int, int] = {}
@@ -194,6 +200,9 @@ class CommResourceTracker:
                 start, slot = self.earliest_slot(node, duration, time, prep)
                 slots[node] = slot
                 proposal = max(proposal, start)
+            for schedule, count in links:
+                proposal = max(proposal, schedule.earliest_multi(
+                    prep, count, not_before=proposal))
             if proposal == time:
                 return time, slots
             time = proposal
@@ -203,23 +212,26 @@ class CommResourceTracker:
 
     def reserve_joint(self, nodes: Sequence[int], ready: float,
                       duration: float, prep: float, label: str = "",
-                      search: Optional[Callable] = None
+                      links: Sequence[Tuple[SlotSchedule, int]] = ()
                       ) -> Tuple[float, float, float]:
         """Book one communication's earliest ``(prep_start, start, end)``.
 
         Each node's comm qubit is held from ``prep_start`` (EPR preparation,
         back-dated up to ``prep`` before ``ready``) to the end the search
-        tested, on the slot it chose: the first free there.  A caller's own
-        ``search(not_before) -> (prep_start, slots)`` replaces the default.
+        tested, on the slot it chose: the first free there.  Each
+        ``(schedule, count)`` of ``links`` books ``count`` slots over the
+        prep window ``[prep_start, start)``.
         """
         not_before = max(0.0, ready - prep)
-        prep_start, slots = (
-            search(not_before) if search is not None
-            else self.earliest_joint(nodes, duration, not_before, prep))
+        prep_start, slots = self.earliest_joint(nodes, duration, not_before,
+                                                prep, links)
         start = prep_start + prep
         end = start + duration
         for node in nodes:
             self.reserve(node, prep_start, end, slot=slots[node], label=label)
+        for schedule, count in links:
+            for _ in range(count):
+                schedule.book(prep_start, start)
         return prep_start, start, end
 
     def reserve(self, node: int, start: float, end: float,

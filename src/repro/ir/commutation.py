@@ -26,7 +26,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .gates import GATE_REGISTRY, Gate, gate_spec
+from .gates import DIAGONAL_GATES, GATE_REGISTRY, Gate, gate_spec
 
 __all__ = [
     "GateFrontier",
@@ -135,7 +135,7 @@ def commutes(gate_a: Gate, gate_b: Gate) -> bool:
         if qa[0] == qb[0] and qa[1] != qb[1]:
             return True
         return qa[1] == qb[1] and qa[0] != qb[0]
-    if gate_a._diagonal and gate_b._diagonal:
+    if name_a in DIAGONAL_GATES and name_b in DIAGONAL_GATES:
         return True
 
     rule = _fast_rules(gate_a, gate_b)
@@ -299,8 +299,8 @@ def _fast_rules(a: Gate, b: Gate) -> Optional[bool]:
 
     if a._is_single:
         if b._is_single:
-            axis_a = a._axis
-            if axis_a is not None and axis_a == b._axis:
+            axis_a = _AXES[a.name][0]
+            if axis_a is not None and axis_a == _AXES[b.name][0]:
                 return True
             return None
         if b._is_multi:

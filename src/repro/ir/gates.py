@@ -361,8 +361,6 @@ class Gate:
         object.__setattr__(self, "_is_single", unitary and n == 1)
         object.__setattr__(self, "_is_two", unitary and n == 2)
         object.__setattr__(self, "_is_multi", unitary and n >= 2)
-        object.__setattr__(self, "_diagonal", spec.diagonal)
-        object.__setattr__(self, "_axis", spec.axis)
 
     @classmethod
     def from_trusted(cls, name: str, qubits: Tuple[int, ...],
@@ -388,8 +386,6 @@ class Gate:
         set_attr(gate, "_is_single", unitary and n == 1)
         set_attr(gate, "_is_two", unitary and n == 2)
         set_attr(gate, "_is_multi", unitary and n >= 2)
-        set_attr(gate, "_diagonal", spec.diagonal)
-        set_attr(gate, "_axis", spec.axis)
         return gate
 
     # -- structural properties -------------------------------------------------
@@ -424,10 +420,6 @@ class Gate:
         return self._is_multi
 
     @property
-    def is_diagonal(self) -> bool:
-        return self._diagonal
-
-    @property
     def is_measurement(self) -> bool:
         return self.name == "measure"
 
@@ -448,10 +440,6 @@ class Gate:
         if self.control is not None:
             return self.qubits[1]
         return None
-
-    @property
-    def axis(self) -> Optional[str]:
-        return self._axis
 
     # -- algebra ----------------------------------------------------------------
 

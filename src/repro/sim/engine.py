@@ -25,8 +25,9 @@ Two properties anchor the design:
   latency bit-for-bit.  The validator in :mod:`repro.sim.validate` guards
   the EPR source and the booking.
 * **Seeded stochasticity** — with ``p_epr < 1`` every EPR preparation is a
-  sampled retry process; a Monte-Carlo run over ``trials`` seeded trials
-  yields a reproducible latency distribution.
+  sampled retry process whose attempts all draw from the engine's one
+  ``random.Random(config.seed)``; a Monte-Carlo run over ``trials`` seeded
+  trials yields a reproducible latency distribution.
 
 EPR preparation is requested ahead of an item's data-readiness whenever a
 communication qubit is free early (the analytical scheduler's pipelining
@@ -39,7 +40,6 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.pipeline import CompiledProgram
@@ -186,13 +186,13 @@ class ExecutionEngine:
 
     def __init__(self, plan: SchedulePlan, network: QuantumNetwork,
                  config: Optional[SimulationConfig] = None,
-                 rng: Optional[random.Random] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.plan = plan
         self.network = network
         self.config = config or SimulationConfig()
-        engine_owns_rng = rng is None
-        self.rng = rng if rng is not None else random.Random(self.config.seed)
+        #: The run's only source of randomness: every EPR attempt draws
+        #: from it, so a trial reproduces from ``config.seed`` alone.
+        self.rng = random.Random(self.config.seed)
         self.latency = network.latency
         #: Trial-invariant per-item profiles, cached on the plan and
         #: therefore shared across Monte-Carlo trials.
@@ -206,32 +206,6 @@ class ExecutionEngine:
         self.epr = EPRProcess(network, p_success=self.config.p_epr,
                               retry_latency=self.config.retry_latency,
                               per_link=per_link)
-        # Batched pre-sampling draws EPR attempt counts in vectorised
-        # batches, bitwise-identical to the per-attempt loop on the same
-        # seed.  It serves the draws from a numpy clone of the generator
-        # without advancing the Python object, so it is only enabled for the
-        # engine's own private generator — a caller-supplied rng must
-        # observe the usual stream consumption.  It also pays a fixed setup
-        # cost (~tens of us), so below a few hundred expected draws the
-        # C-backed rejection loop is kept instead.  A link model with its
-        # own success probabilities mixes per-link draw probabilities, which
-        # the fixed-p batched stream cannot serve, so batching stays off
-        # there.
-        links_deterministic = link_model is None or link_model.deterministic
-        if (self.config.p_epr < 1.0 and engine_owns_rng
-                and (not per_link or links_deterministic)):
-            if per_link:
-                # One attempt process per physical link of every route.
-                pair_draws = sum(profile.epr_pairs
-                                 for profile in self._profiles)
-            else:
-                pair_draws = sum(len(profile.prep_pairs)
-                                 for profile in self._profiles)
-            expected_draws = int(pair_draws / self.config.p_epr)
-            if expected_draws >= 512:
-                self.epr.use_batched_sampling(self.rng,
-                                              expected_draws=expected_draws,
-                                              seed=self.config.seed)
         self.resources = CommResourceTracker(network)
         self.trace = TraceRecorder(enabled=self.config.record_trace)
         #: Caller-shared registry (Monte-Carlo aggregation), or this run's own.
@@ -388,28 +362,23 @@ class ExecutionEngine:
         # the preparation window accordingly.  Each link batches against its
         # *own* capacity (its link-model spec).
         capped = []
+        batches = 1
         if self._capacity_constrained:
             for (a, b), count in links:
                 capacity = self.network.link_capacity(a, b)
                 if capacity is not None:
                     capped.append((self._link_schedule(a, b, capacity),
-                                   min(count, capacity), -(-count // capacity)))
-        prep = sample.duration * max((batches for *_, batches in capped),
-                                     default=1)
+                                   min(count, capacity)))
+                    batches = max(batches, -(-count // capacity))
+        prep = sample.duration * batches
 
         # EPR generation is data-independent, so its request is back-dated to
         # pipeline with predecessor computation whenever comm qubits (and,
         # if constrained, the links) were free early.
-        search = (partial(self._find_window, nodes, capped, duration, prep)
-                  if capped and prep > 0 else None)
         prep_start, start, end = self.resources.reserve_joint(
-            nodes, ready, duration, prep, label=profile.label,
-            search=search)
+            nodes, ready, duration, prep, label=profile.label, links=capped)
         for (a, b), _ in links:
             self.trace.record_link(a, b, prep_start, start)
-        for schedule, count, _ in capped:
-            for _ in range(count):
-                schedule.book(prep_start, start)
 
         self._record_comm_trace(index, kind, nodes, prep_start, start, end,
                                 sample.attempts)
@@ -419,24 +388,6 @@ class ExecutionEngine:
                            num_items=profile.num_items,
                            epr_pairs=profile.epr_pairs,
                            queue_wait=prep_start - max(0.0, ready - prep))
-
-    def _find_window(self, nodes: Sequence[int],
-                     capped: Sequence[Tuple[SlotSchedule, int, int]],
-                     duration: float, prep: float, not_before: float
-                     ) -> Tuple[float, Dict[int, int]]:
-        """``reserve_joint``'s search: node comm qubits plus ``count`` free
-        generation slots on each capped link ``(schedule, count, batches)``."""
-        time = not_before
-        for _ in range(1000):
-            proposal, slots = self.resources.earliest_joint(
-                nodes, duration, not_before=time, prep=prep)
-            for schedule, count, _ in capped:
-                proposal = max(proposal, schedule.earliest_multi(
-                    prep, count, not_before=proposal))
-            if proposal == time:
-                return time, slots
-            time = proposal
-        raise RuntimeError("resource search did not converge")  # pragma: no cover
 
     def _link_schedule(self, node_a: int, node_b: int,
                        capacity: int) -> SlotSchedule:

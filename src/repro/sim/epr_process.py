@@ -24,6 +24,10 @@ deterministic configuration reproduces ``QuantumNetwork.epr_latency``
 bit-for-bit.  Uniform link models keep the pair-level process (identical
 RNG stream to the pre-link-model code).
 
+Every attempt draws one uniform from the caller's seeded ``random.Random``
+and succeeds when it falls below the success probability, so a trial's
+sampled durations are a function of its seed alone.
+
 With ``p_success = 1.0`` (and ideal links) the process degenerates to
 exactly the analytical preparation latency, consuming no randomness — the
 deterministic mode the schedule validator relies on.
@@ -35,117 +39,14 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..hardware.links import combine_link_latencies
 from ..hardware.network import QuantumNetwork
 
-__all__ = ["EPRSample", "EPRProcess", "BatchedAttemptSampler"]
+__all__ = ["EPRSample", "EPRProcess"]
 
-#: Shared scratch generator for seed-based batched sampling.  Re-seeded and
-#: drawn from only inside ``BatchedAttemptSampler.__init__`` (atomically), so
-#: overlapping sampler lifetimes cannot interleave draws on it.
-_SCRATCH_STATE = np.random.RandomState()
-
-
-class BatchedAttemptSampler:
-    """Streams geometric attempt counts, bitwise-identical to the rejection loop.
-
-    The per-attempt loop ``while rng.random() >= p: attempts += 1`` consumes
-    one uniform per attempt from the ``random.Random`` Mersenne-Twister
-    stream.  CPython and numpy's legacy ``RandomState`` build doubles from
-    the MT19937 word stream with the same 53-bit recipe, so transplanting the
-    generator state lets numpy produce *exactly* the doubles the Python loop
-    would have drawn — in bulk.  Attempt counts are then the gaps between
-    successes (``u < p``) in that stream, recovered with vectorised scans and
-    served in consumption order.
-
-    The equivalence is asserted by ``tests/sim/test_epr_process.py``; if the
-    state transplant is ever unavailable the caller falls back to the loop.
-    """
-
-    def __init__(self, rng: random.Random, p_success: float,
-                 chunk: int = 1024, seed: Optional[int] = None) -> None:
-        if not 0.0 < p_success < 1.0:
-            raise ValueError("batched sampling needs 0 < p_success < 1")
-        if chunk < 1:
-            raise ValueError("chunk must be positive")
-        self.rng = rng
-        self.p_success = p_success
-        self._chunk = chunk
-        self._pending: List[int] = []
-        self._pos = 0
-        #: Failed attempts carried from chunks that ended without a success.
-        self._carry = 0
-        #: Total uniforms drawn so far (to fast-forward a private generator
-        #: if the shared scratch generator's eager draw runs out).
-        self._drawn = 0
-        self._uniforms: Optional[np.random.RandomState] = None
-        self._key: Optional[np.ndarray] = None
-        if seed is not None and seed >= 2 ** 32:
-            # Multi-word integer seeds feed MT19937's init_by_array with the
-            # same 32-bit key words in CPython and numpy, so the stream can
-            # be generated by re-seeding a shared scratch generator — far
-            # cheaper than constructing a RandomState (~150us) per trial.
-            # (Single-word seeds take different init paths in the two
-            # libraries, hence the bound.)  The scratch generator is only
-            # touched here, inside __init__, so concurrent samplers can
-            # never interleave draws on it; if this eager draw proves too
-            # small, _refill builds a private generator and fast-forwards.
-            key = []
-            value = seed
-            while value:
-                key.append(value & 0xFFFFFFFF)
-                value >>= 32
-            self._key = np.asarray(key, dtype=np.uint32)
-            _SCRATCH_STATE.seed(self._key)
-            self._consume(_SCRATCH_STATE.random_sample(chunk))
-        else:
-            state = rng.getstate()
-            if state[0] != 3:  # pragma: no cover - non-CPython state layout
-                raise ValueError(
-                    f"unsupported random.Random state version {state[0]}")
-            keys, pos = state[1][:-1], state[1][-1]
-            self._uniforms = np.random.RandomState()
-            self._uniforms.set_state(
-                ("MT19937", np.asarray(keys, dtype=np.uint32), int(pos), 0, 0.0))
-
-    def next_attempts(self) -> int:
-        """Attempts (failures + the final success) of the next generation."""
-        pos = self._pos
-        pending = self._pending
-        while pos >= len(pending):
-            self._refill()
-            pos = self._pos
-            pending = self._pending
-        self._pos = pos + 1
-        return pending[pos]
-
-    def _refill(self) -> None:
-        if self._uniforms is None:
-            # The eager draw from the shared scratch generator ran out:
-            # switch to a private generator, replaying the already-consumed
-            # prefix of the stream.
-            self._uniforms = np.random.RandomState(self._key)
-            if self._drawn:
-                self._uniforms.random_sample(self._drawn)
-        self._consume(self._uniforms.random_sample(self._chunk))
-
-    def _consume(self, uniforms: np.ndarray) -> None:
-        self._drawn += uniforms.size
-        successes = np.flatnonzero(uniforms < self.p_success)
-        if successes.size == 0:
-            self._carry += uniforms.size
-            return
-        counts = np.empty(successes.size, dtype=np.int64)
-        counts[0] = self._carry + int(successes[0]) + 1
-        if successes.size > 1:
-            np.subtract(successes[1:], successes[:-1], out=counts[1:])
-        remainder = self._pending[self._pos:]
-        self._pending = remainder + counts.tolist() if remainder \
-            else counts.tolist()
-        self._pos = 0
-        self._carry = uniforms.size - 1 - int(successes[-1])
+#: Attempts after which one generation is deemed stuck (a defensive bound:
+#: at any admissible success probability it is practically never reached).
+MAX_ATTEMPTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -161,7 +62,6 @@ class EPRProcess:
 
     def __init__(self, network: QuantumNetwork, p_success: float = 1.0,
                  retry_latency: Optional[float] = None,
-                 max_attempts: int = 100_000,
                  per_link: Optional[bool] = None) -> None:
         if not 0.0 < p_success <= 1.0:
             raise ValueError(f"p_success must be in (0, 1], got {p_success}")
@@ -170,7 +70,6 @@ class EPRProcess:
         self.network = network
         self.p_success = p_success
         self.retry_latency = retry_latency
-        self.max_attempts = max_attempts
         #: Sample each physical link of a route as its own attempt process
         #: (heterogeneous link models); ``None`` auto-engages exactly when
         #: the network's links are heterogeneous.  Uniform networks keep the
@@ -179,7 +78,6 @@ class EPRProcess:
         if per_link is None:
             per_link = network.heterogeneous_links
         self.per_link = bool(per_link)
-        self._batched: Optional[BatchedAttemptSampler] = None
         # The network's link model never changes after engine construction,
         # so the determinism verdict (an O(overrides) scan through the
         # model) is resolved once here instead of on every sampling call.
@@ -200,34 +98,6 @@ class EPRProcess:
         be 1 (the link model's ``deterministic`` property).
         """
         return self._deterministic
-
-    def use_batched_sampling(self, rng: random.Random,
-                             expected_draws: Optional[int] = None,
-                             seed: Optional[int] = None) -> bool:
-        """Serve ``rng``'s attempt draws through vectorised pre-sampling.
-
-        Returns True when batching is active.  Sampling results are
-        bitwise-identical to the per-attempt loop on the same generator;
-        calls with any *other* generator keep using the loop.
-        ``expected_draws`` (the caller's estimate of total uniforms needed,
-        e.g. EPR pairs / p_success) sizes the pre-sampling chunk so one
-        refill usually covers a whole execution without overshooting.
-        Pass ``seed`` only when ``rng`` is a freshly seeded, unconsumed
-        ``random.Random(seed)`` — it enables direct (cheaper) seeding of the
-        vectorised generator instead of a state transplant.
-        """
-        if self.deterministic:
-            return False
-        if expected_draws is None:
-            chunk = 1024
-        else:
-            chunk = max(64, min(65536, int(expected_draws * 5 // 4) + 16))
-        try:
-            self._batched = BatchedAttemptSampler(rng, self.p_success,
-                                                  chunk=chunk, seed=seed)
-        except Exception:  # pragma: no cover - non-CPython fallback
-            self._batched = None
-        return self._batched is not None
 
     # ---------------------------------------------------------------- queries
 
@@ -286,26 +156,15 @@ class EPRProcess:
     def _draw_attempts(self, rng: random.Random, p_success: float) -> int:
         """Geometric attempt count at ``p_success`` from ``rng``'s stream.
 
-        The batched sampler serves a draw only at the probability it was
-        built for — other probabilities (a link whose ``p_epr`` is not 1)
-        fall back to the per-attempt loop, which the engine guards against
-        by disabling batching on non-deterministic link models.
+        Each attempt consumes exactly one uniform and succeeds when it is
+        below ``p_success``.
         """
-        batched = self._batched
-        if (batched is not None and batched.rng is rng
-                and batched.p_success == p_success):
-            attempts = batched.next_attempts()
-            if attempts > self.max_attempts:  # pragma: no cover - defensive
-                raise RuntimeError(
-                    f"EPR generation exceeded {self.max_attempts} attempts "
-                    f"(p_success={p_success})")
-            return attempts
         attempts = 1
         while rng.random() >= p_success:
             attempts += 1
-            if attempts > self.max_attempts:  # pragma: no cover - defensive
+            if attempts > MAX_ATTEMPTS:  # pragma: no cover - defensive
                 raise RuntimeError(
-                    f"EPR generation exceeded {self.max_attempts} attempts "
+                    f"EPR generation exceeded {MAX_ATTEMPTS} attempts "
                     f"(p_success={p_success})")
         return attempts
 

@@ -259,14 +259,16 @@ class TestReserveJoint:
             [0], ready=0.2, duration=0.4, prep=0.1)
         assert (prep_start, start, end) == (1.0, 1.1, 1.1 + 0.4)
 
-    def test_search_override(self, tracker):
-        seen = []
-
-        def search(not_before):
-            seen.append(not_before)
-            return 7.0, {2: 1}
-
+    def test_capped_link_joins_the_search(self, tracker):
+        # Two link slots are free together only from 5, where node 2's
+        # comm qubits are busy; the search settles where both agree and
+        # books the link over the prep window.
+        tracker.reserve(2, 4.0, 9.0)
+        tracker.reserve(2, 4.0, 9.0)
+        link = SlotSchedule(2)
+        link.book(0.0, 5.0)
+        link.book(0.0, 3.0)
         assert tracker.reserve_joint([2], ready=1.0, duration=1.0, prep=2.0,
-                                     search=search) == (7.0, 9.0, 10.0)
-        assert seen == [0.0]
-        assert tracker.reservations[-1].slot == 1
+                                     links=[(link, 2)]) == (9.0, 11.0, 12.0)
+        assert link.intervals == [[(0.0, 5.0), (9.0, 11.0)],
+                                  [(0.0, 3.0), (9.0, 11.0)]]

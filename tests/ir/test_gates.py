@@ -4,6 +4,7 @@
 import numpy as np
 import pytest
 
+from repro.ir.commutation import pauli_axes
 from repro.ir.gates import (
     DIAGONAL_GATES,
     GATE_REGISTRY,
@@ -148,10 +149,10 @@ class TestGateProperties:
         assert Gate("barrier", (0, 1)).is_barrier
 
     def test_axis_classification(self):
-        assert Gate("rx", (0,), (0.3,)).axis == "x"
-        assert Gate("rz", (0,), (0.3,)).axis == "z"
-        assert Gate("t", (0,)).axis == "z"
-        assert Gate("h", (0,)).axis is None
+        assert pauli_axes(Gate("rx", (0,), (0.3,))) == ("x",)
+        assert pauli_axes(Gate("rz", (0,), (0.3,))) == ("z",)
+        assert pauli_axes(Gate("t", (0,))) == ("z",)
+        assert pauli_axes(Gate("h", (0,))) == (None,)
 
     def test_overlaps(self):
         a = Gate("cx", (0, 1))

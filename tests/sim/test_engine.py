@@ -283,6 +283,26 @@ class TestMonteCarlo:
                             SimulationConfig(trials=0))
 
 
+class TestTrialReplay:
+    @pytest.fixture(scope="class")
+    def program(self):
+        circuit = decompose_to_cx(qft_circuit(12))
+        return compile_autocomm(circuit, uniform_network(3, 4))
+
+    def test_single_trial_reproduces_from_recorded_seed(self, program):
+        config = SimulationConfig(p_epr=0.5, trials=3, seed=9,
+                                  record_trace=False)
+        monte_carlo = run_monte_carlo(program, config)
+        for trial, trial_seed in enumerate(monte_carlo.trial_seeds):
+            replay = simulate_program(program, SimulationConfig(
+                p_epr=0.5, seed=trial_seed, record_trace=False))
+            assert replay.latency == monte_carlo.latencies[trial]
+
+    def test_deterministic_replay_unaffected(self, program):
+        result = simulate_program(program)
+        assert result.latency == pytest.approx(program.schedule.latency)
+
+
 class TestChainLinkBooking:
     """tp-chain ops book and trace only the itinerary's (routed) links."""
 

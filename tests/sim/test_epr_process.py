@@ -69,6 +69,22 @@ class TestStochasticMode:
         b = [process.sample_pair(random.Random(9), 0, 1) for _ in range(5)]
         assert a == b
 
+    def test_sample_pair_matches_loop(self, network):
+        # One uniform per attempt, success when it falls below p: the
+        # stream contract every seeded trial's latency rests on.
+        seed = 2 ** 45 + 5
+        process = EPRProcess(network, p_success=0.5)
+        rng = random.Random(seed)
+        replay = random.Random(seed)
+        t_epr = DEFAULT_LATENCY.t_epr
+        for _ in range(300):
+            attempts = 1
+            while replay.random() >= 0.5:
+                attempts += 1
+            assert process.sample_pair(rng, 0, 1) == EPRSample(
+                attempts=attempts, duration=(attempts - 1) * t_epr + t_epr)
+        assert rng.getstate() == replay.getstate()
+
     def test_duration_matches_attempt_count(self, network):
         process = EPRProcess(network, p_success=0.4, retry_latency=3.0)
         rng = random.Random(11)

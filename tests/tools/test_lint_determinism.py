@@ -200,9 +200,9 @@ class TestAllowlistAndTree:
                                        allow=frozenset({"numpy-random"}))
         assert findings == []
 
-    def test_epr_process_is_allowlisted(self):
+    def test_epr_process_has_no_exemption(self):
         path = REPO_ROOT / "src" / "repro" / "sim" / "epr_process.py"
-        assert linter._allowed_rules(path) == frozenset({"numpy-random"})
+        assert linter._allowed_rules(path) == frozenset()
         assert linter.check_file(path) == []
 
     def test_package_tree_is_clean(self):

@@ -49,10 +49,6 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 #: Path suffix -> rule ids exempted there.  Keep reasons next to entries.
 ALLOWLIST: Mapping[str, FrozenSet[str]] = {
-    # Builds RandomState shells whose state is immediately overwritten from
-    # the seeded random.Random stream (see _SCRATCH_STATE and set_state);
-    # no unseeded draw can ever happen.
-    "sim/epr_process.py": frozenset({"numpy-random"}),
     # REPRO_CACHE_DIR is a deployment setting: it says where compiled
     # artifacts may be stored, never how a program compiles — a cache hit
     # returns the same bytes a fresh compile would.
