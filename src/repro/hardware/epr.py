@@ -182,16 +182,14 @@ class CommResourceTracker:
         """Earliest start time when *every* node in ``nodes`` has a free slot.
 
         The window tested is ``[start, (start + prep) + duration)``, the one
-        callers book.  Each ``(schedule, count)`` of ``links`` additionally
-        needs ``count`` of that schedule's slots free over a non-empty prep
-        window ``[start, start + prep)``.  Returns the start time and the
-        chosen slot per node.  Every per-node and per-link search answers
+        callers book.  Each ``(schedule, count)`` of ``links`` also needs
+        ``count`` of that schedule's slots free over the prep window
+        ``[start, start + prep)``.  Returns the start time and the chosen
+        slot per node.  Every per-node and per-link search answers
         the earliest feasible time at or after its argument, so iterating
         them from ``not_before`` until none moves the proposal reaches the
         earliest time all accept; slots are picked at that time.
         """
-        if prep <= 0:
-            links = ()
         time = not_before
         for _ in range(1000):
             slots: Dict[int, int] = {}
