@@ -78,8 +78,8 @@ class AutoCommConfig:
     #: per-qubit edges so they overlap with compute on both sides of the
     #: boundary, instead of draining each phase behind a hard barrier.
     #: Adaptive — the barrier plans stay in the candidate pool, so an
-    #: overlapped schedule is never slower than the barrier one.  Requires
-    #: ``remap = "bursts"``.
+    #: overlapped schedule is never slower, nor bubblier, than the barrier
+    #: one.  Requires ``remap = "bursts"``.
     overlap: bool = False
     #: How phase boundaries are placed: "fixed" slices every
     #: ``phase_blocks`` burst blocks; "auto" searches a window around that

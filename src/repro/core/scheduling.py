@@ -883,17 +883,22 @@ def run_plan(plan: SchedulePlan, place: Callable[[int, float], Any]
 
 
 #: The schedule candidate pool, ``(name, burst, overlap)`` in preference
-#: order: a later candidate wins only with a strictly lower latency, so
-#: each refinement (burst over plain, overlapped over barrier boundaries)
-#: keeps the plan it refines in the pool and is never worse than it.
-#: ``"greedy"`` keeps the plain plans, a compile without ``overlap`` (every
-#: static one) the barrier plans.
+#: order: a later candidate wins only with a strictly lower
+#: :func:`_rank`, so each refinement (burst over plain, overlapped over
+#: barrier boundaries) keeps the plan it refines in the pool and is never
+#: worse than it.  ``"greedy"`` keeps the plain plans, a compile without
+#: ``overlap`` (every static one) the barrier plans.
 _CANDIDATES = (
     ("overlap_burst", True, True),
     ("overlap_plain", False, True),
     ("burst", True, False),
     ("plain", False, False),
 )
+
+
+def _rank(result: ScheduleResult) -> Tuple[float, float]:
+    """Order of schedule candidates: latency, then boundary bubble."""
+    return result.latency, result.boundary_bubble
 
 
 def schedule_communications(assignment: AssignmentResult,
@@ -928,8 +933,9 @@ def schedule_phased_communications(
 
     ``phases`` and ``migrations`` are as in :func:`plan_phased_schedule`.
     Every candidate of :data:`_CANDIDATES` that ``strategy`` and
-    ``overlap`` select is scheduled and the earliest-finishing one wins, so
-    the overlapped schedule is *never worse* than the barrier one.
+    ``overlap`` select is scheduled and the earliest-finishing one wins
+    (see :func:`_pick_schedule`), so the overlapped schedule is *never
+    worse* than the barrier one in latency or boundary bubble.
     """
     return _pick_schedule(tuple((p.mapping, p.assignment) for p in phases),
                           migrations, network, strategy, overlap)
@@ -942,25 +948,31 @@ def _pick_schedule(segments: Tuple[Tuple[QubitMapping, AssignmentResult], ...],
     """Schedule each selected candidate plan; keep the earliest-finishing one.
 
     Candidates come from :data:`_CANDIDATES` in preference order; each sets
-    a ``latency_<name>`` counter on the ``scheduling`` span.  The winner's
-    ``boundary_bubble`` is filled in (0.0 for single-phase plans).
+    a ``latency_<name>`` counter on the ``scheduling`` span and gets its
+    ``boundary_bubble`` (0.0 for single-phase plans).  The best barrier plan
+    is the least by :func:`_rank`; an overlapped plan may replace it only
+    when it is neither slower nor bubblier, so an overlapped compile never
+    worsens either metric of the barrier compile.
     """
     if strategy not in ("burst-greedy", "greedy"):
         raise ValueError(f"unknown scheduling strategy {strategy!r}")
     plain_only = strategy == "greedy"
     with stage("scheduling") as span:
-        result: Optional[ScheduleResult] = None
-        result_plan: Optional[SchedulePlan] = None
+        scored: List[ScheduleResult] = []
         for name, burst, overlapped in _CANDIDATES:
             if (burst and plain_only) or (overlapped and not overlap):
                 continue
             plan = _memoised_plan(segments, migrations, burst, overlapped)
             candidate = _execute_plan(plan, network)
+            candidate.boundary_bubble = compute_boundary_bubble(
+                plan, candidate.ops)
             span.set(f"latency_{name}", candidate.latency)
-            if result is None or candidate.latency < result.latency:
-                result, result_plan = candidate, plan
-        result.boundary_bubble = compute_boundary_bubble(result_plan,
-                                                         result.ops)
+            scored.append(candidate)
+        barrier = min((c for c in scored if not c.overlap), key=_rank)
+        result = min((c for c in scored
+                      if c.latency <= barrier.latency
+                      and c.boundary_bubble <= barrier.boundary_bubble),
+                     key=_rank)
         if span.enabled:
             span.set("ops", len(result.ops))
             span.set("comm_ops", result.num_comm_ops)

@@ -162,7 +162,7 @@ class EPRProcess:
         attempts = 1
         while rng.random() >= p_success:
             attempts += 1
-            if attempts > MAX_ATTEMPTS:  # pragma: no cover - defensive
+            if attempts > MAX_ATTEMPTS:
                 raise RuntimeError(
                     f"EPR generation exceeded {MAX_ATTEMPTS} attempts "
                     f"(p_success={p_success})")

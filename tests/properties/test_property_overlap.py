@@ -14,6 +14,7 @@ The two acceptance invariants, over randomly generated phased programs:
   every program these tests compile.)
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import AutoCommConfig, MigrationOp, compile_autocomm
@@ -54,6 +55,34 @@ def _compile(circuit, overlap):
         circuit, _network(),
         config=AutoCommConfig(remap="bursts", phase_blocks=2,
                               overlap=overlap))
+
+
+#: Circuits on which the overlapped pool holds a plan that ties the best
+#: barrier plan's latency with a larger bubble, or beats it with a larger
+#: bubble; neither plan may win over the barrier plan.
+_BUBBLIER_OVERLAP = {
+    "latency-tie": [(0, 2), (0, 2), (0, 1), (5, 0), (5, 0), (5, 0), (2, 0),
+                    (2, 4), 1, (0, 1)],
+    "faster": [(2, 1), (2, 1), (2, 1), (5, 3), (5, 3), (5, 3), (5, 3), 3,
+               (5, 0), (5, 0), (5, 0), (1, 5), (1, 5), (1, 5), (1, 5), 5,
+               (3, 4), 5, (4, 1), (4, 1), 2],
+}
+
+
+def _bubblier_overlap_circuit(name):
+    return Circuit(NUM_QUBITS, [
+        Gate("cx", spec) if isinstance(spec, tuple) else Gate("h", (spec,))
+        for spec in _BUBBLIER_OVERLAP[name]])
+
+
+@pytest.mark.parametrize("name", sorted(_BUBBLIER_OVERLAP))
+def test_bubblier_overlap_plan_does_not_win(name):
+    circuit = _bubblier_overlap_circuit(name)
+    barrier = _compile(circuit, overlap=False)
+    overlapped = _compile(circuit, overlap=True)
+    assert overlapped.metrics.latency <= barrier.metrics.latency + _TOL
+    assert (overlapped.metrics.boundary_bubble
+            <= barrier.metrics.boundary_bubble + _TOL)
 
 
 class TestOverlapProperties:

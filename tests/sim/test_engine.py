@@ -302,6 +302,22 @@ class TestTrialReplay:
         result = simulate_program(program)
         assert result.latency == pytest.approx(program.schedule.latency)
 
+    @pytest.mark.parametrize("p_epr", [0.25, 0.5])
+    def test_trial_is_a_function_of_its_seed(self, program, p_epr):
+        def trial(seed):
+            result = simulate_program(program, SimulationConfig(
+                p_epr=p_epr, seed=seed, record_trace=False))
+            return result.latency, [(op.epr_attempts, op.epr_pairs)
+                                    for op in result.ops]
+
+        seed = 2 ** 40 + 3
+        latency, counts = trial(seed)
+        assert trial(seed) == (latency, counts)
+        assert trial(seed + 1) != (latency, counts)
+        # Every pair takes at least one attempt, and some pair retried.
+        assert all(attempts >= pairs for attempts, pairs in counts)
+        assert any(attempts > pairs for attempts, pairs in counts)
+
 
 class TestChainLinkBooking:
     """tp-chain ops book and trace only the itinerary's (routed) links."""
