@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, List, Optional, Sequence,
-                    Set, Tuple, Union)
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple, Union)
 
 from ..comm.blocks import CommBlock, CommScheme
 from ..comm.cost import block_latency
@@ -148,9 +148,14 @@ class FusedTPChain:
 SchedulableItem = Union[Gate, CommBlock, FusedTPChain, "MigrationOp"]
 
 
-@dataclass(frozen=True)
-class ScheduledOp:
-    """One scheduled operation with its time window."""
+class ScheduledOp(NamedTuple):
+    """One scheduled operation with its time window.
+
+    A tuple record (one is built per plan item and candidate): immutable,
+    hashable and picklable, with no per-instance ``__dict__``.  Derive a
+    changed copy with ``op._replace(end=...)``.  The field order is part
+    of the record: :mod:`repro.persist.codec` constructs it positionally.
+    """
 
     index: int
     kind: str                       # "gate", "cat", "tp", "tp-chain"
@@ -464,6 +469,8 @@ class SchedulePlan:
     _profiles: Optional[Dict[int, Tuple[QuantumNetwork,
                                         List["OpProfile"]]]] = field(
         default=None, repr=False, compare=False)
+    _groups: Optional[Dict[int, Tuple[QuantumNetwork, "CommGroups"]]] = field(
+        default=None, repr=False, compare=False)
 
     @property
     def mode(self) -> str:
@@ -481,15 +488,16 @@ class SchedulePlan:
     def __getstate__(self):
         """Pickle without the lazy caches.
 
-        ``_profiles`` is keyed by object identity (``id(network)``), so its
-        entries are meaningless in another process;
-        both caches rebuild on demand.  Dropping them is what lets a plan
-        travel to Monte-Carlo worker processes (and, eventually, a compile
-        cache) at minimal size.
+        ``_profiles`` and ``_groups`` are keyed by object identity
+        (``id(network)``), so their entries are meaningless in another
+        process; every cache rebuilds on demand.  Dropping them is what
+        lets a plan travel to Monte-Carlo worker processes (and,
+        eventually, a compile cache) at minimal size.
         """
         state = self.__dict__.copy()
         state["_succs"] = None
         state["_profiles"] = None
+        state["_groups"] = None
         return state
 
     def __setstate__(self, state):
@@ -498,11 +506,12 @@ class SchedulePlan:
         The default ``__dict__.update`` restore would happen to leave the
         cache slots at whatever ``__getstate__`` stored, but that symmetry
         is an accident callers should not depend on; resetting here makes
-        unpickled plans safe by construction: both caches rebuild on demand.
+        unpickled plans safe by construction: every cache rebuilds on demand.
         """
         self.__dict__.update(state)
         self._succs = None
         self._profiles = None
+        self._groups = None
 
     def successors(self) -> List[List[int]]:
         if self._succs is None:
@@ -574,10 +583,56 @@ class SchedulePlan:
         self._profiles[id(network)] = (network, profiles)
         return profiles
 
+    def comm_groups(self, network: QuantumNetwork) -> "CommGroups":
+        """The plan's comm ops grouped for per-run folds over their records.
 
-@dataclass(frozen=True)
-class OpProfile:
-    """Static execution profile of one plan unit (see ``op_profiles``)."""
+        Built once per plan and network from :meth:`op_profiles` and cached
+        like them, so the simulator's per-trial metrics fold visits only
+        comm ops.  Every group lists its item indices in ascending order,
+        and groups appear in order of first occurrence, so a fold over the
+        groups adds each sum in the order of a walk over the whole plan.
+        """
+        if self._groups is None:
+            self._groups = {}
+        entry = self._groups.get(id(network))
+        if entry is not None and entry[0] is network:
+            return entry[1]
+        kinds: Dict[str, List[int]] = {}
+        nodes: Dict[int, List[int]] = {}
+        links: Dict[Tuple[int, int], List] = {}  # [generations, indices]
+        needed_prep = needed_epr = 0
+        for index, profile in enumerate(self.op_profiles(network)):
+            if profile.kind == "gate":
+                continue
+            kinds.setdefault(profile.kind, []).append(index)
+            for node in profile.nodes:
+                nodes.setdefault(node, []).append(index)
+            for pair, count in profile.links:
+                link = links.get(pair)
+                if link is None:
+                    link = links[pair] = [0, []]
+                link[0] += count
+                link[1].append(index)
+            needed_prep += len(profile.prep_pairs) or 1
+            needed_epr += profile.epr_pairs or 1
+        groups = CommGroups(
+            kinds=tuple((kind, tuple(indices))
+                        for kind, indices in kinds.items()),
+            nodes=tuple((node, tuple(indices))
+                        for node, indices in nodes.items()),
+            links=tuple((pair, generations, tuple(indices))
+                        for pair, (generations, indices) in links.items()),
+            needed_prep=needed_prep, needed_epr=needed_epr)
+        self._groups[id(network)] = (network, groups)
+        return groups
+
+
+class OpProfile(NamedTuple):
+    """Static execution profile of one plan unit (see ``op_profiles``).
+
+    A tuple record like :class:`ScheduledOp` (immutable, no ``__dict__``;
+    ``profile._replace(...)`` derives a changed copy).
+    """
 
     kind: str
     duration: float
@@ -599,6 +654,23 @@ class OpProfile:
     num_remote_gates: int = 0
     #: Label of the op's comm-qubit reservations; empty for local gates.
     label: str = ""
+
+
+class CommGroups(NamedTuple):
+    """A plan's comm ops grouped by kind, node and link (see ``comm_groups``)."""
+
+    #: ``(kind, item indices)`` per comm-op kind.
+    kinds: Tuple[Tuple[str, Tuple[int, ...]], ...]
+    #: ``(node, item indices)``: the comm ops holding a comm qubit there.
+    nodes: Tuple[Tuple[int, Tuple[int, ...]], ...]
+    #: ``(physical link, EPR generations, item indices)``: the comm ops
+    #: whose prep pairs' routes occupy the link, and how many generations
+    #: they run on it in total.
+    links: Tuple[Tuple[Tuple[int, int], int, Tuple[int, ...]], ...]
+    #: EPR pairs the comm ops need without retries, at least one per op:
+    #: one per prep pair, or one per physical pair (swaps included).
+    needed_prep: int
+    needed_epr: int
 
 
 def plan_schedule(assignment: AssignmentResult, burst: bool) -> SchedulePlan:

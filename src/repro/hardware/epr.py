@@ -17,8 +17,7 @@ identically to every compiler being compared.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .network import QuantumNetwork
 
@@ -141,9 +140,13 @@ class SlotSchedule:
                    default=0.0)
 
 
-@dataclass(frozen=True)
-class Reservation:
-    """A booked interval on one communication qubit of one node."""
+class Reservation(NamedTuple):
+    """A booked interval on one communication qubit of one node.
+
+    A tuple record (one is built per node per booked communication):
+    immutable, hashable and picklable, with no per-instance ``__dict__``;
+    ``reservation._replace(...)`` derives a changed copy.
+    """
 
     node: int
     slot: int
@@ -243,8 +246,7 @@ class CommResourceTracker:
             booked = self._schedules[node].book(start, end, slot=slot)
         except ValueError as exc:
             raise ValueError(f"node {node}: {exc}") from None
-        reservation = Reservation(node=node, slot=booked, start=start, end=end,
-                                  label=label)
+        reservation = Reservation(node, booked, start, end, label)
         self.reservations.append(reservation)
         return reservation
 

@@ -24,11 +24,16 @@ CX_BASIS = frozenset({
 
 
 def decompose_to_cx(circuit: Circuit) -> Circuit:
-    """Return an equivalent circuit using only CX and single-qubit gates."""
+    """Return an equivalent circuit using only CX and single-qubit gates.
+
+    The input's gates were validated against a circuit of the same width
+    when they were built, and every handler derives its gates from one of
+    them (same qubits, float angles), so the output is assembled through
+    the trusted constructor and append.
+    """
     out = Circuit(circuit.num_qubits, name=circuit.name)
-    for gate in circuit:
-        for sub in decompose_gate(gate):
-            out.append(sub)
+    out.extend_trusted([sub for gate in circuit
+                        for sub in decompose_gate(gate)])
     return out
 
 
@@ -46,14 +51,19 @@ def decompose_gate(gate: Gate) -> List[Gate]:
 # Individual decompositions
 # ---------------------------------------------------------------------------
 
+#: Handlers build their gates from a validated input gate's qubits and
+#: angles, so they skip :class:`Gate`'s per-field validation.
+_gate = Gate.from_trusted
+
+
 def _cz(gate: Gate) -> List[Gate]:
     c, t = gate.qubits
-    return [Gate("h", (t,)), Gate("cx", (c, t)), Gate("h", (t,))]
+    return [_gate("h", (t,)), _gate("cx", (c, t)), _gate("h", (t,))]
 
 
 def _cy(gate: Gate) -> List[Gate]:
     c, t = gate.qubits
-    return [Gate("sdg", (t,)), Gate("cx", (c, t)), Gate("s", (t,))]
+    return [_gate("sdg", (t,)), _gate("cx", (c, t)), _gate("s", (t,))]
 
 
 def _ch(gate: Gate) -> List[Gate]:
@@ -62,13 +72,13 @@ def _ch(gate: Gate) -> List[Gate]:
     # we use the exact ABC construction for controlled-U with U = H.
     c, t = gate.qubits
     return [
-        Gate("s", (t,)),
-        Gate("h", (t,)),
-        Gate("t", (t,)),
-        Gate("cx", (c, t)),
-        Gate("tdg", (t,)),
-        Gate("h", (t,)),
-        Gate("sdg", (t,)),
+        _gate("s", (t,)),
+        _gate("h", (t,)),
+        _gate("t", (t,)),
+        _gate("cx", (c, t)),
+        _gate("tdg", (t,)),
+        _gate("h", (t,)),
+        _gate("sdg", (t,)),
     ]
 
 
@@ -76,10 +86,10 @@ def _crz(gate: Gate) -> List[Gate]:
     theta = gate.params[0]
     c, t = gate.qubits
     return [
-        Gate("rz", (t,), (theta / 2,)),
-        Gate("cx", (c, t)),
-        Gate("rz", (t,), (-theta / 2,)),
-        Gate("cx", (c, t)),
+        _gate("rz", (t,), (theta / 2,)),
+        _gate("cx", (c, t)),
+        _gate("rz", (t,), (-theta / 2,)),
+        _gate("cx", (c, t)),
     ]
 
 
@@ -87,11 +97,11 @@ def _cp(gate: Gate) -> List[Gate]:
     theta = gate.params[0]
     c, t = gate.qubits
     return [
-        Gate("p", (c,), (theta / 2,)),
-        Gate("p", (t,), (theta / 2,)),
-        Gate("cx", (c, t)),
-        Gate("p", (t,), (-theta / 2,)),
-        Gate("cx", (c, t)),
+        _gate("p", (c,), (theta / 2,)),
+        _gate("p", (t,), (theta / 2,)),
+        _gate("cx", (c, t)),
+        _gate("p", (t,), (-theta / 2,)),
+        _gate("cx", (c, t)),
     ]
 
 
@@ -99,12 +109,12 @@ def _crx(gate: Gate) -> List[Gate]:
     theta = gate.params[0]
     c, t = gate.qubits
     return [
-        Gate("h", (t,)),
-        Gate("rz", (t,), (theta / 2,)),
-        Gate("cx", (c, t)),
-        Gate("rz", (t,), (-theta / 2,)),
-        Gate("cx", (c, t)),
-        Gate("h", (t,)),
+        _gate("h", (t,)),
+        _gate("rz", (t,), (theta / 2,)),
+        _gate("cx", (c, t)),
+        _gate("rz", (t,), (-theta / 2,)),
+        _gate("cx", (c, t)),
+        _gate("h", (t,)),
     ]
 
 
@@ -112,25 +122,25 @@ def _cry(gate: Gate) -> List[Gate]:
     theta = gate.params[0]
     c, t = gate.qubits
     return [
-        Gate("ry", (t,), (theta / 2,)),
-        Gate("cx", (c, t)),
-        Gate("ry", (t,), (-theta / 2,)),
-        Gate("cx", (c, t)),
+        _gate("ry", (t,), (theta / 2,)),
+        _gate("cx", (c, t)),
+        _gate("ry", (t,), (-theta / 2,)),
+        _gate("cx", (c, t)),
     ]
 
 
 def _swap(gate: Gate) -> List[Gate]:
     a, b = gate.qubits
-    return [Gate("cx", (a, b)), Gate("cx", (b, a)), Gate("cx", (a, b))]
+    return [_gate("cx", (a, b)), _gate("cx", (b, a)), _gate("cx", (a, b))]
 
 
 def _rzz(gate: Gate) -> List[Gate]:
     theta = gate.params[0]
     a, b = gate.qubits
     return [
-        Gate("cx", (a, b)),
-        Gate("rz", (b,), (theta,)),
-        Gate("cx", (a, b)),
+        _gate("cx", (a, b)),
+        _gate("rz", (b,), (theta,)),
+        _gate("cx", (a, b)),
     ]
 
 
@@ -138,13 +148,13 @@ def _rxx(gate: Gate) -> List[Gate]:
     theta = gate.params[0]
     a, b = gate.qubits
     return [
-        Gate("h", (a,)),
-        Gate("h", (b,)),
-        Gate("cx", (a, b)),
-        Gate("rz", (b,), (theta,)),
-        Gate("cx", (a, b)),
-        Gate("h", (a,)),
-        Gate("h", (b,)),
+        _gate("h", (a,)),
+        _gate("h", (b,)),
+        _gate("cx", (a, b)),
+        _gate("rz", (b,), (theta,)),
+        _gate("cx", (a, b)),
+        _gate("h", (a,)),
+        _gate("h", (b,)),
     ]
 
 
@@ -152,34 +162,34 @@ def _ccx(gate: Gate) -> List[Gate]:
     """Standard 6-CX Toffoli decomposition."""
     a, b, c = gate.qubits
     return [
-        Gate("h", (c,)),
-        Gate("cx", (b, c)),
-        Gate("tdg", (c,)),
-        Gate("cx", (a, c)),
-        Gate("t", (c,)),
-        Gate("cx", (b, c)),
-        Gate("tdg", (c,)),
-        Gate("cx", (a, c)),
-        Gate("t", (b,)),
-        Gate("t", (c,)),
-        Gate("h", (c,)),
-        Gate("cx", (a, b)),
-        Gate("t", (a,)),
-        Gate("tdg", (b,)),
-        Gate("cx", (a, b)),
+        _gate("h", (c,)),
+        _gate("cx", (b, c)),
+        _gate("tdg", (c,)),
+        _gate("cx", (a, c)),
+        _gate("t", (c,)),
+        _gate("cx", (b, c)),
+        _gate("tdg", (c,)),
+        _gate("cx", (a, c)),
+        _gate("t", (b,)),
+        _gate("t", (c,)),
+        _gate("h", (c,)),
+        _gate("cx", (a, b)),
+        _gate("t", (a,)),
+        _gate("tdg", (b,)),
+        _gate("cx", (a, b)),
     ]
 
 
 def _ccz(gate: Gate) -> List[Gate]:
     a, b, c = gate.qubits
-    return [Gate("h", (c,))] + _ccx(Gate("ccx", (a, b, c))) + [Gate("h", (c,))]
+    return [_gate("h", (c,))] + _ccx(_gate("ccx", (a, b, c))) + [_gate("h", (c,))]
 
 
 def _cswap(gate: Gate) -> List[Gate]:
     c, a, b = gate.qubits
-    out = [Gate("cx", (b, a))]
-    out.extend(_ccx(Gate("ccx", (c, a, b))))
-    out.append(Gate("cx", (b, a)))
+    out = [_gate("cx", (b, a))]
+    out.extend(_ccx(_gate("ccx", (c, a, b))))
+    out.append(_gate("cx", (b, a)))
     return out
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.pipeline import CompiledProgram
 from ..core.scheduling import SchedulePlan, plan_phased_schedule, run_plan
@@ -86,9 +86,13 @@ class SimulationConfig:
     workers: int = 1
 
 
-@dataclass(frozen=True)
-class SimulatedOp:
-    """One executed operation with its simulated time windows."""
+class SimulatedOp(NamedTuple):
+    """One executed operation with its simulated time windows.
+
+    A tuple record (one is built per plan item and trial): immutable,
+    hashable and picklable, with no per-instance ``__dict__``.  Derive a
+    changed copy with ``op._replace(start=...)``.
+    """
 
     index: int
     kind: str                    # "gate", "cat", "tp", "tp-chain"
@@ -238,17 +242,22 @@ class ExecutionEngine:
         """Fold this run's executed ops into the registry, once per run.
 
         Everything the metrics need is already in the :class:`SimulatedOp`
-        records, the trial-invariant profiles and the memoised route cache,
-        so the per-op execution path carries no metrics code at all —
-        registry lookups build sorted label keys and instrument calls are
-        attribute dispatches, which is too slow per executed op (the
-        overhead benchmark holds the instrumented engine within a few
-        percent of the stripped one).  Instrument handles are memoised on
-        the registry itself, so across a shared-registry Monte-Carlo run
-        only the first trial pays the labelled-lookup cost.  Node occupancy
-        is rebuilt from the op records (each comm op reserves one slot per
-        endpoint for its whole window), which spares the per-run
-        interval-list rescan of ``CommResourceTracker.utilisation``.
+        records and the plan's trial-invariant facts, so the per-op
+        execution path carries no metrics code at all — registry lookups
+        build sorted label keys and instrument calls are attribute
+        dispatches, which is too slow per executed op (the overhead
+        benchmark holds the instrumented engine within a few percent of
+        the stripped one).  The fold visits only comm ops, through the
+        groups the plan builds once (:meth:`SchedulePlan.comm_groups`):
+        per-kind index lists give the queue waits, per-node lists the
+        comm-qubit occupancy (each comm op holds one slot per endpoint for
+        its whole window), per-link lists and generation counts the link
+        totals, and the pairs needed without retries are a plan constant.
+        Groups list ops in index order, so each sum adds in the order of a
+        walk over every op and the registry contents do not depend on the
+        grouping.  Instrument handles are memoised on the registry itself,
+        so across a shared-registry Monte-Carlo run only the first trial
+        pays the labelled-lookup cost.
         """
         metrics = self.metrics
         handles = metrics.handles
@@ -264,45 +273,24 @@ class ExecutionEngine:
         trials.inc()
         latency.observe(makespan)
         attempts_hist.observe(total_attempts)
-
-        # Pairs each comm op needed at least once: attempts beyond are retries.
-        needed = 0
-        waits_by_kind: Dict[str, List[float]] = {}
-        stalls: List[float] = []
-        node_busy: Dict[int, float] = {}
-        link_totals: Dict[Tuple[int, int], List[float]] = {}
-        profiles = self._profiles
-        per_link_stochastic = self.epr.per_link and not self.epr.deterministic
-        for op in ops:
-            kind = op.kind
-            if kind == "gate":
-                continue
-            wait = op.queue_wait
-            kind_waits = waits_by_kind.get(kind)
-            if kind_waits is None:
-                kind_waits = waits_by_kind[kind] = []
-            kind_waits.append(wait)
-            if kind == "migration":
-                stalls.append(wait)
-            profile = profiles[op.index]
-            needed += (op.epr_pairs if per_link_stochastic
-                       else len(profile.prep_pairs)) or 1
-            prep_start = op.prep_start
-            window = op.end - prep_start
-            for node in op.nodes:
-                node_busy[node] = node_busy.get(node, 0.0) + window
-            busy = op.start - prep_start
-            for pair, count in profile.links:
-                totals = link_totals.get(pair)
-                if totals is None:
-                    totals = link_totals[pair] = [0, 0.0]
-                totals[0] += count
-                totals[1] += busy
-        # Gates make no attempts, so the run total is the comm ops' total.
+        groups = self.plan.comm_groups(self.network)
+        # Pairs each comm op needed at least once: attempts beyond are
+        # retries.  Gates make no attempts, so the run total is the comm
+        # ops' total.
+        needed = (groups.needed_epr
+                  if self.epr.per_link and not self.epr.deterministic
+                  else groups.needed_prep)
         attempts.inc(total_attempts)
         retries.inc(total_attempts - needed)
 
         if makespan > 0:
+            node_busy: Dict[int, float] = {}
+            for node, indices in groups.nodes:
+                busy = 0.0
+                for index in indices:
+                    op = ops[index]
+                    busy += op.end - op.prep_start
+                node_busy[node] = busy
             occ_handles = handles.get("occ")
             if occ_handles is None:
                 occ_handles = handles["occ"] = {}
@@ -318,18 +306,26 @@ class ExecutionEngine:
         wait_handles = handles.get("qw")
         if wait_handles is None:
             wait_handles = handles["qw"] = {}
-        for kind, kind_waits in waits_by_kind.items():
+        stalls: List[float] = []
+        for kind, indices in groups.kinds:
             queue_wait = wait_handles.get(kind)
             if queue_wait is None:
                 queue_wait = wait_handles[kind] = metrics.histogram(
                     "comm.queue_wait", kind=kind)
-            queue_wait.values.extend(kind_waits)
+            waits = [ops[index].queue_wait for index in indices]
+            queue_wait.values.extend(waits)
+            if kind == "migration":
+                stalls = waits
         if stalls:
             metrics.histogram("migration.stall").values.extend(stalls)
         pair_handles = handles.get("links")
         if pair_handles is None:
             pair_handles = handles["links"] = {}
-        for pair, (generations, busy) in link_totals.items():
+        for pair, generations, indices in groups.links:
+            busy = 0.0
+            for index in indices:
+                op = ops[index]
+                busy += op.start - op.prep_start
             link_handles = pair_handles.get(pair)
             if link_handles is None:
                 link = f"{pair[0]}-{pair[1]}"
@@ -346,8 +342,8 @@ class ExecutionEngine:
         kind = profile.kind
         if kind == "gate":
             # Gates touch no resource: they start as soon as they are ready.
-            return SimulatedOp(index, "gate", ready,
-                               ready + profile.duration, prep_start=ready)
+            return SimulatedOp(index, "gate", ready, ready + profile.duration,
+                               (), ready)
         nodes = profile.nodes
         duration = profile.duration
         # One EPR generation per consumed pair: the block's hub<->remote
@@ -382,12 +378,10 @@ class ExecutionEngine:
 
         self._record_comm_trace(index, kind, nodes, prep_start, start, end,
                                 sample.attempts)
-        return SimulatedOp(index=index, kind=kind, start=start, end=end,
-                           nodes=nodes, prep_start=prep_start,
-                           epr_attempts=sample.attempts,
-                           num_items=profile.num_items,
-                           epr_pairs=profile.epr_pairs,
-                           queue_wait=prep_start - max(0.0, ready - prep))
+        return SimulatedOp(index, kind, start, end, nodes, prep_start,
+                           sample.attempts, profile.num_items,
+                           profile.epr_pairs,
+                           prep_start - max(0.0, ready - prep))
 
     def _link_schedule(self, node_a: int, node_b: int,
                        capacity: int) -> SlotSchedule:

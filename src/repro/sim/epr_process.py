@@ -36,8 +36,7 @@ deterministic mode the schedule validator relies on.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..hardware.links import combine_link_latencies
 from ..hardware.network import QuantumNetwork
@@ -49,9 +48,13 @@ __all__ = ["EPRSample", "EPRProcess"]
 MAX_ATTEMPTS = 100_000
 
 
-@dataclass(frozen=True)
-class EPRSample:
-    """Outcome of generating the EPR pair(s) for one communication."""
+class EPRSample(NamedTuple):
+    """Outcome of generating the EPR pair(s) for one communication.
+
+    A tuple record (one is drawn per comm op and trial): immutable and
+    without a per-instance ``__dict__``; ``sample._replace(...)`` derives
+    a changed copy.
+    """
 
     attempts: int
     duration: float
@@ -123,14 +126,12 @@ class EPRProcess:
         deterministic configuration reproduces ``pair_latency`` bit-for-bit.
         """
         if self._deterministic:
-            return EPRSample(attempts=1,
-                             duration=self.pair_latency(node_a, node_b))
+            return EPRSample(1, self.pair_latency(node_a, node_b))
         if self.per_link:
             return self._sample_routed_pair(rng, node_a, node_b)
         attempts = self._draw_attempts(rng, self.p_success)
         retries = (attempts - 1) * self.attempt_latency(node_a, node_b)
-        return EPRSample(attempts=attempts,
-                         duration=retries + self.pair_latency(node_a, node_b))
+        return EPRSample(attempts, retries + self.pair_latency(node_a, node_b))
 
     def _sample_routed_pair(self, rng: random.Random, node_a: int,
                             node_b: int) -> EPRSample:
@@ -150,8 +151,7 @@ class EPRProcess:
                      else link_latency)
             durations.append((link_attempts - 1) * retry + link_latency)
         return EPRSample(
-            attempts=attempts,
-            duration=combine_link_latencies(durations, network.swap_overhead))
+            attempts, combine_link_latencies(durations, network.swap_overhead))
 
     def _draw_attempts(self, rng: random.Random, p_success: float) -> int:
         """Geometric attempt count at ``p_success`` from ``rng``'s stream.
@@ -179,11 +179,11 @@ class EPRProcess:
         :func:`repro.core.scheduling.prep_latency_for_pairs` exactly.
         """
         if not pairs:
-            return EPRSample(attempts=1, duration=self.network.latency.t_epr)
+            return EPRSample(1, self.network.latency.t_epr)
         attempts = 0
         duration = 0.0
         for a, b in pairs:
             pair = self.sample_pair(rng, a, b)
             attempts += pair.attempts
             duration = max(duration, pair.duration)
-        return EPRSample(attempts=attempts, duration=duration)
+        return EPRSample(attempts, duration)

@@ -11,15 +11,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = ["TraceEvent", "TraceRecorder", "LatencyDistribution"]
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One timestamped event of a simulated execution."""
+class TraceEvent(NamedTuple):
+    """One timestamped event of a simulated execution.
+
+    A tuple record (traces hold several per comm op): immutable and
+    without a per-instance ``__dict__``; ``event._replace(...)`` derives a
+    changed copy.
+    """
 
     time: float
     kind: str                    # "epr-start", "epr-ready", "teleport",
@@ -42,8 +45,8 @@ class TraceRecorder:
                nodes: Sequence[int] = (), detail: str = "") -> None:
         if not self.enabled:
             return
-        self.events.append(TraceEvent(time=time, kind=kind, index=index,
-                                      nodes=tuple(nodes), detail=detail))
+        self.events.append(TraceEvent(time, kind, index, tuple(nodes),
+                                      detail))
 
     def record_link(self, node_a: int, node_b: int, start: float,
                     end: float) -> None:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.ir import Circuit, Gate, decompose_gate, decompose_to_cx, mct_v_chain
-from repro.ir.decompose import CX_BASIS
+from repro.ir.decompose import _HANDLERS, CX_BASIS
+from repro.ir.gates import gate_spec
 from repro.ir.simulator import (
     circuit_unitary,
     simulate,
@@ -73,6 +74,38 @@ class TestGateDecompositions:
         gates = decompose_gate(Gate("crz", (4, 2), (0.3,)))
         touched = {q for g in gates for q in g.qubits}
         assert touched == {2, 4}
+
+
+class TestTrustedConstruction:
+    """Handlers build gates with ``Gate.from_trusted``; they must equal the
+    validated construction field by field, cached facts included."""
+
+    @pytest.mark.parametrize("name", sorted(_HANDLERS))
+    def test_handler_gates_equal_validated_gates(self, name):
+        spec = gate_spec(name)
+        gate = Gate(name, (5, 2, 7)[:spec.num_qubits],
+                    (0.73,)[:spec.num_params])
+        subs = decompose_gate(gate)
+        assert subs
+        for sub in subs:
+            validated = Gate(sub.name, sub.qubits, sub.params)
+            assert sub == validated
+            assert sub.qubit_set == validated.qubit_set
+            assert vars(sub) == vars(validated)
+            assert all(type(q) is int for q in sub.qubits)
+            assert all(type(p) is float for p in sub.params)
+
+    def test_handlers_cover_every_decomposable_gate(self):
+        assert sorted(_HANDLERS) == sorted(g.name for g in DECOMPOSABLE)
+
+    def test_circuit_equals_validated_append(self):
+        circuit = (Circuit(8).h(0).crz(0.4, 0, 1).swap(1, 2).ccz(3, 4, 5)
+                   .rxx(0.2, 6, 7).cswap(7, 2, 5).cp(0.7, 2, 1))
+        expected = Circuit(8)
+        for gate in circuit:
+            for sub in decompose_gate(gate):
+                expected.append(Gate(sub.name, sub.qubits, sub.params))
+        assert list(decompose_to_cx(circuit)) == list(expected)
 
 
 class TestCircuitDecomposition:

@@ -8,16 +8,18 @@ from repro import AutoCommConfig, compile_autocomm
 from repro.circuits import qft_circuit
 from repro.circuits.suite import BenchmarkSpec
 from repro.hardware import (DEFAULT_LATENCY, LatencyModel, LinkModel,
-                            uniform_network)
+                            LinkSpec, uniform_network)
 from repro.hardware.topology import apply_topology
 from repro.ir import Circuit, decompose_to_cx
 from repro.partition import QubitMapping
+from repro.obs import MetricsRegistry
 from repro.sim import (
     MonteCarloResult,
     SimulationConfig,
     run_monte_carlo,
     simulate_program,
 )
+from repro.sim.engine import ExecutionEngine, plan_for_program
 
 
 def block_mapping_for(num_qubits, num_nodes):
@@ -225,6 +227,94 @@ def _trial_digest(result):
     digest = hashlib.sha256(repr((result.latency, ops, reservations))
                             .encode()).hexdigest()[:16]
     return result.latency, digest
+
+
+def _reference_fold(registry, engine, result):
+    """The metrics fold as one walk over every op record, in index order.
+
+    The engine folds through per-plan comm-op groups instead; every sum
+    must add in this walk's order, so the registries must match exactly.
+    """
+    ops, total = result.ops, result.total_epr_attempts
+    profiles = engine.plan.op_profiles(engine.network)
+    per_link = engine.epr.per_link and not engine.epr.deterministic
+    registry.counter("sim.trials").inc()
+    registry.histogram("sim.latency").observe(result.latency)
+    registry.histogram("sim.epr_attempts").observe(total)
+    needed = 0
+    node_busy = {}
+    link_totals = {}
+    for op in ops:
+        if op.kind == "gate":
+            continue
+        registry.histogram("comm.queue_wait", kind=op.kind).observe(
+            op.queue_wait)
+        if op.kind == "migration":
+            registry.histogram("migration.stall").observe(op.queue_wait)
+        profile = profiles[op.index]
+        needed += (op.epr_pairs if per_link
+                   else len(profile.prep_pairs)) or 1
+        for node in op.nodes:
+            node_busy[node] = node_busy.get(node, 0.0) + (op.end
+                                                          - op.prep_start)
+        for pair, count in profile.links:
+            totals = link_totals.setdefault(pair, [0, 0.0])
+            totals[0] += count
+            totals[1] += op.start - op.prep_start
+    registry.counter("epr.attempts").inc(total)
+    registry.counter("epr.retries").inc(total - needed)
+    if result.latency > 0:
+        for node in engine.network:
+            registry.histogram("node.comm_occupancy", node=node.index).observe(
+                node_busy.get(node.index, 0.0)
+                / (result.latency * node.num_comm_qubits))
+    for (a, b), (generations, busy) in link_totals.items():
+        registry.counter("link.epr_generations", link=f"{a}-{b}").inc(
+            generations)
+        registry.counter("link.busy_time", link=f"{a}-{b}").inc(busy)
+
+
+def _registry_contents(registry):
+    """Every counter value and every histogram's samples, in order."""
+    return ({key: c.value for key, c in registry._counters.items()},
+            {key: list(h.values) for key, h in registry._histograms.items()})
+
+
+def _lossy_line(network):
+    """``network`` on a line whose link 1-2 is slow, lossy and capped."""
+    t_epr = network.latency.t_epr
+    model = LinkModel(LinkSpec(t_epr=t_epr), {
+        (1, 2): LinkSpec(t_epr=2 * t_epr, p_epr=0.7, capacity=1)})
+    return apply_topology(network, "line", link_model=model)
+
+
+class TestMetricsFold:
+    @pytest.mark.parametrize("p_epr", [0.5, 1.0])
+    @pytest.mark.parametrize("topology,remap", [
+        ("all-to-all", False), ("line", False), ("lossy-line", False),
+        ("line", True)])
+    def test_grouped_fold_matches_per_op_walk(self, topology, remap, p_epr):
+        network = uniform_network(4, 3)
+        if topology == "lossy-line":
+            network = _lossy_line(network)
+        elif topology == "line":
+            network = apply_topology(network, "line")
+        config = (AutoCommConfig(remap="bursts", phase_blocks=3,
+                                 overlap=True) if remap else None)
+        program = compile_autocomm(qft_circuit(12), network, config=config,
+                                   cache=False)
+        plan = plan_for_program(program)
+        kinds = dict(plan.comm_groups(program.network).kinds)
+        assert ("migration" in kinds) == remap
+        actual, expected = MetricsRegistry(), MetricsRegistry()
+        for seed in range(4):
+            engine = ExecutionEngine(plan, program.network, metrics=actual,
+                                     config=SimulationConfig(
+                                         p_epr=p_epr, seed=seed,
+                                         record_trace=False))
+            _reference_fold(expected, engine, engine.run())
+        assert _registry_contents(actual) == _registry_contents(expected)
+        assert actual.as_dict() == expected.as_dict()
 
 
 class TestZeroDurationGates:

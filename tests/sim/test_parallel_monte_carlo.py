@@ -122,12 +122,16 @@ class TestPlanPickling:
         plan = plan_for_program(program)
         plan.successors()
         plan.op_profiles(program.network)
+        groups = plan.comm_groups(program.network)
         assert plan._succs is not None and plan._profiles is not None
+        assert plan._groups is not None
         restored = pickle.loads(pickle.dumps(plan))
         assert restored._succs is None and restored._profiles is None
+        assert restored._groups is None
         assert len(restored.items) == len(plan.items)
         assert restored.preds == plan.preds
         assert restored.successors() == plan.successors()
+        assert restored.comm_groups(program.network) == groups
 
     def test_unpickled_program_simulates_identically(self, phased_program):
         restored = pickle.loads(pickle.dumps(phased_program))

@@ -100,7 +100,7 @@ class TestItemCoverage:
     def test_item_count_mismatch_detected(self):
         program = _static_program()
         ops = program.schedule.ops
-        ops[0] = replace(ops[0], num_items=ops[0].num_items + 1)
+        ops[0] = ops[0]._replace(num_items=ops[0].num_items + 1)
         diags = _run(program, ItemCoverageCheck).by_checker("item-coverage")
         assert any("plan says" in d.message and d.location.op == ops[0].index
                    for d in diags)
@@ -278,7 +278,7 @@ class TestScheduleCausality:
     def test_inverted_window_detected(self):
         program = _static_program()
         ops = program.schedule.ops
-        ops[0] = replace(ops[0], end=ops[0].start - 1.0)
+        ops[0] = ops[0]._replace(end=ops[0].start - 1.0)
         diags = _run(program, CausalityCheck).by_checker("schedule-causality")
         assert any("before it starts" in d.message
                    and d.location.op == ops[0].index for d in diags)
@@ -289,8 +289,8 @@ class TestScheduleCausality:
         ops = program.schedule.ops
         victim = next(i for i in range(len(ops) - 1, -1, -1)
                       if plan.preds[ops[i].index] and ops[i].start > 0)
-        ops[victim] = replace(ops[victim], start=0.0,
-                              end=ops[victim].duration)
+        ops[victim] = ops[victim]._replace(start=0.0,
+                                           end=ops[victim].duration)
         diags = _run(program, CausalityCheck).by_checker("schedule-causality")
         assert any("before predecessor" in d.message
                    and d.location.op == ops[victim].index for d in diags)
@@ -303,7 +303,7 @@ class TestBookingFeasibility:
         comm = [i for i, op in enumerate(ops) if op.kind != "gate"]
         assert len(comm) >= 3
         for i in comm:
-            ops[i] = replace(ops[i], start=0.0, end=10.0)
+            ops[i] = ops[i]._replace(start=0.0, end=10.0)
         diags = _run(program, BookingCheck).by_checker("booking-feasibility")
         errors = [d for d in diags if "comm qubits" in d.message]
         assert errors and errors[0].location.node is not None
@@ -315,7 +315,7 @@ class TestBookingFeasibility:
         ops = program.schedule.ops
         for i, op in enumerate(ops):
             if op.kind != "gate":
-                ops[i] = replace(op, start=5.0, end=10.0)
+                ops[i] = op._replace(start=5.0, end=10.0)
         report = _run(program, BookingCheck)
         serialise = [d for d in report.diagnostics
                      if "serialise the excess" in d.message]
@@ -334,8 +334,7 @@ class TestTraceCausality:
     def test_inverted_window_detected(self):
         program = _static_program()
         result, config = _simulated(program)
-        result.ops[0] = replace(result.ops[0],
-                                end=result.ops[0].start - 1.0)
+        result.ops[0] = result.ops[0]._replace(end=result.ops[0].start - 1.0)
         diags = _sanitize(program, result, config,
                           TraceCausalityCheck).by_checker("trace-causality")
         assert any("before it starts" in d.message for d in diags)
@@ -354,7 +353,7 @@ class TestTraceCausality:
         result, config = _simulated(program)
         comm = next(i for i, op in enumerate(result.ops)
                     if op.kind != "gate")
-        result.ops[comm] = replace(result.ops[comm], prep_start=-5.0)
+        result.ops[comm] = result.ops[comm]._replace(prep_start=-5.0)
         diags = _sanitize(program, result, config,
                           TraceCausalityCheck).by_checker("trace-causality")
         assert any("negative time" in d.message for d in diags)
@@ -367,8 +366,8 @@ class TestTraceCausality:
                       if plan.preds[result.ops[i].index]
                       and result.ops[i].start > 0)
         op = result.ops[victim]
-        result.ops[victim] = replace(op, prep_start=0.0, start=0.0,
-                                     end=op.duration)
+        result.ops[victim] = op._replace(prep_start=0.0, start=0.0,
+                                         end=op.duration)
         diags = _sanitize(program, result, config,
                           TraceCausalityCheck).by_checker("trace-causality")
         assert any("before dependency" in d.message
@@ -382,8 +381,8 @@ class TestTraceCommQubits:
         mutated = 0
         for i, op in enumerate(result.ops):
             if op.kind != "gate":
-                result.ops[i] = replace(op, prep_start=0.0, start=5.0,
-                                        end=10.0)
+                result.ops[i] = op._replace(prep_start=0.0, start=5.0,
+                                            end=10.0)
                 mutated += 1
         assert mutated >= 3
         diags = _sanitize(program, result, config,
@@ -410,8 +409,8 @@ class TestTraceLinkCapacity:
                              if len(ops) >= 2)
         for i in indices[:2]:
             op = result.ops[i]
-            result.ops[i] = replace(op, prep_start=0.0, start=5.0,
-                                    end=5.0 + op.duration)
+            result.ops[i] = op._replace(prep_start=0.0, start=5.0,
+                                        end=5.0 + op.duration)
         diags = _sanitize(
             program, result, config,
             TraceLinkCapacityCheck).by_checker("trace-link-capacity")
@@ -475,8 +474,8 @@ class TestOverlapLegality:
                                                num_qubits)]
             if blockers:
                 # Teleport the qubit away before its last user retires.
-                ops[position] = replace(mig_op, start=0.0,
-                                        end=mig_op.duration)
+                ops[position] = mig_op._replace(start=0.0,
+                                                end=mig_op.duration)
                 break
         else:
             pytest.fail("no migration with an earlier-phase user found")
@@ -504,8 +503,8 @@ class TestOverlapLegality:
             if racer is not None:
                 # Use the qubit while its teleport is still in flight.
                 op = ops[racer]
-                ops[racer] = replace(op, start=mig_op.start,
-                                     end=mig_op.start + op.duration)
+                ops[racer] = op._replace(start=mig_op.start,
+                                         end=mig_op.start + op.duration)
                 break
         else:
             pytest.fail("no later-phase user of a migrated qubit found")
@@ -541,7 +540,7 @@ class TestOverlapLegality:
                 break
         assert victim is not None
         op = ops[victim]
-        ops[victim] = replace(op, start=0.0, end=op.duration)
+        ops[victim] = op._replace(start=0.0, end=op.duration)
         diags = _run(program, CausalityCheck).by_checker("schedule-causality")
         assert any("earlier phase's op on the same" in d.message
                    for d in diags)
