@@ -15,8 +15,6 @@ triggers:
 Run with:  python examples/verification_study.py
 """
 
-from dataclasses import replace
-
 from repro.circuits import qft_circuit
 from repro.core import compile_autocomm
 from repro.hardware import apply_topology, uniform_network
@@ -53,7 +51,7 @@ def main() -> None:
     victim = max(range(len(broken.schedule.ops)),
                  key=lambda i: broken.schedule.ops[i].end)
     op = broken.schedule.ops[victim]
-    broken.schedule.ops[victim] = replace(op, end=op.start - 1.0)
+    broken.schedule.ops[victim] = op._replace(end=op.start - 1.0)
     show("schedule op with end < start", verify_program(broken))
 
     # --- bug 2: an EPR route that teleports across the line ---------------
