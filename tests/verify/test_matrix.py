@@ -15,10 +15,12 @@ change that is meant to alter outputs, and say why in the change log.
 import gzip
 import hashlib
 import json
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+from repro.baselines import compile_gp_tp, compile_sparse
 from repro.circuits import BENCHMARK_FAMILIES, build_benchmark
 from repro.core import AutoCommConfig, compile_autocomm
 from repro.hardware import SUPPORTED_TOPOLOGIES, apply_topology
@@ -45,6 +47,10 @@ ABLATIONS = {
         schedule_strategy="greedy"),
 }
 
+#: The paper's baselines (Table 3 and Figure 16), pinned per family x
+#: topology like the remap modes.
+BASELINES = {"sparse": compile_sparse, "gp-tp": compile_gp_tp}
+
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
 
 
@@ -54,23 +60,32 @@ def _remap_config(remap):
                                 overlap=remap == "bursts+overlap"))
 
 
-def _compile(family, topology, config):
+def _autocomm(config):
+    return partial(compile_autocomm, config=config)
+
+
+def _compiler(name):
+    """A remap mode's AutoComm compile, or the named baseline."""
+    return BASELINES.get(name) or _autocomm(_remap_config(name))
+
+
+def _compile(family, topology, compiler):
     circuit, network = build_benchmark(family, NUM_QUBITS, NUM_NODES)
     if topology != "all-to-all":
         apply_topology(network, topology)
-    return compile_autocomm(circuit, network, config=config)
+    return compiler(circuit, network)
 
 
 def _golden_cases():
-    """``{case id: (family, topology, config)}`` for every pinned program."""
+    """``{case id: (family, topology, compiler)}`` for every pinned program."""
     cases = {}
     for family in sorted(BENCHMARK_FAMILIES):
         for topology in SUPPORTED_TOPOLOGIES:
-            for remap in REMAP_MODES:
-                cases[f"{family}/{topology}/{remap}"] = (
-                    family, topology, _remap_config(remap))
+            for name in REMAP_MODES + tuple(BASELINES):
+                cases[f"{family}/{topology}/{name}"] = (
+                    family, topology, _compiler(name))
         for name, config in ABLATIONS.items():
-            cases[f"{family}/line/{name}"] = (family, "line", config)
+            cases[f"{family}/line/{name}"] = (family, "line", _autocomm(config))
     return cases
 
 
@@ -100,15 +115,14 @@ def program_digest(program):
 
 
 def _case_digest(case):
-    family, topology, config = GOLDEN_CASES[case]
-    return program_digest(_compile(family, topology, config))
+    return program_digest(_compile(*GOLDEN_CASES[case]))
 
 
 @pytest.mark.parametrize("remap", REMAP_MODES)
 @pytest.mark.parametrize("topology", SUPPORTED_TOPOLOGIES)
 @pytest.mark.parametrize("family", sorted(BENCHMARK_FAMILIES))
 def test_benchmark_matrix_verifies_clean(family, topology, remap):
-    program = _compile(family, topology, _remap_config(remap))
+    program = _compile(family, topology, _compiler(remap))
     report = verify_program(program)
     assert report.clean, report.render()
 
@@ -116,7 +130,7 @@ def test_benchmark_matrix_verifies_clean(family, topology, remap):
 @pytest.mark.parametrize("topology", ["line", "grid"])
 @pytest.mark.parametrize("family", ["QFT", "BV"])
 def test_benchmark_simulations_sanitize_clean(family, topology):
-    program = _compile(family, topology, _remap_config("bursts"))
+    program = _compile(family, topology, _compiler("bursts"))
     config = SimulationConfig(ideal_links=True)
     result = simulate_program(program, config)
     report = sanitize_simulation(program, result, config)
