@@ -1,5 +1,11 @@
 """Baseline and ablation compilers used in the paper's evaluation.
 
+Every compiler here runs through :func:`repro.core.pipeline.compile_program`,
+the one compile path that also prices AutoComm: a baseline supplies only its
+block-forming step, so all compilers are measured by the same metrics block
+and carry the same span tree (``decompose``, ``oee-partition``,
+``scheduling``).
+
 * :func:`compile_sparse` — Ferrari-style per-gate Cat-Comm (main baseline,
   Table 3).
 * :func:`compile_gp_tp` — graph-partition / qubit-movement compiler with
@@ -20,13 +26,11 @@ from ..core.pipeline import AutoCommCompiler, AutoCommConfig, CompiledProgram
 from ..hardware.network import QuantumNetwork
 from ..ir.circuit import Circuit
 from ..partition.mapping import QubitMapping
-from .sparse import SparseCompiler, compile_sparse
-from .gp_tp import GPTPCompiler, compile_gp_tp
+from .sparse import compile_sparse
+from .gp_tp import compile_gp_tp
 
 __all__ = [
-    "SparseCompiler",
     "compile_sparse",
-    "GPTPCompiler",
     "compile_gp_tp",
     "compile_cat_only",
     "compile_no_commute",

@@ -612,7 +612,7 @@ def _report_rows(program) -> List[dict]:
         if metrics.total_epr_latency is not None:
             rows.append({"metric": "EPR latency volume [CX units]",
                          "value": round(metrics.total_epr_latency, 1)})
-    if getattr(program, "remap", "never") != "never":
+    if program.remap != "never":
         rows.insert(1, {"metric": "remap", "value": program.remap})
         rows.append({"metric": "phases", "value": metrics.num_phases})
         rows.append({"metric": "migration moves",
@@ -651,12 +651,8 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if not 0.0 < args.p_epr <= 1.0:
-        raise SystemExit(f"error: --p-epr must be in (0, 1], got {args.p_epr}")
     if args.trials < 0:
         raise SystemExit(f"error: --trials must be >= 0, got {args.trials}")
-    if args.workers < 1:
-        raise SystemExit(f"error: --workers must be >= 1, got {args.workers}")
     circuit = _load_circuit(args.qasm)
     network = _network_from_args(circuit, args)
     remap_config = _autocomm_config(args)
@@ -718,7 +714,7 @@ def _cmd_compare(args) -> int:
     if args.report is not None:
         entries = []
         for name, program in programs:
-            spans = getattr(program, "spans", None)
+            spans = program.spans
             entries.append({"compiler": name,
                             "metrics": program.metrics.as_dict(),
                             "spans": (spans.as_dict()
@@ -742,12 +738,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if not 0.0 < args.p_epr <= 1.0:
-        raise SystemExit(f"error: --p-epr must be in (0, 1], got {args.p_epr}")
     if args.trials < 1:
         raise SystemExit(f"error: --trials must be >= 1, got {args.trials}")
-    if args.workers < 1:
-        raise SystemExit(f"error: --workers must be >= 1, got {args.workers}")
     if args.retry_latency is not None and args.retry_latency <= 0:
         raise SystemExit("error: --retry-latency must be positive")
     circuit = _load_circuit(args.qasm)
@@ -900,14 +892,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    if not 0.0 < args.p_epr <= 1.0:
-        raise SystemExit(f"error: --p-epr must be in (0, 1], got {args.p_epr}")
     circuit = _load_circuit(args.qasm)
     network = _network_from_args(circuit, args)
     program = _compile_program(circuit, network, args)
 
     events = []
-    spans = getattr(program, "spans", None)
+    spans = program.spans
     if spans is not None:
         events.extend(span_trace_events(spans, pid=PID_COMPILE))
     if not args.no_sim:
@@ -939,8 +929,6 @@ def _cmd_profile(args) -> int:
 
     if args.repeat < 1:
         raise SystemExit(f"error: --repeat must be >= 1, got {args.repeat}")
-    if not 0.0 < args.p_epr <= 1.0:
-        raise SystemExit(f"error: --p-epr must be in (0, 1], got {args.p_epr}")
     from .ir.commutation import clear_commutation_cache, commutation_cache_stats
     from .sim import run_monte_carlo as _run_mc
 
@@ -1004,7 +992,7 @@ def _cmd_profile(args) -> int:
              "value": " ".join(f"{t * 1e3:.2f}" for t in compile_times)},
             {"metric": "commutation cache hits/misses",
              "value": f"{cache_stats['hits']}/{cache_stats['misses']}"}]
-    spans = getattr(program, "spans", None)
+    spans = program.spans
     if spans is not None:
         # Top-level pass timings from the profiled compile's span tree; the
         # full nested tree follows the hotspot table.
@@ -1126,8 +1114,19 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _check_shared_flags(args) -> None:
+    """Range-check the flags several commands share, for every command that
+    takes them, before any command runs."""
+    flags = vars(args)
+    if "p_epr" in flags and not 0.0 < args.p_epr <= 1.0:
+        raise SystemExit(f"error: --p-epr must be in (0, 1], got {args.p_epr}")
+    if "workers" in flags and args.workers < 1:
+        raise SystemExit(f"error: --workers must be >= 1, got {args.workers}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    _check_shared_flags(args)
     handlers = {"compile": _cmd_compile, "compare": _cmd_compare,
                 "simulate": _cmd_simulate, "generate": _cmd_generate,
                 "profile": _cmd_profile, "trace": _cmd_trace,

@@ -1,11 +1,14 @@
 """AutoComm compilation pipeline.
 
-:class:`AutoCommCompiler` chains the three passes of the paper —
-aggregation, assignment and scheduling — behind one call and produces a
-:class:`CompiledProgram` carrying the intermediate results and the
-evaluation metrics.  The baselines in :mod:`repro.baselines` produce the
-same :class:`CompiledProgram` type so that every compiler is measured with
-identical code.
+:func:`compile_program` is the compile path of every compiler, AutoComm
+and the baselines of :mod:`repro.baselines` alike: it validates capacity,
+decomposes, places qubits with OEE when no mapping is given, calls the
+compiler's block-forming step (:data:`FormStep`), schedules the phases and
+prices the result with the one metrics block into a
+:class:`CompiledProgram`.  So every compiler is measured by identical code
+and differs only in how it forms communication blocks.
+:class:`AutoCommCompiler`'s step chains the paper's aggregation and
+assignment passes.
 
 **Phase-structured compilation** (``AutoCommConfig.remap = "bursts"``)
 extends the paper's single static OEE mapping with dynamic inter-phase
@@ -30,9 +33,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..comm.blocks import CommBlock
+from ..comm.cost import total_comm_count
 from ..hardware.network import QuantumNetwork
 from ..ir.circuit import Circuit
 from ..ir.decompose import decompose_to_cx
@@ -47,7 +51,8 @@ from .metrics import (CompilationMetrics, communication_loads,
 from .scheduling import (MigrationOp, ScheduleResult,
                          schedule_phased_communications)
 
-__all__ = ["AutoCommConfig", "CompiledPhase", "CompiledProgram",
+__all__ = ["AutoCommConfig", "CompiledPhase", "CompiledProgram", "FormStep",
+           "compile_program", "compile_traced", "static_form",
            "AutoCommCompiler", "compile_autocomm"]
 
 #: Accepted values of :attr:`AutoCommConfig.remap`.
@@ -162,6 +167,115 @@ class CompiledProgram:
         return data
 
 
+#: A compiler's block-forming step, the one step in which compilers differ:
+#: ``form(working, network, mapping) -> (base, phases, migrations)`` turns
+#: the decomposed, placed circuit into its base aggregation, its phase list
+#: and one migration list per phase boundary (``None`` for a static
+#: program, whose one phase runs under ``mapping``).
+FormStep = Callable[
+    [Circuit, QuantumNetwork, QubitMapping],
+    Tuple[AggregationResult, List[CompiledPhase],
+          Optional[List[List[MigrationOp]]]]]
+
+
+def compile_program(circuit: Circuit, network: QuantumNetwork,
+                    mapping: Optional[QubitMapping], form: FormStep, *,
+                    compiler: str, strategy: str, overlap: bool = False,
+                    remap: str = "never") -> CompiledProgram:
+    """The compile path of every compiler: one skeleton, one metrics block.
+
+    Validates capacity, decomposes to CX (``decompose`` span), places the
+    qubits with the OEE static partitioner when ``mapping`` is omitted
+    (exactly as in the paper's experimental setup), forms the blocks with
+    ``form``, schedules the phases with ``strategy``/``overlap`` and prices
+    the program.  A static program (``migrations`` ``None``) keeps its
+    shape: ``assignment`` set, ``phases``/``migrations`` ``None``.  Stages
+    land under the caller's tracer, if any.
+    """
+    network.validate_capacity(circuit.num_qubits)
+    with stage("decompose") as span:
+        working = decompose_to_cx(circuit)
+        span.set("gates", len(working))
+    if mapping is None:
+        mapping = oee_partition(working, network).mapping
+    base, phases, migrations = form(working, network, mapping)
+    schedule = schedule_phased_communications(
+        phases, migrations, network, strategy=strategy, overlap=overlap)
+
+    static = migrations is None
+    moves = [move for boundary in migrations or () for move in boundary]
+    # Static programs have always reported the float 0.0 and a phased
+    # compile without moves the int 0; both are kept byte-identical.
+    migration_latency = sum(
+        (network.epr_latency(move.source, move.target)
+         + network.latency.t_teleport for move in moves),
+        0.0 if static else 0)
+    costs = [phase.assignment.cost for phase in phases]
+    total_epr_latency = (
+        sum(c.total_epr_latency for c in costs)
+        if all(c.total_epr_latency is not None for c in costs) else None)
+    metrics = CompilationMetrics(
+        name=circuit.name,
+        total_comm=sum(c.total_comm for c in costs),
+        tp_comm=sum(c.tp_comm for c in costs),
+        cat_comm=sum(c.cat_comm for c in costs),
+        peak_rem_cx=max((c.peak_remote_cx for c in costs), default=0.0),
+        latency=schedule.latency,
+        num_blocks=sum(len(phase.blocks) for phase in phases),
+        num_remote_gates=sum(
+            phase.mapping.count_remote_gates(phase.aggregation.circuit)
+            for phase in phases),
+        total_epr_pairs=sum(c.total_epr_pairs for c in costs),
+        total_epr_latency=total_epr_latency,
+        num_phases=len(phases),
+        migration_moves=len(moves),
+        migration_latency=migration_latency,
+        boundary_bubble=schedule.boundary_bubble,
+    )
+    return CompiledProgram(
+        name=circuit.name,
+        compiler=compiler,
+        circuit=working,
+        mapping=mapping,
+        network=network,
+        blocks=[block for phase in phases for block in phase.blocks],
+        metrics=metrics,
+        aggregation=base,
+        assignment=phases[0].assignment if static else None,
+        schedule=schedule,
+        remap=remap,
+        phases=None if static else phases,
+        migrations=migrations,
+    )
+
+
+def compile_traced(circuit: Circuit, network: QuantumNetwork,
+                   mapping: Optional[QubitMapping], form: FormStep,
+                   **options) -> CompiledProgram:
+    """:func:`compile_program` under its own tracer, so the program's
+    ``spans`` carries the stage tree (``None`` when tracing is off)."""
+    with Tracer(f"compile/{circuit.name}") as tracer:
+        program = compile_program(circuit, network, mapping, form, **options)
+    program.spans = tracer.root
+    return program
+
+
+def static_form(working: Circuit, network: QuantumNetwork,
+                mapping: QubitMapping, items: List[ScheduleItem],
+                blocks: List[CommBlock]):
+    """A :data:`FormStep` result for one static phase of formed blocks.
+
+    ``blocks`` already carry their schemes; they are priced under
+    ``mapping`` and ``items`` (gates and blocks, in program order) are
+    scheduled as they stand.
+    """
+    base = AggregationResult(working, mapping, items, blocks)
+    assignment = AssignmentResult(
+        aggregation=base, blocks=blocks,
+        cost=total_comm_count(blocks, mapping, network=network))
+    return base, [CompiledPhase(0, mapping, base, assignment)], None
+
+
 class AutoCommCompiler:
     """The burst-communication-centric compiler of the paper."""
 
@@ -215,7 +329,11 @@ class AutoCommCompiler:
                     cached = store.load(key)
                     span.set("hit", 1 if cached is not None else 0)
             if cached is None:
-                program = self._compile(circuit, network, mapping)
+                program = compile_program(
+                    circuit, network, mapping, self._form,
+                    compiler=self._compiler_label(),
+                    strategy=self.config.schedule_strategy,
+                    overlap=self.config.overlap, remap=self.config.remap)
         if cached is not None:
             cached.spans = tracer.root
             return cached
@@ -238,90 +356,24 @@ class AutoCommCompiler:
         from ..persist.cache import resolve_cache
         return resolve_cache(cache)
 
-    def _compile(self, circuit: Circuit, network: QuantumNetwork,
-                 mapping: Optional[QubitMapping]) -> CompiledProgram:
-        """Decompose, place and aggregate once, then compile the phase list.
+    def _form(self, working: Circuit, network: QuantumNetwork,
+              mapping: QubitMapping):
+        """AutoComm's :data:`FormStep`: aggregate, then assign per phase.
 
-        A static compile is the one-phase case (see :meth:`_phases`).  It
-        keeps its shape: ``assignment`` set, ``phases``/``migrations``
-        ``None``, ``plan-burst``/``plan-plain`` spans.
+        The base aggregation discovers the burst structure the phases are
+        sliced along; phase 0 reuses its blocks verbatim.  Under ``remap =
+        "never"`` the only phase is the base aggregation under the initial
+        mapping, with no boundary list (``None``).  Otherwise the base items
+        are segmented at burst-phase boundaries and each later phase is
+        repartitioned and, when remapped, re-aggregated under its new
+        mapping.
         """
-        network.validate_capacity(circuit.num_qubits)
-        with stage("decompose") as span:
-            working = decompose_to_cx(circuit)
-            span.set("gates", len(working))
-        if mapping is None:
-            mapping = oee_partition(working, network).mapping
-        # The base aggregation discovers the burst structure the phases are
-        # sliced along; phase 0 reuses its blocks verbatim.
         base = aggregate_communications(
             working, mapping, use_commutation=self.config.use_commutation)
-        phases, migrations = self._phases(working, network, mapping, base)
-        schedule = schedule_phased_communications(
-            phases, migrations, network,
-            strategy=self.config.schedule_strategy,
-            overlap=self.config.overlap)
-
-        static = migrations is None
-        moves = [move for boundary in migrations or () for move in boundary]
-        # Static programs have always reported the float 0.0 and a phased
-        # compile without moves the int 0; both are kept byte-identical.
-        migration_latency = sum(
-            (network.epr_latency(move.source, move.target)
-             + network.latency.t_teleport for move in moves),
-            0.0 if static else 0)
-        costs = [phase.assignment.cost for phase in phases]
-        total_epr_latency = (
-            sum(c.total_epr_latency for c in costs)
-            if all(c.total_epr_latency is not None for c in costs) else None)
-        metrics = CompilationMetrics(
-            name=circuit.name,
-            total_comm=sum(c.total_comm for c in costs),
-            tp_comm=sum(c.tp_comm for c in costs),
-            cat_comm=sum(c.cat_comm for c in costs),
-            peak_rem_cx=max((c.peak_remote_cx for c in costs), default=0.0),
-            latency=schedule.latency,
-            num_blocks=sum(len(phase.blocks) for phase in phases),
-            num_remote_gates=sum(
-                phase.mapping.count_remote_gates(phase.aggregation.circuit)
-                for phase in phases),
-            total_epr_pairs=sum(c.total_epr_pairs for c in costs),
-            total_epr_latency=total_epr_latency,
-            num_phases=len(phases),
-            migration_moves=len(moves),
-            migration_latency=migration_latency,
-            boundary_bubble=schedule.boundary_bubble,
-        )
-        return CompiledProgram(
-            name=circuit.name,
-            compiler=self._compiler_label(),
-            circuit=working,
-            mapping=mapping,
-            network=network,
-            blocks=[block for phase in phases for block in phase.blocks],
-            metrics=metrics,
-            aggregation=base,
-            assignment=phases[0].assignment if static else None,
-            schedule=schedule,
-            remap=self.config.remap,
-            phases=None if static else phases,
-            migrations=migrations,
-        )
-
-    def _phases(self, working: Circuit, network: QuantumNetwork,
-                mapping: QubitMapping, base: AggregationResult):
-        """``(phases, migrations)``: one migration list per phase boundary.
-
-        Under ``remap = "never"`` the only phase is the base aggregation
-        under the initial mapping, with no boundary list (``None``).
-        Otherwise the base items are segmented at burst-phase boundaries
-        and each later phase is repartitioned and, when remapped,
-        re-aggregated under its new mapping.
-        """
         assign = partial(assign_communications, cat_only=self.config.cat_only,
                          network=network)
         if self.config.remap == "never":
-            return [CompiledPhase(0, mapping, base, assign(base))], None
+            return base, [CompiledPhase(0, mapping, base, assign(base))], None
         with stage("segment") as span:
             if self.config.phase_sizing == "auto":
                 segments, decisions = _segment_items_auto(
@@ -376,7 +428,7 @@ class AutoCommCompiler:
                 phases.append(CompiledPhase(index=index, mapping=current,
                                             aggregation=aggregation,
                                             assignment=assignment))
-        return phases, migrations
+        return base, phases, migrations
 
     def _compiler_label(self) -> str:
         label = "autocomm"

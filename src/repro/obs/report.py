@@ -114,7 +114,7 @@ class RunReport:
 def report_for_program(program, kind: str = "compile",
                        meta: Optional[Dict[str, object]] = None) -> RunReport:
     """Build a report from one :class:`~repro.core.pipeline.CompiledProgram`."""
-    spans = getattr(program, "spans", None)
+    spans = program.spans
     base_meta: Dict[str, object] = {
         "name": program.name,
         "compiler": program.compiler,
@@ -122,7 +122,7 @@ def report_for_program(program, kind: str = "compile",
         "num_gates": len(program.circuit),
         "num_nodes": program.network.num_nodes,
         "topology": program.network.topology_kind,
-        "remap": getattr(program, "remap", "never"),
+        "remap": program.remap,
     }
     if meta:
         base_meta.update(meta)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import compile_autocomm, compile_gp_tp
-from repro.baselines.gp_tp import GPTPCompiler
 from repro.circuits import bv_circuit, qaoa_maxcut_circuit, qft_circuit
 from repro.comm import CommScheme
 from repro.hardware import uniform_network
@@ -62,14 +61,13 @@ class TestGPTPCompiler:
     def test_lookahead_zero_still_works(self):
         circuit = qft_circuit(8)
         network = uniform_network(2, 4)
-        program = GPTPCompiler(lookahead=0).compile(circuit, network)
+        program = compile_gp_tp(circuit, network, lookahead=0)
         assert program.metrics.total_comm > 0
 
     def test_displacement_keeps_node_loads_balanced(self):
         circuit = qft_circuit(8)
         network = uniform_network(2, 4)
-        compiler = GPTPCompiler()
-        program = compiler.compile(circuit, network)
+        program = compile_gp_tp(circuit, network)
         # Movement is modelled as swaps, so per-node qubit counts are constant;
         # indirectly verified by the compile finishing and producing blocks
         # whose two endpoints are always distinct nodes.

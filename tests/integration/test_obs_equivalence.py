@@ -9,10 +9,12 @@ stochastic Monte-Carlo streams.  Instrumentation may record, never steer.
 
 import pytest
 
+from repro.baselines import compile_gp_tp, compile_sparse
 from repro.circuits import qft_circuit
 from repro.core import AutoCommConfig, compile_autocomm
 from repro.hardware import apply_topology, uniform_network
 from repro.obs import set_tracing
+from repro.persist import dumps_program
 from repro.sim import SimulationConfig, run_monte_carlo, simulate_program
 
 NUM_NODES = 4
@@ -70,6 +72,36 @@ class TestCompileEquivalence:
         root = _compiled(remap).spans
         child_total = sum(child.duration for child in root.children)
         assert child_total <= root.duration + 1e-9
+
+
+@pytest.mark.parametrize("baseline", [compile_sparse, compile_gp_tp],
+                         ids=["sparse", "gp-tp"])
+class TestBaselineCompileEquivalence:
+    """The baselines run AutoComm's compile path, tracer included."""
+
+    @staticmethod
+    def _compile(baseline):
+        network = uniform_network(NUM_NODES, QUBITS_PER_NODE)
+        apply_topology(network, "line")
+        return baseline(qft_circuit(NUM_NODES * QUBITS_PER_NODE), network)
+
+    def test_output_byte_identical_with_tracing_off(self, baseline):
+        traced = self._compile(baseline)
+        previous = set_tracing(False)
+        try:
+            untraced = self._compile(baseline)
+        finally:
+            set_tracing(previous)
+
+        assert traced.spans is not None
+        assert untraced.spans is None
+        assert (dumps_program(untraced, spans=False)
+                == dumps_program(traced, spans=False))
+
+    def test_span_tree_covers_the_pipeline(self, baseline):
+        stages = {span.name for span in self._compile(baseline).spans.walk()}
+        for expected in ("decompose", "oee-partition", "scheduling"):
+            assert expected in stages, stages
 
 
 class TestSimulationEquivalence:

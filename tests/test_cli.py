@@ -217,6 +217,17 @@ class TestProfileCommand:
         with pytest.raises(SystemExit):
             main(["profile", str(qasm_file), "--nodes", "2", *flags])
 
+    def test_zero_workers_rejected_like_simulate(self, qasm_file):
+        # profile used to pass --workers 0 on to the Monte-Carlo runner,
+        # which died with a ValueError traceback.
+        messages = []
+        for command in (["simulate"], ["profile", "--simulate-trials", "3"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command[0], str(qasm_file), "--nodes", "2",
+                      *command[1:], "--workers", "0"])
+            messages.append(str(excinfo.value))
+        assert messages == ["error: --workers must be >= 1, got 0"] * 2
+
 
 class TestGenerateCommand:
     def test_generate_to_stdout(self, capsys):
@@ -556,6 +567,22 @@ class TestRunReportFlag:
         assert report.kind == "compare"
         assert {entry["compiler"] for entry in report.programs} \
             >= set(COMPILERS)
+
+    def test_compare_report_carries_every_compilers_spans(
+            self, qasm_file, tmp_path, capsys):
+        from repro.obs import RunReport
+        from repro.obs.span import Span
+
+        target = tmp_path / "compare.json"
+        main(["compare", str(qasm_file), "--nodes", "2",
+              "--report", str(target)])
+        # Every contender compiles under AutoComm's mapping, so only
+        # AutoComm's own tree has an oee-partition stage.
+        for entry in RunReport.load(target).programs:
+            assert entry["spans"] is not None, entry["compiler"]
+            stages = {span.name
+                      for span in Span.from_dict(entry["spans"]).walk()}
+            assert {"decompose", "scheduling"} <= stages, entry["compiler"]
 
     def test_simulate_report_includes_simulation_section(self, qasm_file,
                                                          tmp_path, capsys):

@@ -1,8 +1,9 @@
 """CI-style gate: zero diagnostics across the benchmark matrix.
 
-Every benchmark family x topology x remap mode must compile into an
-artifact the static verifier finds nothing wrong with — the same matrix
-``tools/verify_suite.py`` sweeps in CI, at a test-sized scale here.
+Every benchmark family x topology x remap mode, and each of the paper's
+baselines, must compile into an artifact the static verifier and the trace
+sanitizer find nothing wrong with — the same matrix ``tools/verify_suite.py``
+sweeps in CI, at a test-sized scale here.
 
 The same matrix, plus the paper's ablation configs on a line, is also
 pinned byte-for-byte by golden digests (``golden_digests.json``): any
@@ -118,12 +119,15 @@ def _case_digest(case):
     return program_digest(_compile(*GOLDEN_CASES[case]))
 
 
-@pytest.mark.parametrize("remap", REMAP_MODES)
+@pytest.mark.parametrize("compiler", REMAP_MODES + tuple(BASELINES))
 @pytest.mark.parametrize("topology", SUPPORTED_TOPOLOGIES)
 @pytest.mark.parametrize("family", sorted(BENCHMARK_FAMILIES))
-def test_benchmark_matrix_verifies_clean(family, topology, remap):
-    program = _compile(family, topology, _compiler(remap))
+def test_benchmark_matrix_verifies_clean(family, topology, compiler):
+    program = _compile(family, topology, _compiler(compiler))
     report = verify_program(program)
+    config = SimulationConfig(ideal_links=True)
+    report.merge(sanitize_simulation(
+        program, simulate_program(program, config), config))
     assert report.clean, report.render()
 
 
