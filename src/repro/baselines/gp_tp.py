@@ -35,7 +35,8 @@ def compile_gp_tp(circuit: Circuit, network: QuantumNetwork,
     program = compile_traced(circuit, network, mapping,
                              partial(_form, lookahead=lookahead),
                              compiler="gp-tp", strategy="greedy")
-    # 3 CX worth of state motion per 2 comms.
+    # GP-TP's peak convention: a swap moves 3 CX worth of state over its
+    # 2 comms, whatever the remote gates it makes local.
     program.metrics = replace(program.metrics,
                               peak_rem_cx=1.5 if program.blocks else 0.0)
     return program

@@ -131,16 +131,6 @@ def test_benchmark_matrix_verifies_clean(family, topology, compiler):
     assert report.clean, report.render()
 
 
-@pytest.mark.parametrize("topology", ["line", "grid"])
-@pytest.mark.parametrize("family", ["QFT", "BV"])
-def test_benchmark_simulations_sanitize_clean(family, topology):
-    program = _compile(family, topology, _compiler("bursts"))
-    config = SimulationConfig(ideal_links=True)
-    result = simulate_program(program, config)
-    report = sanitize_simulation(program, result, config)
-    assert report.clean, report.render()
-
-
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN_PATH.read_text())

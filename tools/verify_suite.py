@@ -3,9 +3,10 @@
 
 Sweeps every benchmark family x topology x remap mode, plus the paper's
 sparse and GP-TP baselines, compiles each combination and runs every
-program-scope check of :mod:`repro.verify` over the artifact; with ``--simulate`` (the CI default) each program is
-additionally executed once deterministically and the trace sanitizer
-passes run over the result.  The gate demands **zero** diagnostics —
+program-scope check of :mod:`repro.verify` over the artifact; with
+``--simulate`` (the CI default) each program is additionally executed
+once deterministically and the trace sanitizer passes run over the
+result.  The gate demands **zero** diagnostics —
 warnings included — across the matrix, and writes a JSON diagnostics
 report suitable for upload as a CI artifact.
 
