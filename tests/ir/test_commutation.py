@@ -255,3 +255,63 @@ class TestCacheStatistics:
         assert stats == {"hits": 0, "misses": 0, "rule_decided": 0,
                          "matrix_decided": 0, "size": 0,
                          "matrix_cache_size": 0}
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive agreement on three qubits
+# ---------------------------------------------------------------------------
+
+_EXHAUSTIVE_ANGLES = (0.3, np.pi / 2 ** 30)
+
+
+def _every_gate_on_three_qubits():
+    """Every registered gate in every placement on qubits 0-2.
+
+    Parametrised gates take each angle of ``_EXHAUSTIVE_ANGLES`` (all of a
+    gate's parameters set to it) and barriers span 1-3 qubits.
+    """
+    from itertools import permutations
+
+    from repro.ir import gate_spec, standard_gate_names
+
+    gates = []
+    for name in standard_gate_names():
+        spec = gate_spec(name)
+        arities = (1, 2, 3) if name == "barrier" else (spec.num_qubits,)
+        params = ([(angle,) * spec.num_params for angle in _EXHAUSTIVE_ANGLES]
+                  if spec.num_params else [()])
+        for arity in arities:
+            for qubits in permutations(range(3), arity):
+                gates.extend(Gate(name, qubits, p) for p in params)
+    return gates
+
+
+class TestExhaustiveAgreement:
+    """``commutes`` equals the reference engine on every three-qubit pair.
+
+    Covers every overlap pattern the aggregation pass can meet among
+    registered gates, multi-qubit x multi-qubit included, in both orders,
+    first on a cold cache and then on the warm one it left behind.
+    """
+
+    def setup_method(self):
+        clear_commutation_cache()
+
+    def teardown_method(self):
+        clear_commutation_cache()
+
+    def test_every_pair_matches_reference_cold_and_warm(self):
+        gates = _every_gate_on_three_qubits()
+        assert len(gates) == 204
+        expected = []
+        for a in gates:
+            for b in gates:
+                verdict = commutes_reference(a, b)
+                expected.append((a, b, verdict))
+                if a.is_unitary and b.is_unitary:
+                    assert _matrix_commutes(a, b) is verdict, (a, b)
+        clear_commutation_cache()
+        for temperature in ("cold", "warm"):
+            mismatches = [(a, b) for a, b, verdict in expected
+                          if commutes(a, b) is not verdict]
+            assert not mismatches, (temperature, mismatches[:5])
