@@ -1,20 +1,21 @@
 """Gate commutation analysis.
 
 AutoComm's aggregation pass reorders gates to expose burst communication, so
-it needs a reliable answer to "do these two gates commute?".  We combine
+it needs a reliable answer to "do these two gates commute?".  One exact rule
+and one exact check answer it:
 
-* fast structural rules (the X-rotation-centred rules of Figure 7 in the
-  paper plus the standard diagonal/control/target rules), and
-* an exact matrix check on the joint unitary as a fallback.
+* the Pauli-axis rule (:func:`pauli_axes`): two unitary gates that commute
+  with the same Pauli on every qubit they share commute with each other.
+  The X-rotation-centred rules of Figure 7 in the paper, the control/target
+  rules and the diagonal-pair rules are all instances of it;
+* an exact matrix check on the joint unitary decides every other pair.
 
-Every decided pair — rule-based *and* matrix-based — is memoised on a
-canonical ``(name, params, overlap-pattern)`` key, so repeated queries over
-large circuits (the aggregation and scheduling passes ask the same
-structural question for thousands of concrete gate pairs) collapse to one
-dict lookup.  The matrix fallback keeps the engine *sound* for every
-registered gate pair; the rules only make the first occurrence of each
-pattern fast.  The cache is always on: it changes how fast an answer comes,
-never the answer, which the tests check against the uncached copy in
+The matrix verdicts are memoised on a canonical ``(name, params, name,
+params, overlap)`` key, so repeated queries over large circuits (the
+aggregation and scheduling passes ask the same structural question for
+thousands of concrete gate pairs) collapse to one dict lookup.  The cache is
+always on: it changes how fast an answer comes, never the answer, which the
+tests check against the uncached copy in
 :mod:`repro.ir.commutation_reference`.
 """
 
@@ -26,7 +27,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .gates import DIAGONAL_GATES, GATE_REGISTRY, Gate, gate_spec
+from .gates import GATE_REGISTRY, Gate, gate_spec
 
 __all__ = [
     "GateFrontier",
@@ -38,23 +39,13 @@ __all__ = [
 
 _ATOL = 1e-9
 
-# Pair-level memo: canonical (names, params, relative qubit overlap) -> bool.
-# Bounded defensively; a full clear on overflow is simpler than LRU eviction
-# and the bound is far above what any benchmark circuit generates.
+# Pair-level memo of the matrix verdicts, on the overlap key built by
+# commutes().  Bounded defensively; a full clear on overflow is simpler than
+# LRU eviction and the bound is far above what any benchmark circuit
+# generates.
 _PAIR_CACHE: Dict[tuple, bool] = {}
 _PAIR_CACHE_MAX = 1 << 20
-_STATS = {"hits": 0, "misses": 0, "rule_decided": 0, "matrix_decided": 0}
-
-# Single-qubit gates that commute with being the *control* of a CX/CZ/CRZ/CP
-# (i.e. diagonal gates) and with being the *target* of a CX (X-axis gates).
-_Z_AXIS = frozenset({"z", "s", "sdg", "t", "tdg", "rz", "p", "id"})
-_X_AXIS = frozenset({"x", "sx", "sxdg", "rx", "id"})
-
-# Two-qubit controlled gates, and which of their qubits is control/target.
-_CONTROLLED_2Q = frozenset({"cx", "cz", "cy", "ch", "crz", "crx", "cry", "cp"})
-# Diagonal two-qubit gates: commute with any Z-axis single-qubit gate on
-# either operand and with each other.
-_DIAGONAL_2Q = frozenset({"cz", "crz", "cp", "rzz"})
+_STATS = {"hits": 0, "misses": 0}
 
 # Per-position Pauli axis each non-diagonal multi-qubit gate commutes with
 # (see pauli_axes): controls with Z, CX/CCX/CRX/RXX targets with X, CY/CRY
@@ -82,26 +73,14 @@ def clear_commutation_cache() -> None:
 def commutation_cache_stats() -> Dict[str, int]:
     """Hit/miss statistics of the pair-level commutation cache.
 
-    ``hits``/``misses`` count lookups of the pair-level cache;
-    ``rule_decided``/``matrix_decided`` split the misses by which engine
-    settled them.  ``size`` is the number of memoised pair patterns and
-    ``matrix_cache_size`` the entries of the underlying matrix memo.
+    ``hits``/``misses`` count lookups of the pair-level cache (each miss
+    runs the matrix check).  ``size`` is the number of memoised pair
+    patterns and ``matrix_cache_size`` the entries of the underlying matrix
+    memo.
     """
     info = _matrix_commutes_cached.cache_info()
     return {**_STATS, "size": len(_PAIR_CACHE),
             "matrix_cache_size": info.currsize}
-
-
-def _pair_key(a: Gate, b: Gate) -> tuple:
-    """Canonical (name, params, relative-overlap) key of an ordered gate pair.
-
-    Qubits are renumbered by their rank within the pair's qubit union, so
-    every concrete pair with the same structural overlap shares one entry.
-    """
-    union = sorted(a._qubit_set | b._qubit_set)
-    index = {q: i for i, q in enumerate(union)}
-    return (a.name, a.params, tuple(index[q] for q in a.qubits),
-            b.name, b.params, tuple(index[q] for q in b.qubits))
 
 
 def commutes(gate_a: Gate, gate_b: Gate) -> bool:
@@ -110,61 +89,44 @@ def commutes(gate_a: Gate, gate_b: Gate) -> bool:
     Barriers, measurements and resets are treated as commuting with nothing
     that shares a qubit with them (conservative).
 
-    Decision tiers, cheapest first: disjoint qubits; zero-allocation
-    structural rules (identity, diagonal pairs, axis-aligned single-qubit
-    gates, control/target rules, CX-CX); then the pair-level cache over the
-    overlap-pattern rules and the exact matrix check.  The fast rules are
-    *not* routed through the cache because a single dict probe on the
-    canonical key costs more than they do.
+    Gates on disjoint qubits commute.  Otherwise one pass over ``gate_a``'s
+    qubits finds whether the pair is axis-matched (same :func:`pauli_axes`
+    entry on every shared qubit), which commutes exactly, and builds the
+    overlap key ``(name_a, params_a, name_b, params_b, positions)``, where
+    ``positions[i]`` is ``gate_b``'s position of ``gate_a``'s i-th qubit
+    (-1 when not shared).  Every other pair is decided by the exact matrix
+    check, memoised on that key.
     """
-    if gate_a._qubit_set.isdisjoint(gate_b._qubit_set):
+    qubits_b = gate_b._qubit_set
+    if gate_a._qubit_set.isdisjoint(qubits_b):
         return True
     if not gate_a._is_unitary or not gate_b._is_unitary:
         return False
 
-    # The commonest fast rules are inlined: one extra function call per
-    # query is measurable at the aggregation pass's call volume.
-    name_a = gate_a.name
-    name_b = gate_b.name
-    if name_a == "cx" and name_b == "cx":
-        qa = gate_a.qubits
-        qb = gate_b.qubits
-        # Same control or same target -> commute; control/target collision -> not.
-        if qa == qb:
-            return True
-        if qa[0] == qb[0] and qa[1] != qb[1]:
-            return True
-        return qa[1] == qb[1] and qa[0] != qb[0]
-    if name_a in DIAGONAL_GATES and name_b in DIAGONAL_GATES:
+    axes_a = _AXES[gate_a.name]
+    axes_b = _AXES[gate_b.name]
+    order_b = gate_b.qubits
+    matched = True
+    positions = []
+    for i, qubit in enumerate(gate_a.qubits):
+        if qubit in qubits_b:
+            j = order_b.index(qubit)
+            positions.append(j)
+            if axes_a[i] is None or axes_a[i] != axes_b[j]:
+                matched = False
+        else:
+            positions.append(-1)
+    if matched:
         return True
 
-    rule = _fast_rules(gate_a, gate_b)
-    if rule is not None:
-        return rule
-
-    # A single-qubit gate against a multi-qubit one only depends on where
-    # the shared qubit sits in the multi-qubit gate: key on that position
-    # instead of building the sorted-union overlap pattern.
-    if gate_a._is_single and gate_b._is_multi:
-        key = (gate_a.name, gate_a.params, gate_b.name, gate_b.params,
-               gate_b.qubits.index(gate_a.qubits[0]), True)
-    elif gate_b._is_single and gate_a._is_multi:
-        key = (gate_b.name, gate_b.params, gate_a.name, gate_a.params,
-               gate_a.qubits.index(gate_b.qubits[0]), False)
-    else:
-        key = _pair_key(gate_a, gate_b)
+    key = (gate_a.name, gate_a.params, gate_b.name, gate_b.params,
+           tuple(positions))
     cached = _PAIR_CACHE.get(key)
     if cached is not None:
         _STATS["hits"] += 1
         return cached
     _STATS["misses"] += 1
-    rule = _overlap_rules(gate_a, gate_b)
-    if rule is not None:
-        _STATS["rule_decided"] += 1
-        result = rule
-    else:
-        _STATS["matrix_decided"] += 1
-        result = _matrix_commutes(gate_a, gate_b)
+    result = _matrix_commutes(gate_a, gate_b)
     if len(_PAIR_CACHE) >= _PAIR_CACHE_MAX:  # pragma: no cover - defensive
         _PAIR_CACHE.clear()
     _PAIR_CACHE[key] = result
@@ -279,103 +241,6 @@ class GateFrontier:
                     if not commutes(gate, other):
                         return False
         return True
-
-
-# ---------------------------------------------------------------------------
-# Rule-based fast paths
-# ---------------------------------------------------------------------------
-
-def _fast_rules(a: Gate, b: Gate) -> Optional[bool]:
-    """Structural rules that never inspect the overlap pattern.
-
-    These are cheaper than one cache probe, so :func:`commutes` runs them
-    before touching the pair-level cache.  The CX-CX and diagonal-pair
-    rules are inlined in :func:`commutes` itself and therefore absent here.
-    Returns None when undecided.
-    """
-    # Identity commutes with everything.
-    if a.name == "id" or b.name == "id":
-        return True
-
-    if a._is_single:
-        if b._is_single:
-            axis_a = _AXES[a.name][0]
-            if axis_a is not None and axis_a == _AXES[b.name][0]:
-                return True
-            return None
-        if b._is_multi:
-            return _single_multi(a, b)
-        return None
-    if b._is_single:
-        if a._is_multi:
-            return _single_multi(b, a)
-        return None
-
-    return None
-
-
-def _overlap_rules(a: Gate, b: Gate) -> Optional[bool]:
-    """Rules that depend on which qubits the two gates share.
-
-    Only reached when the inlined fast rules and :func:`_fast_rules` are
-    undecided; the verdict (or the matrix fallback's) is memoised by
-    :func:`commutes` on the canonical overlap-pattern key.  Returns None
-    when undecided.
-    """
-    if a._is_two and b._is_two:
-        return _two_two(a, b, a._qubit_set & b._qubit_set)
-    return None
-
-
-def _single_multi(single: Gate, multi: Gate) -> Optional[bool]:
-    q = single.qubits[0]
-    if multi.name in _CONTROLLED_2Q or multi.name in ("ccx", "ccz", "cswap"):
-        controls, targets = _controls_targets(multi)
-        if q in controls:
-            # A Z-axis gate commutes with any control.
-            if single.name in _Z_AXIS:
-                return True
-            return None
-        if q in targets:
-            if multi.name in ("cx", "ccx") and single.name in _X_AXIS:
-                return True
-            if multi.name in ("cz", "crz", "cp", "ccz") and single.name in _Z_AXIS:
-                return True
-            return None
-    if multi.name == "rzz" and single.name in _Z_AXIS:
-        return True
-    if multi.name == "rxx" and single.name in _X_AXIS:
-        return True
-    return None
-
-
-def _controls_targets(gate: Gate) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Return the (controls, targets) qubit split of a controlled gate."""
-    if gate.name in _CONTROLLED_2Q:
-        return (gate.qubits[0],), (gate.qubits[1],)
-    if gate.name in ("ccx", "ccz"):
-        return gate.qubits[:2], gate.qubits[2:]
-    if gate.name == "cswap":
-        return gate.qubits[:1], gate.qubits[1:]
-    return (), gate.qubits
-
-
-def _two_two(a: Gate, b: Gate, shared: set) -> Optional[bool]:
-    # CX-CX and diagonal-diagonal pairs are decided by the rules inlined in
-    # commutes() and never reach this function.
-    if {a.name, b.name} <= (_CONTROLLED_2Q | {"rzz"}):
-        # A diagonal 2q gate commutes with a controlled gate when every shared
-        # qubit sits on the controlled gate's control and the diagonal gate is
-        # Z-like on that qubit (always true for cz/crz/cp/rzz).
-        diag, other = (a, b) if a.name in _DIAGONAL_2Q else (b, a)
-        if diag.name in _DIAGONAL_2Q and other.name in _CONTROLLED_2Q:
-            controls, _ = _controls_targets(other)
-            if shared <= set(controls):
-                return True
-            if other.name in _DIAGONAL_2Q:
-                return True
-            return None
-    return None
 
 
 # ---------------------------------------------------------------------------

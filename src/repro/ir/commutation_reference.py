@@ -17,11 +17,21 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from .commutation import (_CONTROLLED_2Q, _DIAGONAL_2Q, _X_AXIS, _Z_AXIS,
-                          _matrix_commutes)
+from .commutation import _matrix_commutes
 from .gates import Gate, gate_spec
 
 __all__ = ["commutes_reference"]
+
+# Single-qubit gates that commute with being the *control* of a CX/CZ/CRZ/CP
+# (i.e. diagonal gates) and with being the *target* of a CX (X-axis gates).
+_Z_AXIS = frozenset({"z", "s", "sdg", "t", "tdg", "rz", "p", "id"})
+_X_AXIS = frozenset({"x", "sx", "sxdg", "rx", "id"})
+
+# Two-qubit controlled gates, and which of their qubits is control/target.
+_CONTROLLED_2Q = frozenset({"cx", "cz", "cy", "ch", "crz", "crx", "cry", "cp"})
+# Diagonal two-qubit gates: commute with any Z-axis single-qubit gate on
+# either operand and with each other.
+_DIAGONAL_2Q = frozenset({"cz", "crz", "cp", "rzz"})
 
 
 # Registry-walking property replicas: the pre-optimization Gate resolved

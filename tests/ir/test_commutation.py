@@ -218,7 +218,8 @@ class TestCacheStatistics:
         clear_commutation_cache()
 
     def test_stats_track_hits_and_misses(self):
-        # cy/ch has no structural rule, so it exercises the cached tier.
+        # cy/ch differ in axis on their shared target, so the matrix check
+        # decides them through the cache.
         a, b = Gate("cy", (0, 1)), Gate("ch", (0, 1))
         baseline = commutation_cache_stats()
         assert baseline["hits"] == baseline["misses"] == 0
@@ -226,7 +227,6 @@ class TestCacheStatistics:
         commutes(a, b)
         after_first = commutation_cache_stats()
         assert after_first["misses"] == 1
-        assert after_first["matrix_decided"] == 1
         assert after_first["size"] == 1
 
         commutes(a, b)
@@ -242,7 +242,7 @@ class TestCacheStatistics:
         assert stats["hits"] == 1
         assert stats["size"] == 1
 
-    def test_fast_rules_bypass_cache(self):
+    def test_axis_matched_pairs_bypass_cache(self):
         commutes(Gate("cx", (0, 1)), Gate("cx", (0, 2)))
         commutes(Gate("rz", (0,), (0.2,)), Gate("rz", (0,), (0.4,)))
         stats = commutation_cache_stats()
@@ -252,8 +252,7 @@ class TestCacheStatistics:
         commutes(Gate("cy", (0, 1)), Gate("ch", (0, 1)))
         clear_commutation_cache()
         stats = commutation_cache_stats()
-        assert stats == {"hits": 0, "misses": 0, "rule_decided": 0,
-                         "matrix_decided": 0, "size": 0,
+        assert stats == {"hits": 0, "misses": 0, "size": 0,
                          "matrix_cache_size": 0}
 
 
