@@ -2,8 +2,10 @@
 
 Every benchmark family x topology x remap mode, and each of the paper's
 baselines, must compile into an artifact the static verifier and the trace
-sanitizer find nothing wrong with — the same matrix ``tools/verify_suite.py``
-sweeps in CI, at a test-sized scale here.
+sanitizer find nothing wrong with — the matrix ``tools/verify_suite.py``
+sweeps in CI, at a test-sized scale here.  The test loads the tool and
+takes its remap modes, baselines and compile function from it, so the two
+cannot drift apart.
 
 The same matrix, plus the paper's ablation configs on a line, is also
 pinned byte-for-byte by golden digests (``golden_digests.json``): any
@@ -15,25 +17,43 @@ change that is meant to alter outputs, and say why in the change log.
 
 import gzip
 import hashlib
+import importlib.util
 import json
-from functools import partial
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.baselines import compile_gp_tp, compile_sparse
-from repro.circuits import BENCHMARK_FAMILIES, build_benchmark
-from repro.core import AutoCommConfig, compile_autocomm
-from repro.hardware import SUPPORTED_TOPOLOGIES, apply_topology
+from repro.circuits import BENCHMARK_FAMILIES
+from repro.core import AutoCommConfig
+from repro.hardware import SUPPORTED_TOPOLOGIES
 from repro.persist import dumps_program
 from repro.sim import SimulationConfig, simulate_program
 from repro.verify import sanitize_simulation, verify_program
 
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+def _load_verify_suite():
+    name = "verify_suite"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.spec_from_file_location(
+        name, REPO_ROOT / "tools" / "verify_suite.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+verify_suite = _load_verify_suite()
+
 NUM_QUBITS = 8
 NUM_NODES = 4
 
-
-REMAP_MODES = ("never", "bursts", "bursts+overlap")
+#: The CI gate's variants: its remap modes and the paper's baselines
+#: (Table 3 and Figure 16).
+VARIANTS = verify_suite.REMAP_MODES + tuple(verify_suite.BASELINES)
 
 #: Paper ablations (Figure 17) and the remap sizing/overlap variants whose
 #: outputs the golden digests pin, each compiled for every family on a line.
@@ -48,45 +68,24 @@ ABLATIONS = {
         schedule_strategy="greedy"),
 }
 
-#: The paper's baselines (Table 3 and Figure 16), pinned per family x
-#: topology like the remap modes.
-BASELINES = {"sparse": compile_sparse, "gp-tp": compile_gp_tp}
-
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
 
 
-def _remap_config(remap):
-    return (None if remap == "never"
-            else AutoCommConfig(remap="bursts", phase_blocks=4,
-                                overlap=remap == "bursts+overlap"))
-
-
-def _autocomm(config):
-    return partial(compile_autocomm, config=config)
-
-
-def _compiler(name):
-    """A remap mode's AutoComm compile, or the named baseline."""
-    return BASELINES.get(name) or _autocomm(_remap_config(name))
-
-
-def _compile(family, topology, compiler):
-    circuit, network = build_benchmark(family, NUM_QUBITS, NUM_NODES)
-    if topology != "all-to-all":
-        apply_topology(network, topology)
-    return compiler(circuit, network)
+def _compile(family, topology, variant):
+    return verify_suite.compile_combination(family, topology, variant,
+                                            NUM_QUBITS, NUM_NODES)
 
 
 def _golden_cases():
-    """``{case id: (family, topology, compiler)}`` for every pinned program."""
+    """``{case id: (family, topology, variant)}`` for every pinned program."""
     cases = {}
     for family in sorted(BENCHMARK_FAMILIES):
         for topology in SUPPORTED_TOPOLOGIES:
-            for name in REMAP_MODES + tuple(BASELINES):
+            for name in VARIANTS:
                 cases[f"{family}/{topology}/{name}"] = (
-                    family, topology, _compiler(name))
+                    family, topology, name)
         for name, config in ABLATIONS.items():
-            cases[f"{family}/line/{name}"] = (family, "line", _autocomm(config))
+            cases[f"{family}/line/{name}"] = (family, "line", config)
     return cases
 
 
@@ -119,11 +118,11 @@ def _case_digest(case):
     return program_digest(_compile(*GOLDEN_CASES[case]))
 
 
-@pytest.mark.parametrize("compiler", REMAP_MODES + tuple(BASELINES))
+@pytest.mark.parametrize("compiler", VARIANTS)
 @pytest.mark.parametrize("topology", SUPPORTED_TOPOLOGIES)
 @pytest.mark.parametrize("family", sorted(BENCHMARK_FAMILIES))
 def test_benchmark_matrix_verifies_clean(family, topology, compiler):
-    program = _compile(family, topology, _compiler(compiler))
+    program = _compile(family, topology, compiler)
     report = verify_program(program)
     config = SimulationConfig(ideal_links=True)
     report.merge(sanitize_simulation(

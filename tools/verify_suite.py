@@ -47,17 +47,30 @@ REMAP_MODES = ("never", "bursts", "bursts+overlap")
 BASELINES = {"sparse": compile_sparse, "gp-tp": compile_gp_tp}
 
 
-def _compile(family: str, topology: str, variant: str, qubits: int,
-             nodes: int, cache=None):
-    """Compile one combination: a remap mode of AutoComm, or a baseline."""
+def remap_config(mode: str) -> "AutoCommConfig | None":
+    """The AutoComm config of a remap mode (None for ``never``)."""
+    return (None if mode == "never"
+            else AutoCommConfig(remap="bursts", phase_blocks=4,
+                                overlap=mode == "bursts+overlap"))
+
+
+def compile_combination(family: str, topology: str,
+                        variant: "str | AutoCommConfig", qubits: int,
+                        nodes: int, cache=None):
+    """Compile one combination on a fresh circuit and network.
+
+    ``variant`` is a remap mode of AutoComm (:data:`REMAP_MODES`), a
+    baseline's name (:data:`BASELINES`) or an explicit AutoComm config.
+    """
     circuit, network = build_benchmark(family, qubits, nodes)
     if topology != "all-to-all":
         apply_topology(network, topology)
-    if variant in BASELINES:
+    if isinstance(variant, AutoCommConfig):
+        config = variant
+    elif variant in BASELINES:
         return BASELINES[variant](circuit, network)
-    config = (None if variant == "never"
-              else AutoCommConfig(remap="bursts", phase_blocks=4,
-                                  overlap=variant == "bursts+overlap"))
+    else:
+        config = remap_config(variant)
     return compile_autocomm(circuit, network, config=config, cache=cache)
 
 
@@ -69,8 +82,8 @@ def run_matrix(qubits: int, nodes: int, simulate: bool,
         for topology in SUPPORTED_TOPOLOGIES:
             for variant in REMAP_MODES + tuple(BASELINES):
                 label = f"{family.lower()}/{topology}/{variant}"
-                program = _compile(family, topology, variant, qubits, nodes,
-                                   cache=cache)
+                program = compile_combination(family, topology, variant,
+                                              qubits, nodes, cache=cache)
                 report = verify_program(program)
                 if simulate:
                     config = SimulationConfig(ideal_links=True)
