@@ -1122,6 +1122,15 @@ def _check_shared_flags(args) -> None:
         raise SystemExit(f"error: --p-epr must be in (0, 1], got {args.p_epr}")
     if "workers" in flags and args.workers < 1:
         raise SystemExit(f"error: --workers must be >= 1, got {args.workers}")
+    for flag, least in (("nodes", 1), ("qubits_per_node", 1), ("qubits", 1),
+                        ("top", 1)):
+        value = flags.get(flag)
+        if value is not None and value < least:
+            raise SystemExit(f"error: --{flag.replace('_', '-')} must be "
+                             f">= {least}, got {value}")
+    # verify's --trace names a file; simulate's counts events.
+    if isinstance(flags.get("trace"), int) and args.trace < 0:
+        raise SystemExit(f"error: --trace must be >= 0, got {args.trace}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

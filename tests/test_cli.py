@@ -774,3 +774,60 @@ class TestIdealLinksFlag:
         out = capsys.readouterr().out
         assert exit_code == 0
         assert "sim_mean" in out
+
+
+class TestRangeChecks:
+    """Out-of-range counts stop with one error line before any work runs."""
+
+    @pytest.mark.parametrize("command", [
+        ["compile"], ["compare"], ["simulate"], ["profile"], ["trace"],
+        ["verify"],
+    ])
+    def test_zero_nodes_rejected(self, qasm_file, command):
+        # Used to raise ZeroDivisionError while sizing the network.
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, str(qasm_file), "--nodes", "0"])
+        assert str(excinfo.value) == "error: --nodes must be >= 1, got 0"
+
+    def test_zero_nodes_rejected_by_cache_warm(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cache", "warm", "--cache-dir", str(tmp_path / "c"),
+                  "--nodes", "0"])
+        assert str(excinfo.value) == "error: --nodes must be >= 1, got 0"
+        assert not (tmp_path / "c").exists()
+
+    def test_zero_qubits_per_node_rejected(self, qasm_file):
+        # Used to be read as "fit the program".
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compile", str(qasm_file), "--nodes", "2",
+                  "--qubits-per-node", "0"])
+        assert str(excinfo.value) == \
+            "error: --qubits-per-node must be >= 1, got 0"
+
+    @pytest.mark.parametrize("command", [
+        ["generate", "qft"], ["cache", "warm"],
+    ])
+    def test_zero_qubits_rejected(self, tmp_path, command):
+        # Used to show a ValueError traceback.
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--qubits", "0",
+                  *(["--cache-dir", str(tmp_path)] if "cache" in command
+                    else [])])
+        assert str(excinfo.value) == "error: --qubits must be >= 1, got 0"
+
+    def test_negative_trace_rejected(self, qasm_file):
+        # Used to print all but the last event, then "... N+1 more events".
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", str(qasm_file), "--nodes", "2", "--trace", "-1"])
+        assert str(excinfo.value) == "error: --trace must be >= 0, got -1"
+
+    def test_zero_trace_still_accepted(self, qasm_file, capsys):
+        assert main(["simulate", str(qasm_file), "--nodes", "2",
+                     "--trace", "0"]) == 0
+        assert "more events" in capsys.readouterr().out
+
+    def test_zero_top_rejected(self, qasm_file):
+        # Used to print one hotspot.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", str(qasm_file), "--nodes", "2", "--top", "0"])
+        assert str(excinfo.value) == "error: --top must be >= 1, got 0"
