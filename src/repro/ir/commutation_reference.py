@@ -22,6 +22,9 @@ from .gates import Gate, gate_spec
 
 __all__ = ["commutes_reference"]
 
+# The hand-written rule tables live only here: the optimized engine decides
+# by the Pauli-axis rule, so the agreement tests check these rules against it.
+
 # Single-qubit gates that commute with being the *control* of a CX/CZ/CRZ/CP
 # (i.e. diagonal gates) and with being the *target* of a CX (X-axis gates).
 _Z_AXIS = frozenset({"z", "s", "sdg", "t", "tdg", "rz", "p", "id"})

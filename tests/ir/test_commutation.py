@@ -1,7 +1,8 @@
 """Unit tests for the commutation engine.
 
-Every structural rule is cross-checked against the exact matrix criterion so
-a wrong fast path cannot silently corrupt the aggregation pass.
+Every verdict is cross-checked against the exact matrix criterion, and
+against the hand-written rules of the reference engine, so a wrong axis
+table or cache key cannot silently corrupt the aggregation pass.
 """
 
 import numpy as np

@@ -47,13 +47,6 @@ REMAP_MODES = ("never", "bursts", "bursts+overlap")
 BASELINES = {"sparse": compile_sparse, "gp-tp": compile_gp_tp}
 
 
-def remap_config(mode: str) -> "AutoCommConfig | None":
-    """The AutoComm config of a remap mode (None for ``never``)."""
-    return (None if mode == "never"
-            else AutoCommConfig(remap="bursts", phase_blocks=4,
-                                overlap=mode == "bursts+overlap"))
-
-
 def compile_combination(family: str, topology: str,
                         variant: "str | AutoCommConfig", qubits: int,
                         nodes: int, cache=None):
@@ -70,7 +63,9 @@ def compile_combination(family: str, topology: str,
     elif variant in BASELINES:
         return BASELINES[variant](circuit, network)
     else:
-        config = remap_config(variant)
+        config = (None if variant == "never"
+                  else AutoCommConfig(remap="bursts", phase_blocks=4,
+                                      overlap=variant == "bursts+overlap"))
     return compile_autocomm(circuit, network, config=config, cache=cache)
 
 
