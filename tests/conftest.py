@@ -15,10 +15,14 @@ if _SRC not in sys.path:
     except ImportError:  # pragma: no cover - only hit without an install
         sys.path.insert(0, _SRC)
 
+import random
+
 import pytest
 
 from repro.circuits import arithmetic_snippet, arithmetic_snippet_layout, qft_circuit
+from repro.circuits.random_circuits import random_circuit
 from repro.hardware import uniform_network
+from repro.ir import Circuit
 from repro.partition import QubitMapping
 
 
@@ -101,3 +105,24 @@ def snippet_mapping():
 def small_qft():
     """An eight-qubit QFT used across compiler tests."""
     return qft_circuit(8)
+
+
+@pytest.fixture
+def barrier_circuit():
+    """A fixed random 12-qubit circuit with full and partial barriers.
+
+    Barriers are the plan's zero-duration items, so this circuit
+    exercises the ordering ties no benchmark program has.
+    """
+    base = random_circuit(12, 120, seed=0)
+    rng = random.Random(0)
+    circuit = Circuit(12)
+    for gate in base.gates:
+        if rng.random() < 0.1:
+            if rng.random() < 0.3:
+                circuit.barrier()
+            else:
+                circuit.barrier(sorted(rng.sample(range(12),
+                                                  rng.randint(1, 11))))
+        circuit.append(gate)
+    return circuit

@@ -1,7 +1,10 @@
 """Unit tests for the communication scheduling pass."""
 
+import hashlib
+
 import pytest
 
+from repro import AutoCommConfig, compile_autocomm
 from repro.circuits import qft_circuit
 from repro.comm import CommBlock, CommScheme
 from repro.core import (
@@ -12,6 +15,7 @@ from repro.core import (
     schedule_communications,
 )
 from repro.hardware import DEFAULT_LATENCY, uniform_network
+from repro.hardware.topology import apply_topology
 from repro.ir import Circuit, Gate, decompose_to_cx
 from repro.partition import QubitMapping
 
@@ -236,6 +240,34 @@ class TestPlanMemo:
         plain = plan_schedule(fused, False)
         assert burst.num_fused_chains > 0
         assert burst.op_profiles(network) is not plain.op_profiles(network)
+
+
+class TestBarrierPlan:
+    @pytest.mark.parametrize("remap,mode,overlap,latency,digest", [
+        pytest.param(False, "burst", False, 580.5, "1aa8149db844f412",
+                     id="line"),
+        pytest.param(True, "burst", True, 601.1000000000001,
+                     "bdc37ebd23046e99", id="line-remap-overlap"),
+    ])
+    def test_schedule_ops_pinned(self, barrier_circuit, remap, mode,
+                                 overlap, latency, digest):
+        # Every op window and comm-qubit reservation of a schedule whose
+        # plan holds zero-duration items (the barriers).
+        network = apply_topology(uniform_network(4, 3), "line")
+        config = (AutoCommConfig(remap="bursts", overlap=True) if remap
+                  else None)
+        schedule = compile_autocomm(barrier_circuit, network, config=config,
+                                    cache=False).schedule
+        ops = [(op.index, op.kind, op.start, op.end, op.nodes,
+                op.num_remote_gates, op.num_items) for op in schedule.ops]
+        reservations = [(r.node, r.slot, r.start, r.end, r.label)
+                        for r in schedule.resources.reservations]
+        assert any(op.kind == "gate" and op.start == op.end
+                   for op in schedule.ops)
+        assert (schedule.mode, schedule.overlap) == (mode, overlap)
+        assert schedule.latency == latency
+        assert hashlib.sha256(repr((ops, reservations)).encode()
+                              ).hexdigest()[:16] == digest
 
 
 class TestStrategies:

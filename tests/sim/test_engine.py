@@ -340,6 +340,35 @@ class TestZeroDurationGates:
             298.0, 248.0, 262.0]
 
 
+class TestBarrierPlan:
+    """Barriers are zero-duration plan items: successors they release are
+    ready at the instant the barrier was placed, the one ordering tie no
+    benchmark program has."""
+
+    @pytest.mark.parametrize("remap,expected", [
+        pytest.param(False, [
+            (1126.3000000000002, "6d884bef75236e35"),
+            (833.1, "f242f4f2baa5fc50"),
+            (1102.8999999999999, "6a7d3c99b7873132")], id="line"),
+        pytest.param(True, [
+            (1154.6999999999994, "0b63b76b387cea07"),
+            (1001.7999999999998, "b00b4a8845b80e2a"),
+            (1061.2999999999995, "e4bcba289e347367")],
+            id="line-remap-overlap"),
+    ])
+    def test_seeded_trials_pinned(self, barrier_circuit, remap, expected):
+        network = apply_topology(uniform_network(4, 3), "line")
+        config = (AutoCommConfig(remap="bursts", overlap=True) if remap
+                  else None)
+        program = compile_autocomm(barrier_circuit, network, config=config,
+                                   cache=False)
+        assert any(op.kind == "gate" and op.start == op.end
+                   for op in program.schedule.ops)
+        assert [_trial_digest(simulate_program(program, SimulationConfig(
+            p_epr=0.5, seed=seed, record_trace=False)))
+            for seed in range(3)] == expected
+
+
 class TestMonteCarlo:
     def test_summary_and_reproducibility(self, qft_program):
         config = SimulationConfig(p_epr=0.5, trials=12, seed=21)
