@@ -471,6 +471,8 @@ class SchedulePlan:
         default=None, repr=False, compare=False)
     _groups: Optional[Dict[int, Tuple[QuantumNetwork, "CommGroups"]]] = field(
         default=None, repr=False, compare=False)
+    _settle: Optional[Dict[int, Tuple[QuantumNetwork, List[float]]]] = field(
+        default=None, repr=False, compare=False)
 
     @property
     def mode(self) -> str:
@@ -488,7 +490,7 @@ class SchedulePlan:
     def __getstate__(self):
         """Pickle without the lazy caches.
 
-        ``_profiles`` and ``_groups`` are keyed by object identity
+        ``_profiles``, ``_groups`` and ``_settle`` are keyed by object identity
         (``id(network)``), so their entries are meaningless in another
         process; every cache rebuilds on demand.  Dropping them is what
         lets a plan travel to Monte-Carlo worker processes (and,
@@ -498,6 +500,7 @@ class SchedulePlan:
         state["_succs"] = None
         state["_profiles"] = None
         state["_groups"] = None
+        state["_settle"] = None
         return state
 
     def __setstate__(self, state):
@@ -512,6 +515,7 @@ class SchedulePlan:
         self._succs = None
         self._profiles = None
         self._groups = None
+        self._settle = None
 
     def successors(self) -> List[List[int]]:
         if self._succs is None:
@@ -582,6 +586,25 @@ class SchedulePlan:
                 num_remote_gates=num_remote, label=f"{kind}-{index}"))
         self._profiles[id(network)] = (network, profiles)
         return profiles
+
+    def settle_durations(self, network: QuantumNetwork) -> List[float]:
+        """Per item, the duration :func:`run_plan` settles it with, or 0.0.
+
+        Positive for a gate of positive duration, which books nothing and
+        is settled off the heap; 0.0 for every item that goes through the
+        heap and ``place``: comm ops and zero-duration items (barriers).
+        Built from :meth:`op_profiles` and cached like them.
+        """
+        if self._settle is None:
+            self._settle = {}
+        entry = self._settle.get(id(network))
+        if entry is not None and entry[0] is network:
+            return entry[1]
+        durations = [profile.duration
+                     if profile.kind == "gate" and profile.duration > 0
+                     else 0.0 for profile in self.op_profiles(network)]
+        self._settle[id(network)] = (network, durations)
+        return durations
 
     def comm_groups(self, network: QuantumNetwork) -> "CommGroups":
         """The plan's comm ops grouped for per-run folds over their records.
@@ -923,34 +946,66 @@ def _stitch_overlap(segments, phase_items, deps, migrations, num_qubits):
 # Resource-constrained list scheduling
 # ---------------------------------------------------------------------------
 
-def run_plan(plan: SchedulePlan, place: Callable[[int, float], Any]
-             ) -> List[Any]:
-    """Place every plan item in ``(ready time, index)`` order; ops by index.
+def run_plan(plan: SchedulePlan, network: QuantumNetwork,
+             place: Callable[[int, float], Any],
+             settled: Callable[[int, float, float], Any]) -> List[Any]:
+    """Run every plan item in ``(ready time, index)`` order; ops by index.
 
-    An item is ready at the latest end of its predecessors.
-    ``place(index, ready)`` returns its op record (anything with an
-    ``end``): the analytical scheduler books the deterministic EPR
-    preparation, the execution engine samples it.  One loop on both sides
-    is why deterministic replay reproduces the analytical schedule.
+    An item is ready at the latest end of its predecessors.  Only the
+    items whose placement matters go through the heap: comm ops and
+    zero-duration items (barriers).  ``place(index, ready)`` returns their
+    op record (anything with an ``end``): the analytical scheduler books
+    the deterministic EPR preparation, the execution engine samples it.
+    One loop on both sides is why deterministic replay reproduces the
+    analytical schedule.
+
+    A gate of positive duration (:meth:`SchedulePlan.settle_durations`)
+    books nothing, so it is settled off the heap as soon as its last
+    predecessor ends, at ``end = ready + duration``; its record is
+    ``settled(index, ready, end)``, built in one index-order sweep after
+    the loop.  The heap still pops its items in the order a walk over
+    every item would: an item a settled gate releases is ready strictly
+    after that gate's ready time, so it cannot tie with an item already
+    popped, and an item a heaped item releases is pushed at the same pop.
+    ``place`` therefore sees the same calls with the same ready times.
     """
     succs = plan.successors()
+    settle = plan.settle_durations(network)
     indegree = [len(plist) for plist in plan.preds]
     ready_time = [0.0] * len(indegree)
+    # A settled gate's slot holds its end until the sweep.
     placed: List[Any] = [None] * len(indegree)
+    stack = [index for index, degree in enumerate(indegree)
+             if not degree and settle[index]]
     # Ascending (0.0, index) pairs already satisfy the heap invariant.
     heap = [(0.0, index) for index, degree in enumerate(indegree)
-            if degree == 0]
-    while heap:
-        ready, index = heapq.heappop(heap)
-        op = placed[index] = place(index, ready)
-        end = op.end
+            if not degree and not settle[index]]
+    heappop, heappush = heapq.heappop, heapq.heappush
+    while True:
+        if stack:
+            index = stack.pop()
+            end = placed[index] = ready_time[index] + settle[index]
+        elif heap:
+            ready, index = heappop(heap)
+            op = placed[index] = place(index, ready)
+            end = op.end
+        else:
+            break
         for succ in succs[index]:
-            ready_time[succ] = max(ready_time[succ], end)
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                heapq.heappush(heap, (ready_time[succ], succ))
+            if end > ready_time[succ]:
+                ready_time[succ] = end
+            degree = indegree[succ] - 1
+            indegree[succ] = degree
+            if not degree:
+                if settle[succ]:
+                    stack.append(succ)
+                else:
+                    heappush(heap, (ready_time[succ], succ))
     if any(indegree):  # pragma: no cover - defensive
         raise RuntimeError("dependency cycle in schedule plan")
+    for index, duration in enumerate(settle):
+        if duration:
+            placed[index] = settled(index, ready_time[index], placed[index])
     return placed
 
 
@@ -1056,6 +1111,11 @@ def _pick_schedule(segments: Tuple[Tuple[QubitMapping, AssignmentResult], ...],
         return result
 
 
+def _settled_gate(index: int, start: float, end: float) -> ScheduledOp:
+    """The record of a gate :func:`run_plan` settled off the heap."""
+    return ScheduledOp(index, "gate", start, end)
+
+
 def _execute_plan(plan: SchedulePlan,
                   network: QuantumNetwork) -> ScheduleResult:
     """Resource-constrained list scheduling of one plan (phase-aware)."""
@@ -1065,14 +1125,14 @@ def _execute_plan(plan: SchedulePlan,
 
     def place(index: int, ready: float) -> ScheduledOp:
         profile = profiles[index]
-        if profile.kind == "gate":
+        if profile.kind == "gate":  # zero duration: a barrier
             return ScheduledOp(index, "gate", ready, ready + profile.duration)
         _, start, end = reserve(profile.nodes, ready, profile.duration,
                                 profile.prep, profile.label)
         return ScheduledOp(index, profile.kind, start, end, profile.nodes,
                            profile.num_remote_gates, profile.num_items)
 
-    ops = run_plan(plan, place)
+    ops = run_plan(plan, network, place, _settled_gate)
     return ScheduleResult(ops=ops,
                           latency=max((op.end for op in ops), default=0.0),
                           resources=resources,

@@ -62,9 +62,12 @@ class SlotSchedule:
         duration)`` can be one ULP shorter and admit a window that then
         overlaps the next booking.  Booked intervals never overlap, so all
         but the last of those starting before ``not_before`` also end by
-        it and cannot move the start: the scan begins there.
+        it and cannot move the start: the scan begins there, and when the
+        last interval ends by ``not_before`` nothing can.
         """
         intervals = self.intervals[slot]
+        if not intervals or intervals[-1][1] <= not_before:
+            return not_before
         start = not_before
         end = (start + prep) + duration
         first = bisect_left(intervals, (not_before,))
@@ -81,7 +84,7 @@ class SlotSchedule:
         """Earliest (start, slot) at or after ``not_before`` with room for
         ``prep`` then ``duration``."""
         best = (self.earliest_on_slot(0, duration, not_before, prep), 0)
-        for slot in range(1, self.num_slots):
+        for slot in range(1, len(self.intervals)):
             start = self.earliest_on_slot(slot, duration, not_before, prep)
             if start < best[0]:
                 best = (start, slot)
@@ -193,12 +196,13 @@ class CommResourceTracker:
         them from ``not_before`` until none moves the proposal reaches the
         earliest time all accept; slots are picked at that time.
         """
+        schedules = self._schedules
         time = not_before
         for _ in range(1000):
             slots: Dict[int, int] = {}
             proposal = time
             for node in nodes:
-                start, slot = self.earliest_slot(node, duration, time, prep)
+                start, slot = schedules[node].earliest(duration, time, prep)
                 slots[node] = slot
                 proposal = max(proposal, start)
             for schedule, count in links:

@@ -221,7 +221,7 @@ class ExecutionEngine:
 
     def run(self) -> SimulationResult:
         """Execute every plan item through the plan's event loop."""
-        ops = run_plan(self.plan, self._execute)
+        ops = run_plan(self.plan, self.network, self._execute, _settled_gate)
         makespan = max((op.end for op in ops), default=0.0)
         total_attempts = sum(op.epr_attempts for op in ops)
         metrics = self.metrics
@@ -341,7 +341,8 @@ class ExecutionEngine:
         profile = self._profiles[index]
         kind = profile.kind
         if kind == "gate":
-            # Gates touch no resource: they start as soon as they are ready.
+            # A zero-duration gate (a barrier): it touches no resource and
+            # starts as soon as it is ready, like every gate.
             return SimulatedOp(index, "gate", ready, ready + profile.duration,
                                (), ready)
         nodes = profile.nodes
@@ -426,6 +427,11 @@ class ExecutionEngine:
             self.trace.record(end, "teleport", index, nodes,
                               detail="hub returned home")
         self.trace.record(end, "op-end", index, nodes, detail=kind)
+
+
+def _settled_gate(index: int, start: float, end: float) -> SimulatedOp:
+    """The record of a gate :func:`run_plan` settled off the heap."""
+    return SimulatedOp(index, "gate", start, end, (), start)
 
 
 # ---------------------------------------------------------------------------

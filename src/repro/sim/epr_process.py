@@ -108,12 +108,6 @@ class EPRProcess:
         """Deterministic generation latency of one successful attempt."""
         return self.network.epr_latency(node_a, node_b)
 
-    def attempt_latency(self, node_a: int, node_b: int) -> float:
-        """Cost of one failed attempt on the pair's link."""
-        if self.retry_latency is not None:
-            return self.retry_latency
-        return self.pair_latency(node_a, node_b)
-
     # --------------------------------------------------------------- sampling
 
     def sample_pair(self, rng: random.Random, node_a: int,
@@ -130,8 +124,9 @@ class EPRProcess:
         if self.per_link:
             return self._sample_routed_pair(rng, node_a, node_b)
         attempts = self._draw_attempts(rng, self.p_success)
-        retries = (attempts - 1) * self.attempt_latency(node_a, node_b)
-        return EPRSample(attempts, retries + self.pair_latency(node_a, node_b))
+        latency = self.pair_latency(node_a, node_b)
+        retry = self.retry_latency if self.retry_latency is not None else latency
+        return EPRSample(attempts, (attempts - 1) * retry + latency)
 
     def _sample_routed_pair(self, rng: random.Random, node_a: int,
                             node_b: int) -> EPRSample:

@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event execution engine."""
 
 import hashlib
+import heapq
 
 import pytest
 
@@ -19,7 +20,8 @@ from repro.sim import (
     run_monte_carlo,
     simulate_program,
 )
-from repro.sim.engine import ExecutionEngine, plan_for_program
+from repro.core.scheduling import run_plan
+from repro.sim.engine import ExecutionEngine, _settled_gate, plan_for_program
 
 
 def block_mapping_for(num_qubits, num_nodes):
@@ -367,6 +369,73 @@ class TestBarrierPlan:
         assert [_trial_digest(simulate_program(program, SimulationConfig(
             p_epr=0.5, seed=seed, record_trace=False)))
             for seed in range(3)] == expected
+
+
+def _full_walk(plan, place):
+    """Every plan item through the heap and ``place``, in ``(ready, index)``
+    order: the event loop before gates were settled off the heap."""
+    succs = plan.successors()
+    indegree = [len(plist) for plist in plan.preds]
+    ready_time = [0.0] * len(indegree)
+    placed = [None] * len(indegree)
+    heap = [(0.0, index) for index, degree in enumerate(indegree)
+            if degree == 0]
+    while heap:
+        ready, index = heapq.heappop(heap)
+        op = placed[index] = place(index, ready)
+        for succ in succs[index]:
+            ready_time[succ] = max(ready_time[succ], op.end)
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                heapq.heappush(heap, (ready_time[succ], succ))
+    return placed
+
+
+class TestRunPlan:
+    @pytest.fixture(params=["qft", "uccsd", "barrier"])
+    def program(self, request, barrier_circuit):
+        if request.param == "barrier":
+            return compile_autocomm(
+                barrier_circuit, apply_topology(uniform_network(4, 3), "line"),
+                config=AutoCommConfig(remap="bursts", overlap=True),
+                cache=False)
+        family, qubits, nodes = {"qft": ("QFT", 30, 4),
+                                 "uccsd": ("UCCSD", 8, 4)}[request.param]
+        circuit, network = BenchmarkSpec(family, qubits, nodes).build()
+        return compile_autocomm(circuit, network, cache=False)
+
+    @pytest.mark.parametrize("p_epr", [0.5, 1.0])
+    def test_place_sees_only_booking_and_zero_duration_items(self, program,
+                                                             p_epr):
+        plan, network = plan_for_program(program), program.network
+        profiles = plan.op_profiles(network)
+        heaped = [index for index, profile in enumerate(profiles)
+                  if profile.kind != "gate" or profile.duration == 0]
+        assert len(heaped) < len(profiles)
+
+        def engine():
+            return ExecutionEngine(plan, network, SimulationConfig(
+                p_epr=p_epr, seed=7, record_trace=False))
+
+        calls, walk_calls = [], []
+
+        def counting(place, log):
+            def wrapped(index, ready):
+                log.append(index)
+                return place(index, ready)
+            return wrapped
+
+        ops = run_plan(plan, network, counting(engine()._execute, calls),
+                       _settled_gate)
+        full = _full_walk(plan, counting(engine()._execute, walk_calls))
+        assert sorted(calls) == heaped
+        # The same items reach ``place`` in the same order, so every EPR
+        # attempt draws the same number from the stream.
+        booking = set(heaped)
+        assert calls == [index for index in walk_calls if index in booking]
+        assert [(op.index, op.kind, op.start, op.end) for op in ops] == [
+            (op.index, op.kind, op.start, op.end) for op in full]
+        assert ops == full
 
 
 class TestMonteCarlo:

@@ -123,15 +123,17 @@ class TestPlanPickling:
         plan.successors()
         plan.op_profiles(program.network)
         groups = plan.comm_groups(program.network)
+        settle = plan.settle_durations(program.network)
         assert plan._succs is not None and plan._profiles is not None
-        assert plan._groups is not None
+        assert plan._groups is not None and plan._settle is not None
         restored = pickle.loads(pickle.dumps(plan))
         assert restored._succs is None and restored._profiles is None
-        assert restored._groups is None
+        assert restored._groups is None and restored._settle is None
         assert len(restored.items) == len(plan.items)
         assert restored.preds == plan.preds
         assert restored.successors() == plan.successors()
         assert restored.comm_groups(program.network) == groups
+        assert restored.settle_durations(program.network) == settle
 
     def test_unpickled_program_simulates_identically(self, phased_program):
         restored = pickle.loads(pickle.dumps(phased_program))
