@@ -1069,7 +1069,6 @@ def _cmd_cache(args) -> int:
         return 0
 
     # warm: compile benchmark circuits into the cache.
-    cache = _cache_from_args(args)
     if args.families is None:
         families = sorted(BENCHMARK_FAMILIES)
     else:
@@ -1081,10 +1080,14 @@ def _cmd_cache(args) -> int:
                              f"{', '.join(unknown)}; choose from "
                              f"{', '.join(sorted(BENCHMARK_FAMILIES))}")
     config = _autocomm_config(args)
+    # Build every circuit first, so a width too small for one family stops
+    # the command before anything is compiled or cached.
+    circuits = [_build_benchmark(family, args.qubits, args.nodes,
+                                 comm_qubits_per_node=args.comm_qubits)[0]
+                for family in families]
+    cache = _cache_from_args(args)
     rows = []
-    for family in families:
-        circuit, _ = build_benchmark(family, args.qubits, args.nodes,
-                                     comm_qubits_per_node=args.comm_qubits)
+    for circuit in circuits:
         network = _network_from_args(circuit, args)
         already = cache.counters()["hits"]
         program = compile_autocomm(circuit, network, config=config,
@@ -1102,8 +1105,19 @@ def _cmd_cache(args) -> int:
     return 0
 
 
+def _build_benchmark(family: str, qubits: int, *args, **kwargs):
+    """:func:`build_benchmark`, stopping with one error line when
+    ``qubits`` is below the family's minimum width."""
+    try:
+        return build_benchmark(family, qubits, *args, **kwargs)
+    except ValueError as exc:
+        raise SystemExit(f"error: --qubits {qubits} is too few for "
+                         f"{family}: {exc}") from None
+
+
 def _cmd_generate(args) -> int:
-    circuit, _ = build_benchmark(args.family.upper(), args.qubits, num_nodes=1)
+    circuit, _ = _build_benchmark(args.family.upper(), args.qubits,
+                                  num_nodes=1)
     text = to_qasm(circuit)
     if args.output is None:
         print(text, end="")

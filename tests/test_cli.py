@@ -815,6 +815,28 @@ class TestRangeChecks:
                     else [])])
         assert str(excinfo.value) == "error: --qubits must be >= 1, got 0"
 
+    @pytest.mark.parametrize("family,qubits,minimum", [
+        ("bv", 1, "BV needs at least two qubits"),
+        ("qaoa", 1, "QAOA needs at least two qubits"),
+        ("mctr", 2, "MCTR needs at least 3 qubits"),
+        ("rca", 3, "need at least 4 qubits"),
+        ("uccsd", 3, "UCCSD needs at least 4 qubits"),
+    ])
+    @pytest.mark.parametrize("command", ["generate", "warm"])
+    def test_below_family_minimum_rejected(self, tmp_path, command, family,
+                                           qubits, minimum):
+        # Used to show the builder's ValueError traceback.
+        argv = (["generate", family] if command == "generate" else
+                ["cache", "warm", "--families", family,
+                 "--cache-dir", str(tmp_path / "c")])
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--qubits", str(qubits)])
+        message = str(excinfo.value)
+        assert message.startswith(f"error: --qubits {qubits} is too few "
+                                  f"for {family.upper()}: ")
+        assert minimum in message
+        assert not (tmp_path / "c").exists()
+
     def test_negative_trace_rejected(self, qasm_file):
         # Used to print all but the last event, then "... N+1 more events".
         with pytest.raises(SystemExit) as excinfo:
