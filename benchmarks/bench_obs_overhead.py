@@ -17,7 +17,8 @@ Run standalone::
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py \
         --scale small --output BENCH_obs.json --report obs_report.ci.json
 
-Timing protocol: ``--repeat`` rounds, each timing the full AutoComm
+Timing protocol: ``--repeat`` rounds (by default the scale's own count),
+each timing the full AutoComm
 compile once per mode (cold commutation caches) back to back with the
 order alternating between rounds; the overhead is the ratio of the two
 modes' median times.  Rounds are measured in process CPU time (immune to
@@ -27,10 +28,12 @@ percent-level cost being measured if modes are timed in separate batches.
 The simulator comparison applies the same protocol to a seeded
 Monte-Carlo run with the metrics registry on versus off; the event-trace
 recorder — its own pre-existing subsystem — keeps its default in both
-arms.  Even so, shared-runner noise floors sit at a few percent, so the
-gate measures up to three times and fails only when every attempt
-exceeds the threshold: a noise spike rarely repeats, a real regression
-always does.
+arms.  The ``small`` scale, which CI gates on, runs enough trials per
+round and enough rounds that five runs on one commit spread by less than
+half the threshold.  Even so, shared-runner noise floors sit at a few
+percent, so the gate measures up to three times and fails only when every
+attempt exceeds the threshold: a noise spike rarely repeats, a real
+regression always does.
 """
 
 from __future__ import annotations
@@ -61,22 +64,25 @@ from repro.ir import clear_commutation_cache
 from repro.obs import RunReport, report_for_program, set_tracing
 from repro.sim import SimulationConfig, run_monte_carlo
 
-DEFAULT_REPEAT = 25
 #: CI fails when a measured overhead exceeds this many percent.
 DEFAULT_THRESHOLD_PCT = 5.0
 #: Independent measurements the gate may take before declaring a failure.
 DEFAULT_ATTEMPTS = 3
 
-#: One QFT configuration per scale: (qubits, nodes, Monte-Carlo trials).
+#: One QFT configuration per scale: (qubits, nodes, Monte-Carlo trials per
+#: round, rounds).  A ``small`` trial takes about 0.3 ms, so its arms need
+#: 40 trials and 75 rounds before the run-to-run spread of the simulate
+#: overhead falls under half the threshold (it reached 6 points at 20
+#: trials and 25 rounds).
 _SCALE_CONFIG = {
-    "small": (16, 4, 20),
-    "medium": (24, 4, 50),
-    "paper": (32, 8, 100),
+    "small": (16, 4, 40, 75),
+    "medium": (24, 4, 50, 25),
+    "paper": (32, 8, 100, 25),
 }
 
 
 def _build(scale: str):
-    qubits, nodes, trials = _SCALE_CONFIG[scale]
+    qubits, nodes, trials, _ = _SCALE_CONFIG[scale]
     network = uniform_network(nodes, qubits // nodes)
     apply_topology(network, "line")
     return qft_circuit(qubits), network, trials
@@ -167,8 +173,10 @@ def _overhead_pct(instrumented: Sequence[float],
     return (statistics.median(instrumented) / stripped_median - 1.0) * 100.0
 
 
-def run_bench(scale: str, repeat: int = DEFAULT_REPEAT) -> Dict[str, object]:
+def run_bench(scale: str, repeat: Optional[int] = None) -> Dict[str, object]:
     circuit, network, trials = _build(scale)
+    if repeat is None:
+        repeat = _SCALE_CONFIG[scale][3]
 
     traced_times, untraced_times, program = _time_compiles(circuit, network,
                                                            repeat)
@@ -176,7 +184,7 @@ def run_bench(scale: str, repeat: int = DEFAULT_REPEAT) -> Dict[str, object]:
 
     compile_overhead = _overhead_pct(traced_times, untraced_times)
     sim_overhead = _overhead_pct(sim_on, sim_off)
-    qubits, nodes, _ = _SCALE_CONFIG[scale]
+    qubits, nodes, _, _ = _SCALE_CONFIG[scale]
     return {
         "bench": "obs_overhead",
         "schema": 1,
@@ -213,7 +221,7 @@ def check_overhead(report: Dict[str, object],
     return failures
 
 
-def run_gated(scale: str, repeat: int = DEFAULT_REPEAT,
+def run_gated(scale: str, repeat: Optional[int] = None,
               threshold_pct: float = DEFAULT_THRESHOLD_PCT,
               attempts: int = DEFAULT_ATTEMPTS):
     """Measure up to ``attempts`` times; pass on the first clean attempt.
@@ -285,7 +293,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="observability overhead benchmark")
     parser.add_argument("--scale", choices=BENCH_SCALES, default="small")
-    parser.add_argument("--repeat", type=int, default=DEFAULT_REPEAT)
+    parser.add_argument("--repeat", type=int, default=None,
+                        help="interleaved rounds per arm (default: the "
+                             "scale's own count)")
     parser.add_argument("--threshold", type=float,
                         default=DEFAULT_THRESHOLD_PCT,
                         help="fail when an overhead exceeds this many "

@@ -255,25 +255,23 @@ class ExecutionEngine:
         totals, and the pairs needed without retries are a plan constant.
         Groups list ops in index order, so each sum adds in the order of a
         walk over every op and the registry contents do not depend on the
-        grouping.  Instrument handles are memoised on the registry itself,
-        so across a shared-registry Monte-Carlo run only the first trial
-        pays the labelled-lookup cost.
+        grouping.  The instruments each group feeds are resolved once per
+        registry and plan (:meth:`_fold_handles`), so across a
+        shared-registry Monte-Carlo run only the first trial pays the
+        labelled lookups.
         """
         metrics = self.metrics
-        handles = metrics.handles
-        fixed = handles.get("sim")
-        if fixed is None:
-            fixed = handles["sim"] = (
-                metrics.counter("sim.trials"),
-                metrics.histogram("sim.latency"),
-                metrics.histogram("sim.epr_attempts"),
-                metrics.counter("epr.attempts"),
-                metrics.counter("epr.retries"))
+        groups = self.plan.comm_groups(self.network)
+        fold = metrics.handles.get("sim")
+        if (fold is None or fold[0] is not groups
+                or (makespan > 0 and fold[2] is None)):
+            fold = metrics.handles["sim"] = self._fold_handles(
+                groups, makespan > 0)
+        _, fixed, occupancy, waits, links = fold
         trials, latency, attempts_hist, attempts, retries = fixed
         trials.inc()
         latency.observe(makespan)
         attempts_hist.observe(total_attempts)
-        groups = self.plan.comm_groups(self.network)
         # Pairs each comm op needed at least once: attempts beyond are
         # retries.  Gates make no attempts, so the run total is the comm
         # ops' total.
@@ -282,58 +280,63 @@ class ExecutionEngine:
                   else groups.needed_prep)
         attempts.inc(total_attempts)
         retries.inc(total_attempts - needed)
-
         if makespan > 0:
-            node_busy: Dict[int, float] = {}
-            for node, indices in groups.nodes:
+            for indices, values, slots in occupancy:
                 busy = 0.0
                 for index in indices:
                     op = ops[index]
                     busy += op.end - op.prep_start
-                node_busy[node] = busy
-            occ_handles = handles.get("occ")
-            if occ_handles is None:
-                occ_handles = handles["occ"] = {}
-            for node in self.network:
-                index = node.index
-                occupancy = occ_handles.get(index)
-                if occupancy is None:
-                    occupancy = occ_handles[index] = (
-                        metrics.histogram("node.comm_occupancy", node=index),
-                        node.num_comm_qubits)
-                occupancy[0].observe(
-                    node_busy.get(index, 0.0) / (makespan * occupancy[1]))
-        wait_handles = handles.get("qw")
-        if wait_handles is None:
-            wait_handles = handles["qw"] = {}
-        stalls: List[float] = []
-        for kind, indices in groups.kinds:
-            queue_wait = wait_handles.get(kind)
-            if queue_wait is None:
-                queue_wait = wait_handles[kind] = metrics.histogram(
-                    "comm.queue_wait", kind=kind)
-            waits = [ops[index].queue_wait for index in indices]
-            queue_wait.values.extend(waits)
-            if kind == "migration":
-                stalls = waits
-        if stalls:
-            metrics.histogram("migration.stall").values.extend(stalls)
-        pair_handles = handles.get("links")
-        if pair_handles is None:
-            pair_handles = handles["links"] = {}
-        for pair, generations, indices in groups.links:
+                values.append(busy / (makespan * slots))
+        for indices, targets in waits:
+            queue_waits = [ops[index].queue_wait for index in indices]
+            for values in targets:
+                values.extend(queue_waits)
+        for indices, generations, generated, busy_time in links:
             busy = 0.0
             for index in indices:
                 op = ops[index]
                 busy += op.start - op.prep_start
-            link_handles = pair_handles.get(pair)
-            if link_handles is None:
-                link = f"{pair[0]}-{pair[1]}"
-                link_handles = pair_handles[pair] = (
-                    metrics.counter("link.epr_generations", link=link),
-                    metrics.counter("link.busy_time", link=link))
-            link_handles[0].inc(generations)
-            link_handles[1].inc(busy)
+            generated.inc(generations)
+            busy_time.inc(busy)
+
+    def _fold_handles(self, groups, occupancy: bool) -> Tuple:
+        """The instruments :meth:`_flush_metrics` feeds, per comm-op group.
+
+        ``(groups, fixed, occupancy, waits, links)``: the run-wide
+        instruments; per network node its comm ops, occupancy samples and
+        slot count (``None`` until a run has a positive makespan); per kind
+        its comm ops and the sample lists their queue waits extend (the
+        migration stalls too); per link its comm ops, generation count and
+        counters.  Instruments are created in the order the fold first
+        writes them.
+        """
+        metrics = self.metrics
+        fixed = (metrics.counter("sim.trials"),
+                 metrics.histogram("sim.latency"),
+                 metrics.histogram("sim.epr_attempts"),
+                 metrics.counter("epr.attempts"),
+                 metrics.counter("epr.retries"))
+        by_node = dict(groups.nodes)
+        nodes = None
+        if occupancy:
+            nodes = tuple(
+                (by_node.get(node.index, ()),
+                 metrics.histogram("node.comm_occupancy",
+                                   node=node.index).values,
+                 node.num_comm_qubits)
+                for node in self.network)
+        waits = [(indices, [metrics.histogram("comm.queue_wait",
+                                              kind=kind).values])
+                 for kind, indices in groups.kinds]
+        for (kind, _), (_, targets) in zip(groups.kinds, waits):
+            if kind == "migration":
+                targets.append(metrics.histogram("migration.stall").values)
+        links = tuple(
+            (indices, generations,
+             metrics.counter("link.epr_generations", link=f"{a}-{b}"),
+             metrics.counter("link.busy_time", link=f"{a}-{b}"))
+            for (a, b), generations, indices in groups.links)
+        return groups, fixed, nodes, tuple(waits), links
 
     # ------------------------------------------------------------- execution
 
