@@ -30,7 +30,8 @@ plan carries per-item mappings and phases.  :func:`run_plan` is the one
 event loop over a :class:`SchedulePlan`; the analytical scheduler and the
 execution engine in :mod:`repro.sim` drive it with their own placement
 steps over per-item facts computed once per plan
-(:meth:`SchedulePlan.op_profiles`).
+(:meth:`SchedulePlan.op_profiles`).  Only comm ops and zero-duration items
+reach a placement step; the loop settles every other gate itself.
 """
 
 from __future__ import annotations

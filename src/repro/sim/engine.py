@@ -2,8 +2,10 @@
 
 The engine *executes* a compiled program's schedule plan on the modelled
 hardware instead of estimating its latency analytically: the plan's event
-loop places gates and communications, and the trace records EPR-generation,
-teleportation and classical-message events;
+loop places the communications and zero-duration gates (barriers) through
+the engine and settles every other gate itself, since a gate books nothing
+and draws no randomness; the trace records EPR-generation, teleportation
+and classical-message events;
 communication qubits are occupied through the same
 :class:`~repro.hardware.epr.CommResourceTracker` the analytical scheduler
 uses, and EPR pairs are produced by a (possibly stochastic)
@@ -17,7 +19,9 @@ Two properties anchor the design:
   :func:`plan_for_program`, serves every program) the analytical scheduler
   used through the same event loop (:func:`repro.core.scheduling.run_plan`),
   so placement decisions come in the same ``(ready time, item index)``
-  order by construction.  Every plan carries the mapping of each item, so
+  order by construction: the loop heaps only the items ``place`` sees, and
+  an item released by a settled gate is ready strictly after that gate,
+  so it never ties with an item already placed.  Every plan carries the mapping of each item, so
   the engine needs the plan and the network only.  With ``p_epr = 1.0``
   each sampled preparation equals the analytical prep latency, the engine
   books identical resource windows, and the simulated program latency
