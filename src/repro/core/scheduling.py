@@ -491,9 +491,9 @@ class SchedulePlan:
     def __getstate__(self):
         """Pickle without the lazy caches.
 
-        ``_profiles``, ``_groups`` and ``_settle`` are keyed by object identity
-        (``id(network)``), so their entries are meaningless in another
-        process; every cache rebuilds on demand.  Dropping them is what
+        ``_profiles``, ``_groups`` and ``_settle`` are keyed by object
+        identity (``id(network)``), so their entries are meaningless in
+        another process; every cache rebuilds on demand.  Dropping them is what
         lets a plan travel to Monte-Carlo worker processes (and,
         eventually, a compile cache) at minimal size.
         """
@@ -1126,7 +1126,7 @@ def _execute_plan(plan: SchedulePlan,
 
     def place(index: int, ready: float) -> ScheduledOp:
         profile = profiles[index]
-        if profile.kind == "gate":  # zero duration: a barrier
+        if profile.kind == "gate":  # zero duration, such as a barrier
             return ScheduledOp(index, "gate", ready, ready + profile.duration)
         _, start, end = reserve(profile.nodes, ready, profile.duration,
                                 profile.prep, profile.label)

@@ -21,8 +21,9 @@ Two properties anchor the design:
   so placement decisions come in the same ``(ready time, item index)``
   order by construction: the loop heaps only the items ``place`` sees, and
   an item released by a settled gate is ready strictly after that gate,
-  so it never ties with an item already placed.  Every plan carries the mapping of each item, so
-  the engine needs the plan and the network only.  With ``p_epr = 1.0``
+  so it never ties with an item already placed.  Every plan carries the
+  mapping of each item, so the engine needs the plan and the network
+  only.  With ``p_epr = 1.0``
   each sampled preparation equals the analytical prep latency, the engine
   books identical resource windows, and the simulated program latency
   equals the analytical :class:`~repro.core.scheduling.ScheduleResult`
@@ -348,8 +349,8 @@ class ExecutionEngine:
         profile = self._profiles[index]
         kind = profile.kind
         if kind == "gate":
-            # A zero-duration gate (a barrier): it touches no resource and
-            # starts as soon as it is ready, like every gate.
+            # A zero-duration gate, such as a barrier: it touches no
+            # resource and starts as soon as it is ready, like every gate.
             return SimulatedOp(index, "gate", ready, ready + profile.duration,
                                (), ready)
         nodes = profile.nodes

@@ -125,7 +125,8 @@ class EPRProcess:
             return self._sample_routed_pair(rng, node_a, node_b)
         attempts = self._draw_attempts(rng, self.p_success)
         latency = self.pair_latency(node_a, node_b)
-        retry = self.retry_latency if self.retry_latency is not None else latency
+        retry = (self.retry_latency if self.retry_latency is not None
+                 else latency)
         return EPRSample(attempts, (attempts - 1) * retry + latency)
 
     def _sample_routed_pair(self, rng: random.Random, node_a: int,
