@@ -612,40 +612,47 @@ class SchedulePlan:
 
         Built once per plan and network from :meth:`op_profiles` and cached
         like them, so the simulator's per-trial metrics fold visits only
-        comm ops.  Every group lists its item indices in ascending order,
-        and groups appear in order of first occurrence, so a fold over the
-        groups adds each sum in the order of a walk over the whole plan.
+        comm ops.  ``indices`` lists the comm ops' item indices in
+        ascending order, and each group lists its members as ascending
+        positions in ``indices``, so a fold reads them from the comm ops'
+        records alone.  Groups appear in order of first occurrence, so a
+        fold over the groups adds each sum in the order of a walk over the
+        whole plan.
         """
         if self._groups is None:
             self._groups = {}
         entry = self._groups.get(id(network))
         if entry is not None and entry[0] is network:
             return entry[1]
+        indices: List[int] = []
         kinds: Dict[str, List[int]] = {}
         nodes: Dict[int, List[int]] = {}
-        links: Dict[Tuple[int, int], List] = {}  # [generations, indices]
+        links: Dict[Tuple[int, int], List] = {}  # [generations, positions]
         needed_prep = needed_epr = 0
         for index, profile in enumerate(self.op_profiles(network)):
             if profile.kind == "gate":
                 continue
-            kinds.setdefault(profile.kind, []).append(index)
+            position = len(indices)
+            indices.append(index)
+            kinds.setdefault(profile.kind, []).append(position)
             for node in profile.nodes:
-                nodes.setdefault(node, []).append(index)
+                nodes.setdefault(node, []).append(position)
             for pair, count in profile.links:
                 link = links.get(pair)
                 if link is None:
                     link = links[pair] = [0, []]
                 link[0] += count
-                link[1].append(index)
+                link[1].append(position)
             needed_prep += len(profile.prep_pairs) or 1
             needed_epr += profile.epr_pairs or 1
         groups = CommGroups(
-            kinds=tuple((kind, tuple(indices))
-                        for kind, indices in kinds.items()),
-            nodes=tuple((node, tuple(indices))
-                        for node, indices in nodes.items()),
-            links=tuple((pair, generations, tuple(indices))
-                        for pair, (generations, indices) in links.items()),
+            indices=tuple(indices),
+            kinds=tuple((kind, tuple(positions))
+                        for kind, positions in kinds.items()),
+            nodes=tuple((node, tuple(positions))
+                        for node, positions in nodes.items()),
+            links=tuple((pair, generations, tuple(positions))
+                        for pair, (generations, positions) in links.items()),
             needed_prep=needed_prep, needed_epr=needed_epr)
         self._groups[id(network)] = (network, groups)
         return groups
@@ -681,13 +688,18 @@ class OpProfile(NamedTuple):
 
 
 class CommGroups(NamedTuple):
-    """A plan's comm ops grouped by kind, node and link (see ``comm_groups``)."""
+    """A plan's comm ops grouped by kind, node and link (see ``comm_groups``).
 
-    #: ``(kind, item indices)`` per comm-op kind.
+    Groups name their comm ops by position in ``indices``.
+    """
+
+    #: Every comm op's item index, ascending.
+    indices: Tuple[int, ...]
+    #: ``(kind, positions)`` per comm-op kind.
     kinds: Tuple[Tuple[str, Tuple[int, ...]], ...]
-    #: ``(node, item indices)``: the comm ops holding a comm qubit there.
+    #: ``(node, positions)``: the comm ops holding a comm qubit there.
     nodes: Tuple[Tuple[int, Tuple[int, ...]], ...]
-    #: ``(physical link, EPR generations, item indices)``: the comm ops
+    #: ``(physical link, EPR generations, positions)``: the comm ops
     #: whose prep pairs' routes occupy the link, and how many generations
     #: they run on it in total.
     links: Tuple[Tuple[Tuple[int, int], int, Tuple[int, ...]], ...]
@@ -948,9 +960,9 @@ def _stitch_overlap(segments, phase_items, deps, migrations, num_qubits):
 # ---------------------------------------------------------------------------
 
 def run_plan(plan: SchedulePlan, network: QuantumNetwork,
-             place: Callable[[int, float], Any],
-             settled: Callable[[int, float, float], Any]) -> List[Any]:
-    """Run every plan item in ``(ready time, index)`` order; ops by index.
+             place: Callable[[int, float], Any]
+             ) -> Tuple[List[Any], List[float], List[float]]:
+    """Run every plan item in ``(ready time, index)`` order.
 
     An item is ready at the latest end of its predecessors.  Only the
     items whose placement matters go through the heap: comm ops and
@@ -962,20 +974,25 @@ def run_plan(plan: SchedulePlan, network: QuantumNetwork,
 
     A gate of positive duration (:meth:`SchedulePlan.settle_durations`)
     books nothing, so it is settled off the heap as soon as its last
-    predecessor ends, at ``end = ready + duration``; its record is
-    ``settled(index, ready, end)``, built in one index-order sweep after
-    the loop.  The heap still pops its items in the order a walk over
-    every item would: an item a settled gate releases is ready strictly
-    after that gate's ready time, so it cannot tie with an item already
-    popped, and an item a heaped item releases is pushed at the same pop.
-    ``place`` therefore sees the same calls with the same ready times.
+    predecessor ends, at ``end = ready + duration``, and gets no record.
+    The heap still pops its items in the order a walk over every item
+    would: an item a settled gate releases is ready strictly after that
+    gate's ready time, so it cannot tie with an item already popped, and
+    an item a heaped item releases is pushed at the same pop.  ``place``
+    therefore sees the same calls with the same ready times.
+
+    Returns ``(records, ready, ends)`` by item index: ``place``'s record
+    of each heaped item (``None`` for a settled gate), and every item's
+    ready time and end time.  A settled gate's window is
+    ``[ready[index], ends[index])``, so callers build its record only if
+    they need it.
     """
     succs = plan.successors()
     settle = plan.settle_durations(network)
     indegree = [len(plist) for plist in plan.preds]
     ready_time = [0.0] * len(indegree)
-    # A settled gate's slot holds its end until the sweep.
-    placed: List[Any] = [None] * len(indegree)
+    ends = [0.0] * len(indegree)
+    records: List[Any] = [None] * len(indegree)
     stack = [index for index, degree in enumerate(indegree)
              if not degree and settle[index]]
     # Ascending (0.0, index) pairs already satisfy the heap invariant.
@@ -985,11 +1002,11 @@ def run_plan(plan: SchedulePlan, network: QuantumNetwork,
     while True:
         if stack:
             index = stack.pop()
-            end = placed[index] = ready_time[index] + settle[index]
+            end = ends[index] = ready_time[index] + settle[index]
         elif heap:
             ready, index = heappop(heap)
-            op = placed[index] = place(index, ready)
-            end = op.end
+            op = records[index] = place(index, ready)
+            end = ends[index] = op.end
         else:
             break
         for succ in succs[index]:
@@ -1004,10 +1021,7 @@ def run_plan(plan: SchedulePlan, network: QuantumNetwork,
                     heappush(heap, (ready_time[succ], succ))
     if any(indegree):  # pragma: no cover - defensive
         raise RuntimeError("dependency cycle in schedule plan")
-    for index, duration in enumerate(settle):
-        if duration:
-            placed[index] = settled(index, ready_time[index], placed[index])
-    return placed
+    return records, ready_time, ends
 
 
 #: The schedule candidate pool, ``(name, burst, overlap)`` in preference
@@ -1112,11 +1126,6 @@ def _pick_schedule(segments: Tuple[Tuple[QubitMapping, AssignmentResult], ...],
         return result
 
 
-def _settled_gate(index: int, start: float, end: float) -> ScheduledOp:
-    """The record of a gate :func:`run_plan` settled off the heap."""
-    return ScheduledOp(index, "gate", start, end)
-
-
 def _execute_plan(plan: SchedulePlan,
                   network: QuantumNetwork) -> ScheduleResult:
     """Resource-constrained list scheduling of one plan (phase-aware)."""
@@ -1133,9 +1142,13 @@ def _execute_plan(plan: SchedulePlan,
         return ScheduledOp(index, profile.kind, start, end, profile.nodes,
                            profile.num_remote_gates, profile.num_items)
 
-    ops = run_plan(plan, network, place, _settled_gate)
-    return ScheduleResult(ops=ops,
-                          latency=max((op.end for op in ops), default=0.0),
+    records, ready, ends = run_plan(plan, network, place)
+    # The boundary bubble, persistence and the verifier read every record
+    # at once, so the settled gates' records are built here.
+    ops = [op if op is not None
+           else ScheduledOp(index, "gate", ready[index], ends[index])
+           for index, op in enumerate(records)]
+    return ScheduleResult(ops=ops, latency=max(ends, default=0.0),
                           resources=resources,
                           num_comm_ops=sum(op.kind != "gate" for op in ops),
                           num_fused_chains=plan.num_fused_chains,

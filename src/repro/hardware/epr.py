@@ -194,23 +194,36 @@ class CommResourceTracker:
         slot per node.  Every per-node and per-link search answers
         the earliest feasible time at or after its argument, so iterating
         them from ``not_before`` until none moves the proposal reaches the
-        earliest time all accept; slots are picked at that time.
+        earliest time all accept; slots are picked at that time.  A node's
+        answer at or after the current proposal is also its answer there
+        (no slot frees earlier, and ties still go to the lowest slot), so
+        only the nodes whose last answer lies before the proposal are
+        asked again.
         """
         schedules = self._schedules
-        time = not_before
+        slots: Dict[int, int] = {}
+        starts: List[float] = []
+        proposal = time = not_before
+        for node in nodes:
+            start, slots[node] = schedules[node].earliest(duration, time,
+                                                          prep)
+            starts.append(start)
+            if start > proposal:
+                proposal = start
         for _ in range(1000):
-            slots: Dict[int, int] = {}
-            proposal = time
-            for node in nodes:
-                start, slot = schedules[node].earliest(duration, time, prep)
-                slots[node] = slot
-                proposal = max(proposal, start)
             for schedule, count in links:
                 proposal = max(proposal, schedule.earliest_multi(
                     prep, count, not_before=proposal))
             if proposal == time:
                 return time, slots
             time = proposal
+            for position, node in enumerate(nodes):
+                if starts[position] < time:
+                    start, slots[node] = schedules[node].earliest(
+                        duration, time, prep)
+                    starts[position] = start
+                    if start > proposal:
+                        proposal = start
         raise RuntimeError("resource search did not converge")  # pragma: no cover
 
     # ------------------------------------------------------------------ booking

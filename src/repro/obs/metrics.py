@@ -16,12 +16,31 @@ recorder's disabled mode).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
+           "sorted_percentile"]
 
 #: Internal metric key: (name, sorted (label, value) pairs).
 _Key = Tuple[str, Tuple[Tuple[str, str], ...]]
+
+
+def sorted_percentile(ordered: Sequence[float], q: float) -> float:
+    """Linearly interpolated percentile of ascending ``ordered``, ``q`` in
+    [0, 100].
+
+    Interpolates as ``a + (b - a) * f`` between the neighbouring samples
+    ``a <= b``: equal neighbours give exactly ``a``, so the result never
+    leaves the sample range (``a * (1 - f) + b * f`` can land one ULP
+    below the minimum of equal samples).
+    """
+    if not 0.0 <= q <= 100.0:
+        raise ValueError("percentile must be in [0, 100]")
+    position = (len(ordered) - 1) * q / 100.0
+    low = int(position)
+    high = min(low + 1, len(ordered) - 1)
+    low_value = ordered[low]
+    return low_value + (ordered[high] - low_value) * (position - low)
 
 
 class Counter:
@@ -84,18 +103,7 @@ class Histogram:
 
     def percentile(self, q: float) -> float:
         """Linearly interpolated percentile, ``q`` in [0, 100]."""
-        if not 0.0 <= q <= 100.0:
-            raise ValueError("percentile must be in [0, 100]")
-        if not self.values:
-            return 0.0
-        ordered = sorted(self.values)
-        if len(ordered) == 1:
-            return ordered[0]
-        position = (len(ordered) - 1) * q / 100.0
-        low = int(position)
-        high = min(low + 1, len(ordered) - 1)
-        fraction = position - low
-        return ordered[low] * (1 - fraction) + ordered[high] * fraction
+        return sorted_percentile(sorted(self.values) or [0.0], q)
 
     def summary(self) -> Dict[str, float]:
         if not self.values:

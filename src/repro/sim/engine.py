@@ -4,8 +4,10 @@ The engine *executes* a compiled program's schedule plan on the modelled
 hardware instead of estimating its latency analytically: the plan's event
 loop places the communications and zero-duration gates (barriers) through
 the engine and settles every other gate itself, since a gate books nothing
-and draws no randomness; the trace records EPR-generation, teleportation
-and classical-message events;
+and draws no randomness.  A settled gate leaves only its ready and end
+times; its record is built when :attr:`SimulationResult.ops` is first
+read, so a Monte-Carlo trial nobody inspects builds none.  The trace
+records EPR-generation, teleportation and classical-message events;
 communication qubits are occupied through the same
 :class:`~repro.hardware.epr.CommResourceTracker` the analytical scheduler
 uses, and EPR pairs are produced by a (possibly stochastic)
@@ -44,11 +46,12 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.pipeline import CompiledProgram
-from ..core.scheduling import SchedulePlan, plan_phased_schedule, run_plan
+from ..core.scheduling import (CommGroups, SchedulePlan,
+                               plan_phased_schedule, run_plan)
 from ..hardware.epr import CommResourceTracker, SlotSchedule
 from ..hardware.network import QuantumNetwork
 from ..obs.metrics import MetricsRegistry
@@ -94,8 +97,10 @@ class SimulationConfig:
 class SimulatedOp(NamedTuple):
     """One executed operation with its simulated time windows.
 
-    A tuple record (one is built per plan item and trial): immutable,
-    hashable and picklable, with no per-instance ``__dict__``.  Derive a
+    A tuple record: immutable, hashable and picklable, with no
+    per-instance ``__dict__``.  A trial builds one per comm op and
+    zero-duration gate as it places them; the other gates' records are
+    built only when :attr:`SimulationResult.ops` is first read.  Derive a
     changed copy with ``op._replace(start=...)``.
     """
 
@@ -120,9 +125,15 @@ class SimulatedOp(NamedTuple):
 
 @dataclass
 class SimulationResult:
-    """Outcome of executing one program once."""
+    """Outcome of executing one program once.
 
-    ops: List[SimulatedOp]
+    Built from :func:`~repro.core.scheduling.run_plan`'s ``(records,
+    ready, ends)``: the latency and the EPR totals come from those lists
+    directly, and :attr:`ops` expands them into one record per plan item
+    on first read.  A Monte-Carlo trial whose records nobody reads
+    therefore never builds the gates' records.
+    """
+
     latency: float
     trace: TraceRecorder
     resources: CommResourceTracker
@@ -138,6 +149,26 @@ class SimulationResult:
     #: Registry the engine filled during this run (shared across trials in
     #: a Monte-Carlo run); disabled when ``record_metrics`` was off.
     metrics: Optional[MetricsRegistry] = None
+    #: ``run_plan``'s ``(records, ready, ends)`` until :attr:`ops` is read.
+    plan_run: Optional[Tuple[List[Optional[SimulatedOp]], List[float],
+                             List[float]]] = field(default=None, repr=False,
+                                                   compare=False)
+    _ops: Optional[List[SimulatedOp]] = field(default=None, init=False,
+                                              repr=False, compare=False)
+
+    @property
+    def ops(self) -> List[SimulatedOp]:
+        """Every plan item's record, by index; built once, on first read."""
+        if self._ops is None:
+            self._ops = (_simulated_ops(*self.plan_run)
+                         if self.plan_run is not None else [])
+            self.plan_run = None
+        return self._ops
+
+    @ops.setter
+    def ops(self, ops: List[SimulatedOp]) -> None:
+        self._ops = ops
+        self.plan_run = None
 
     def comm_ops(self) -> List[SimulatedOp]:
         return [op for op in self.ops if op.kind != "gate"]
@@ -226,47 +257,57 @@ class ExecutionEngine:
 
     def run(self) -> SimulationResult:
         """Execute every plan item through the plan's event loop."""
-        ops = run_plan(self.plan, self.network, self._execute, _settled_gate)
-        makespan = max((op.end for op in ops), default=0.0)
-        total_attempts = sum(op.epr_attempts for op in ops)
+        records, ready, ends = run_plan(self.plan, self.network,
+                                        self._execute)
+        makespan = max(ends, default=0.0)
+        groups = self.plan.comm_groups(self.network)
+        comm = [records[index] for index in groups.indices]
+        # Gates make no EPR attempts and use no pairs: only comm ops count.
+        total_attempts = total_pairs = 0
+        for op in comm:
+            total_attempts += op.epr_attempts
+            total_pairs += op.epr_pairs
         metrics = self.metrics
         if metrics.enabled:
-            self._flush_metrics(ops, makespan, total_attempts)
+            self._flush_metrics(groups, comm, makespan, total_attempts)
         return SimulationResult(
-            ops=ops, latency=makespan, trace=self.trace,
+            latency=makespan, trace=self.trace,
             resources=self.resources, mode=self.plan.mode,
             seed=self.config.seed,
             total_epr_attempts=total_attempts,
-            total_epr_pairs=sum(op.epr_pairs for op in ops),
-            metrics=metrics)
+            total_epr_pairs=total_pairs,
+            metrics=metrics, plan_run=(records, ready, ends))
 
     # ------------------------------------------------------------- metrics
 
-    def _flush_metrics(self, ops: List[SimulatedOp], makespan: float,
-                       total_attempts: int) -> None:
-        """Fold this run's executed ops into the registry, once per run.
+    def _flush_metrics(self, groups: CommGroups, comm: List[SimulatedOp],
+                       makespan: float, total_attempts: int) -> None:
+        """Fold this run's comm ops into the registry, once per run.
 
-        Everything the metrics need is already in the :class:`SimulatedOp`
-        records and the plan's trial-invariant facts, so the per-op
-        execution path carries no metrics code at all — registry lookups
-        build sorted label keys and instrument calls are attribute
-        dispatches, which is too slow per executed op (the overhead
-        benchmark holds the instrumented engine within a few percent of
-        the stripped one).  The fold visits only comm ops, through the
-        groups the plan builds once (:meth:`SchedulePlan.comm_groups`):
-        per-kind index lists give the queue waits, per-node lists the
-        comm-qubit occupancy (each comm op holds one slot per endpoint for
-        its whole window), per-link lists and generation counts the link
-        totals, and the pairs needed without retries are a plan constant.
-        Groups list ops in index order, so each sum adds in the order of a
-        walk over every op and the registry contents do not depend on the
-        grouping.  The instruments each group feeds are resolved once per
-        registry and plan (:meth:`_fold_handles`), so across a
-        shared-registry Monte-Carlo run only the first trial pays the
-        labelled lookups.
+        ``comm`` holds the records of ``groups.indices``, in that order.
+        Everything the metrics need is already in those
+        :class:`SimulatedOp` records and the plan's trial-invariant facts,
+        so the per-op execution path carries no metrics code at all —
+        registry lookups build sorted label keys and instrument calls are
+        attribute dispatches, which is too slow per executed op (the
+        overhead benchmark holds the instrumented engine within a few
+        percent of the stripped one).  The fold visits only comm ops,
+        through the groups the plan builds once
+        (:meth:`SchedulePlan.comm_groups`): per-kind groups give the queue
+        waits, per-node groups the comm-qubit occupancy (each comm op holds
+        one slot per endpoint for its whole window), per-link groups and
+        generation counts the link totals, and the pairs needed without
+        retries are a plan constant.  Each op's two window lengths are
+        computed once per run, then read by position.  Groups list ops in
+        index order, so each sum adds in the order of a walk over every op
+        and the registry contents do not depend on the grouping.  The
+        instruments each group feeds are resolved once per registry and
+        plan (:meth:`_fold_handles`), so across a shared-registry
+        Monte-Carlo run only the first trial pays the labelled lookups;
+        counters are bumped through ``value`` and histograms through their
+        sample lists, without a method call per write.
         """
         metrics = self.metrics
-        groups = self.plan.comm_groups(self.network)
         fold = metrics.handles.get("sim")
         if (fold is None or fold[0] is not groups
                 or (makespan > 0 and fold[2] is None)):
@@ -274,37 +315,39 @@ class ExecutionEngine:
                 groups, makespan > 0)
         _, fixed, occupancy, waits, links = fold
         trials, latency, attempts_hist, attempts, retries = fixed
-        trials.inc()
-        latency.observe(makespan)
-        attempts_hist.observe(total_attempts)
+        trials.value += 1
+        latency.append(makespan)
+        attempts_hist.append(total_attempts)
         # Pairs each comm op needed at least once: attempts beyond are
         # retries.  Gates make no attempts, so the run total is the comm
         # ops' total.
         needed = (groups.needed_epr
                   if self.epr.per_link and not self.epr.deterministic
                   else groups.needed_prep)
-        attempts.inc(total_attempts)
-        retries.inc(total_attempts - needed)
+        attempts.value += total_attempts
+        retries.value += total_attempts - needed
         if makespan > 0:
-            for indices, values, slots in occupancy:
+            held = [op.end - op.prep_start for op in comm]
+            for positions, values, slots in occupancy:
                 busy = 0.0
-                for index in indices:
-                    op = ops[index]
-                    busy += op.end - op.prep_start
+                for position in positions:
+                    busy += held[position]
                 values.append(busy / (makespan * slots))
-        for indices, targets in waits:
-            queue_waits = [ops[index].queue_wait for index in indices]
+        for positions, targets in waits:
+            queue_waits = [comm[position].queue_wait
+                           for position in positions]
             for values in targets:
                 values.extend(queue_waits)
-        for indices, generations, generated, busy_time in links:
+        if links:
+            generating = [op.start - op.prep_start for op in comm]
+        for positions, generations, generated, busy_time in links:
             busy = 0.0
-            for index in indices:
-                op = ops[index]
-                busy += op.start - op.prep_start
-            generated.inc(generations)
-            busy_time.inc(busy)
+            for position in positions:
+                busy += generating[position]
+            generated.value += generations
+            busy_time.value += busy
 
-    def _fold_handles(self, groups, occupancy: bool) -> Tuple:
+    def _fold_handles(self, groups: CommGroups, occupancy: bool) -> Tuple:
         """The instruments :meth:`_flush_metrics` feeds, per comm-op group.
 
         ``(groups, fixed, occupancy, waits, links)``: the run-wide
@@ -312,13 +355,13 @@ class ExecutionEngine:
         slot count (``None`` until a run has a positive makespan); per kind
         its comm ops and the sample lists their queue waits extend (the
         migration stalls too); per link its comm ops, generation count and
-        counters.  Instruments are created in the order the fold first
-        writes them.
+        counters.  Comm ops are positions in ``groups.indices``.
+        Instruments are created in the order the fold first writes them.
         """
         metrics = self.metrics
         fixed = (metrics.counter("sim.trials"),
-                 metrics.histogram("sim.latency"),
-                 metrics.histogram("sim.epr_attempts"),
+                 metrics.histogram("sim.latency").values,
+                 metrics.histogram("sim.epr_attempts").values,
                  metrics.counter("epr.attempts"),
                  metrics.counter("epr.retries"))
         by_node = dict(groups.nodes)
@@ -330,17 +373,17 @@ class ExecutionEngine:
                                    node=node.index).values,
                  node.num_comm_qubits)
                 for node in self.network)
-        waits = [(indices, [metrics.histogram("comm.queue_wait",
-                                              kind=kind).values])
-                 for kind, indices in groups.kinds]
+        waits = [(positions, [metrics.histogram("comm.queue_wait",
+                                                kind=kind).values])
+                 for kind, positions in groups.kinds]
         for (kind, _), (_, targets) in zip(groups.kinds, waits):
             if kind == "migration":
                 targets.append(metrics.histogram("migration.stall").values)
         links = tuple(
-            (indices, generations,
+            (positions, generations,
              metrics.counter("link.epr_generations", link=f"{a}-{b}"),
              metrics.counter("link.busy_time", link=f"{a}-{b}"))
-            for (a, b), generations, indices in groups.links)
+            for (a, b), generations, positions in groups.links)
         return groups, fixed, nodes, tuple(waits), links
 
     # ------------------------------------------------------------- execution
@@ -440,6 +483,14 @@ class ExecutionEngine:
 def _settled_gate(index: int, start: float, end: float) -> SimulatedOp:
     """The record of a gate :func:`run_plan` settled off the heap."""
     return SimulatedOp(index, "gate", start, end, (), start)
+
+
+def _simulated_ops(records: List[Optional[SimulatedOp]], ready: List[float],
+                   ends: List[float]) -> List[SimulatedOp]:
+    """``run_plan``'s lists as one record per plan item, by index."""
+    return [op if op is not None
+            else _settled_gate(index, ready[index], ends[index])
+            for index, op in enumerate(records)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ import json
 import math
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from ..obs.metrics import sorted_percentile
+
 __all__ = ["TraceEvent", "TraceRecorder", "LatencyDistribution"]
 
 
@@ -145,15 +147,7 @@ class LatencyDistribution:
 
     def percentile(self, q: float) -> float:
         """Linearly interpolated percentile, ``q`` in [0, 100]."""
-        if not 0.0 <= q <= 100.0:
-            raise ValueError("percentile must be in [0, 100]")
-        if len(self.latencies) == 1:
-            return self.latencies[0]
-        position = (len(self.latencies) - 1) * q / 100.0
-        low = int(position)
-        high = min(low + 1, len(self.latencies) - 1)
-        fraction = position - low
-        return self.latencies[low] * (1 - fraction) + self.latencies[high] * fraction
+        return sorted_percentile(self.latencies, q)
 
     def histogram(self, bins: int = 10) -> List[Tuple[float, float, int]]:
         """(low, high, count) triples covering [minimum, maximum]."""

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from repro.hardware import CommResourceTracker, SlotSchedule, uniform_network
+from repro.hardware import (CommResourceTracker, QuantumNetwork, QuantumNode,
+                            SlotSchedule, uniform_network)
 
 
 @pytest.fixture
@@ -237,6 +238,89 @@ class TestSlotScheduleProperty:
                 count = rng.randint(1, schedule.num_slots)
                 assert schedule.earliest_multi(duration, count, not_before) \
                     == _oracle_multi(slots, duration, count, not_before)
+
+
+def _oracle_joint(tracker, nodes, duration, not_before, prep, links):
+    """``earliest_joint`` asking every node again at every proposal."""
+    time = not_before
+    while True:
+        slots, proposal = {}, time
+        for node in nodes:
+            start, slot = tracker.earliest_slot(node, duration, time, prep)
+            slots[node] = slot
+            proposal = max(proposal, start)
+        for schedule, count in links:
+            proposal = max(proposal, schedule.earliest_multi(
+                prep, count, not_before=proposal))
+        if proposal == time:
+            return time, slots
+        time = proposal
+
+
+def _logging(schedule, node, log):
+    """Record each ``earliest`` search of ``schedule`` and its answer."""
+    search = schedule.earliest
+
+    def earliest(duration, not_before=0.0, prep=0.0):
+        answer = search(duration, not_before, prep)
+        log.append((node, not_before, answer[0]))
+        return answer
+    schedule.earliest = earliest
+
+
+class TestEarliestJointProperty:
+    """The joint search asks a node again only when its last answer lies
+    before the proposal, and still finds what asking every node finds."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_full_requery(self, seed):
+        rng = random.Random(seed)
+        requeried = 0
+        for _ in range(40):
+            network = QuantumNetwork([
+                QuantumNode(index=i, num_data_qubits=2,
+                            num_comm_qubits=rng.choice((1, 2, 3)))
+                for i in range(rng.randint(2, 4))])
+            tracker = CommResourceTracker(network)
+            log = []
+            for node in range(network.num_nodes):
+                _logging(tracker._schedules[node], node, log)
+            links = [SlotSchedule(rng.choice((1, 2))) for _ in range(2)]
+            for _ in range(rng.randint(5, 30)):
+                if rng.random() < 0.4:
+                    start = _values(rng)
+                    try:
+                        tracker.reserve(rng.randrange(network.num_nodes),
+                                        start, start + _length(rng))
+                    except ValueError:
+                        pass
+                    continue
+                nodes = rng.sample(range(network.num_nodes),
+                                   rng.randint(1, min(3, network.num_nodes)))
+                duration, prep = _length(rng), rng.choice((0.0, _length(rng)))
+                capped = [(link, rng.randint(1, link.num_slots))
+                          for link in links if rng.random() < 0.4]
+                not_before = _values(rng)
+                expected = _oracle_joint(tracker, nodes, duration, not_before,
+                                         prep, capped)
+                del log[:]
+                start, slots = tracker.earliest_joint(nodes, duration,
+                                                      not_before, prep, capped)
+                assert (start, slots) == expected
+                last = {}
+                for node, asked, answer in log:
+                    if node in last:
+                        # Asked again only past its last answer.
+                        assert asked > last[node]
+                        requeried += 1
+                    last[node] = answer
+                for node in nodes:
+                    tracker.reserve(node, start, (start + prep) + duration,
+                                    slot=slots[node])
+                for link, count in capped:
+                    for _ in range(count):
+                        link.book(start, start + prep)
+        assert requeried
 
 
 class TestReserveJoint:

@@ -1,8 +1,11 @@
 """Unit tests for the counters/gauges/histograms metrics registry."""
 
+import random
+
 import pytest
 
 from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.sim.trace import LatencyDistribution
 
 
 class TestInstruments:
@@ -41,6 +44,42 @@ class TestInstruments:
         histogram.observe(1.0)
         with pytest.raises(ValueError):
             histogram.percentile(101)
+
+
+def _summaries(samples):
+    """``LatencyDistribution`` and ``Histogram`` summaries of ``samples``."""
+    histogram = Histogram()
+    for value in samples:
+        histogram.observe(value)
+    return LatencyDistribution(samples).summary(), histogram.summary()
+
+
+class TestPercentileRange:
+    """Percentiles interpolate between neighbouring samples, so they never
+    leave ``[min, max]``, not even in the last bit."""
+
+    def test_equal_samples_give_that_sample(self):
+        # Equal latencies, as a ``p_epr=1.0`` Monte-Carlo run produces:
+        # ``a * (1 - f) + b * f`` put p95 one ULP below the minimum.
+        value = 950.0587958510158
+        for summary in _summaries([value] * 74):
+            assert summary["min"] == summary["p50"] == summary["p95"] \
+                == summary["max"] == value
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_percentiles_stay_ordered_within_the_samples(self, seed):
+        rng = random.Random(seed)
+        for _ in range(500):
+            base = rng.uniform(0.0, 5000.0)
+            size = rng.randint(1, 80)
+            # Runs of equal samples, ULP-close ones and spread ones.
+            samples = rng.choice((
+                [base] * size,
+                [base + rng.choice((0.0, 1e-12)) for _ in range(size)],
+                [rng.uniform(0.0, 5000.0) for _ in range(size)]))
+            for summary in _summaries(samples):
+                assert (summary["min"] <= summary["p50"] <= summary["p95"]
+                        <= summary["max"])
 
 
 class TestMetricsRegistry:

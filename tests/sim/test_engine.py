@@ -21,7 +21,8 @@ from repro.sim import (
     simulate_program,
 )
 from repro.core.scheduling import run_plan
-from repro.sim.engine import ExecutionEngine, _settled_gate, plan_for_program
+from repro.sim import engine as engine_module
+from repro.sim.engine import ExecutionEngine, _simulated_ops, plan_for_program
 
 
 def block_mapping_for(num_qubits, num_nodes):
@@ -425,8 +426,8 @@ class TestRunPlan:
                 return place(index, ready)
             return wrapped
 
-        ops = run_plan(plan, network, counting(engine()._execute, calls),
-                       _settled_gate)
+        ops = _simulated_ops(*run_plan(
+            plan, network, counting(engine()._execute, calls)))
         full = _full_walk(plan, counting(engine()._execute, walk_calls))
         assert sorted(calls) == heaped
         # The same items reach ``place`` in the same order, so every EPR
@@ -434,6 +435,54 @@ class TestRunPlan:
         booking = set(heaped)
         assert calls == [index for index in walk_calls if index in booking]
         assert ops == full
+
+
+class TestLazyRecords:
+    """A trial builds the records of the gates ``run_plan`` settles only
+    when its ``ops`` are read."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        settled_gate = engine_module._settled_gate
+
+        def counting(index, start, end):
+            built.append(index)
+            return settled_gate(index, start, end)
+        monkeypatch.setattr(engine_module, "_settled_gate", counting)
+        return built
+
+    def test_monte_carlo_builds_gate_records_for_the_sample_only(
+            self, qft_program, built):
+        result = run_monte_carlo(qft_program, SimulationConfig(
+            p_epr=0.5, trials=6, seed=4))
+        assert built == []
+        settle = plan_for_program(qft_program).settle_durations(
+            qft_program.network)
+        settled = [index for index, duration in enumerate(settle) if duration]
+        assert settled
+        ops = result.sample_trial.ops
+        assert built == settled
+        assert [op.index for op in ops] == list(range(len(settle)))
+
+    def test_ops_read_twice_are_equal(self, qft_program, built):
+        result = simulate_program(qft_program, SimulationConfig(
+            p_epr=0.5, seed=3))
+        first = result.ops
+        assert result.ops == first
+        assert result.ops is first
+        assert len(built) == len(set(built))
+
+    def test_totals_match_the_records(self, qft_program):
+        result = simulate_program(qft_program, SimulationConfig(
+            p_epr=0.5, seed=8))
+        latency = result.latency
+        attempts = result.total_epr_attempts
+        pairs = result.total_epr_pairs
+        ops = result.ops
+        assert latency == max(op.end for op in ops)
+        assert attempts == sum(op.epr_attempts for op in ops)
+        assert pairs == sum(op.epr_pairs for op in ops)
 
 
 class TestMonteCarlo:

@@ -92,6 +92,15 @@ class TestParallelEquality:
         # The first trial carries the run's trace, as in the sequential path.
         assert len(parallel.sample_trial.trace.events) > 0
 
+    def test_sample_trial_records_identical(self, program):
+        # The worker's sample crosses the pool unread: its records are
+        # built from the pickled ``run_plan`` lists in this process.
+        sequential = run_monte_carlo(program, BASE)
+        parallel = run_monte_carlo(program, replace(BASE, workers=2))
+        assert parallel.sample_trial.ops == sequential.sample_trial.ops
+        assert (parallel.sample_trial.resources.reservations
+                == sequential.sample_trial.resources.reservations)
+
     def test_metrics_disabled_still_identical(self, program):
         config = replace(BASE, record_metrics=False)
         sequential = run_monte_carlo(program, config)
