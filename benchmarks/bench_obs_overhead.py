@@ -70,7 +70,7 @@ DEFAULT_THRESHOLD_PCT = 5.0
 DEFAULT_ATTEMPTS = 3
 
 #: One QFT configuration per scale: (qubits, nodes, Monte-Carlo trials per
-#: round, rounds).  A ``small`` trial takes about 0.3 ms, so its arms need
+#: round, rounds).  A ``small`` trial takes about 0.23 ms, so its arms need
 #: 40 trials and 75 rounds before the run-to-run spread of the simulate
 #: overhead falls under half the threshold (it reached 6 points at 20
 #: trials and 25 rounds).

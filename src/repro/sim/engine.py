@@ -149,7 +149,7 @@ class SimulationResult:
     #: Registry the engine filled during this run (shared across trials in
     #: a Monte-Carlo run); disabled when ``record_metrics`` was off.
     metrics: Optional[MetricsRegistry] = None
-    #: ``run_plan``'s ``(records, ready, ends)`` until :attr:`ops` is read.
+    #: ``run_plan``'s ``(records, ready, ends)``, which :attr:`ops` expands.
     plan_run: Optional[Tuple[List[Optional[SimulatedOp]], List[float],
                              List[float]]] = field(default=None, repr=False,
                                                    compare=False)
@@ -162,13 +162,11 @@ class SimulationResult:
         if self._ops is None:
             self._ops = (_simulated_ops(*self.plan_run)
                          if self.plan_run is not None else [])
-            self.plan_run = None
         return self._ops
 
     @ops.setter
     def ops(self, ops: List[SimulatedOp]) -> None:
         self._ops = ops
-        self.plan_run = None
 
     def comm_ops(self) -> List[SimulatedOp]:
         return [op for op in self.ops if op.kind != "gate"]
@@ -297,10 +295,11 @@ class ExecutionEngine:
         waits, per-node groups the comm-qubit occupancy (each comm op holds
         one slot per endpoint for its whole window), per-link groups and
         generation counts the link totals, and the pairs needed without
-        retries are a plan constant.  Each op's two window lengths are
-        computed once per run, then read by position.  Groups list ops in
-        index order, so each sum adds in the order of a walk over every op
-        and the registry contents do not depend on the grouping.  The
+        retries are a plan constant.  Each group's window lengths are summed
+        by position, a group that extends another continuing that group's
+        sum (:func:`_sum_segments`).  Groups list ops in index order, so
+        each sum adds in the order of a walk over every op and the
+        registry contents do not depend on the grouping.  The
         instruments each group feeds are resolved once per registry and
         plan (:meth:`_fold_handles`), so across a shared-registry
         Monte-Carlo run only the first trial pays the labelled lookups;
@@ -327,35 +326,43 @@ class ExecutionEngine:
         attempts.value += total_attempts
         retries.value += total_attempts - needed
         if makespan > 0:
-            held = [op.end - op.prep_start for op in comm]
-            for positions, values, slots in occupancy:
-                busy = 0.0
+            segments, nodes = occupancy
+            sums = [0.0]
+            for source, positions in segments:
+                busy = sums[source]
                 for position in positions:
-                    busy += held[position]
-                values.append(busy / (makespan * slots))
+                    op = comm[position]
+                    busy += op.end - op.prep_start
+                sums.append(busy)
+            for sum_id, values, slots in nodes:
+                values.append(sums[sum_id] / (makespan * slots))
         for positions, targets in waits:
             queue_waits = [comm[position].queue_wait
                            for position in positions]
             for values in targets:
                 values.extend(queue_waits)
-        if links:
-            generating = [op.start - op.prep_start for op in comm]
-        for positions, generations, generated, busy_time in links:
-            busy = 0.0
+        segments, links = links
+        sums = [0.0]
+        for source, positions in segments:
+            busy = sums[source]
             for position in positions:
-                busy += generating[position]
+                op = comm[position]
+                busy += op.start - op.prep_start
+            sums.append(busy)
+        for sum_id, generations, generated, busy_time in links:
             generated.value += generations
-            busy_time.value += busy
+            busy_time.value += sums[sum_id]
 
     def _fold_handles(self, groups: CommGroups, occupancy: bool) -> Tuple:
         """The instruments :meth:`_flush_metrics` feeds, per comm-op group.
 
         ``(groups, fixed, occupancy, waits, links)``: the run-wide
-        instruments; per network node its comm ops, occupancy samples and
-        slot count (``None`` until a run has a positive makespan); per kind
-        its comm ops and the sample lists their queue waits extend (the
-        migration stalls too); per link its comm ops, generation count and
-        counters.  Comm ops are positions in ``groups.indices``.
+        instruments; the node sums' segments (:func:`_sum_segments`) and
+        per network node its sum, occupancy samples and slot count
+        (``None`` until a run has a positive makespan); per kind its comm
+        ops, as positions in ``groups.indices``, and the sample lists their
+        queue waits extend (the migration stalls too); the link sums'
+        segments and per link its sum, generation count and counters.
         Instruments are created in the order the fold first writes them.
         """
         metrics = self.metrics
@@ -364,26 +371,31 @@ class ExecutionEngine:
                  metrics.histogram("sim.epr_attempts").values,
                  metrics.counter("epr.attempts"),
                  metrics.counter("epr.retries"))
-        by_node = dict(groups.nodes)
         nodes = None
         if occupancy:
-            nodes = tuple(
-                (by_node.get(node.index, ()),
+            by_node = dict(groups.nodes)
+            segments, sum_ids = _sum_segments(
+                [by_node.get(node.index, ()) for node in self.network])
+            nodes = (segments, tuple(
+                (sum_id,
                  metrics.histogram("node.comm_occupancy",
                                    node=node.index).values,
                  node.num_comm_qubits)
-                for node in self.network)
+                for sum_id, node in zip(sum_ids, self.network)))
         waits = [(positions, [metrics.histogram("comm.queue_wait",
                                                 kind=kind).values])
                  for kind, positions in groups.kinds]
         for (kind, _), (_, targets) in zip(groups.kinds, waits):
             if kind == "migration":
                 targets.append(metrics.histogram("migration.stall").values)
-        links = tuple(
-            (positions, generations,
+        segments, sum_ids = _sum_segments(
+            [positions for _, _, positions in groups.links])
+        links = (segments, tuple(
+            (sum_id, generations,
              metrics.counter("link.epr_generations", link=f"{a}-{b}"),
              metrics.counter("link.busy_time", link=f"{a}-{b}"))
-            for (a, b), generations, positions in groups.links)
+            for sum_id, ((a, b), generations, _)
+            in zip(sum_ids, groups.links)))
         return groups, fixed, nodes, tuple(waits), links
 
     # ------------------------------------------------------------- execution
@@ -478,6 +490,38 @@ class ExecutionEngine:
             self.trace.record(end, "teleport", index, nodes,
                               detail="hub returned home")
         self.trace.record(end, "op-end", index, nodes, detail=kind)
+
+
+def _sum_segments(groups: Sequence[Tuple[int, ...]]
+                  ) -> Tuple[Tuple[Tuple[int, Tuple[int, ...]], ...],
+                             List[int]]:
+    """Plan the left-to-right sums of ``groups`` of ascending positions.
+
+    Returns ``(segments, sum_ids)``: segment ``k`` continues sum
+    ``source`` (sum 0 is ``0.0``) over its positions and yields sum
+    ``k + 1``, and group ``g`` sums to sum ``sum_ids[g]``.
+    A group whose leading positions are a whole other group continues that
+    group's sum: it adds the same terms in the same order, so each sum is
+    bit-identical to summing its group alone.  Node and link groups nest
+    like this on a line, where chains and routed pairs crossing one node
+    or link also cross the next.
+    """
+    order = sorted(range(len(groups)), key=lambda g: len(groups[g]))
+    segments: List[Tuple[int, Tuple[int, ...]]] = []
+    sum_ids = [0] * len(groups)
+    for rank, g in enumerate(order):
+        positions = groups[g]
+        source = start = 0
+        for done in order[:rank]:
+            prior = groups[done]
+            if start < len(prior) and positions[:len(prior)] == prior:
+                source, start = sum_ids[done], len(prior)
+        if start == len(positions):
+            sum_ids[g] = source
+        else:
+            segments.append((source, positions[start:]))
+            sum_ids[g] = len(segments)
+    return tuple(segments), sum_ids
 
 
 def _settled_gate(index: int, start: float, end: float) -> SimulatedOp:

@@ -2,6 +2,7 @@
 
 import hashlib
 import heapq
+import random
 
 import pytest
 
@@ -22,7 +23,8 @@ from repro.sim import (
 )
 from repro.core.scheduling import run_plan
 from repro.sim import engine as engine_module
-from repro.sim.engine import ExecutionEngine, _simulated_ops, plan_for_program
+from repro.sim.engine import (ExecutionEngine, _simulated_ops, _sum_segments,
+                              plan_for_program)
 
 
 def block_mapping_for(num_qubits, num_nodes):
@@ -318,6 +320,50 @@ class TestMetricsFold:
             _reference_fold(expected, engine, engine.run())
         assert _registry_contents(actual) == _registry_contents(expected)
         assert actual.as_dict() == expected.as_dict()
+
+
+class TestSegmentSums:
+    """Groups that extend another group continue its sum, bit-exactly."""
+
+    @staticmethod
+    def _alone(terms, positions, total=0.0):
+        for position in positions:
+            total += terms[position]
+        return total
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_group_sums_as_if_alone(self, seed):
+        rng = random.Random(seed)
+        for _ in range(200):
+            size = rng.randint(0, 12)
+            terms = [rng.choice((rng.uniform(0, 100), 1 / 3, 0.1, 0.0))
+                     for _ in range(size)]
+            groups = []
+            for _ in range(rng.randint(1, 6)):
+                if groups and rng.random() < 0.5:
+                    # Extend (or repeat) an earlier group, as node and
+                    # link groups nest on a line.
+                    base = rng.choice(groups)
+                    tail = [p for p in range(size)
+                            if not base or p > base[-1]]
+                    group = base + tuple(sorted(rng.sample(
+                        tail, rng.randint(0, len(tail)))))
+                else:
+                    group = tuple(sorted(rng.sample(
+                        range(size), rng.randint(0, size))))
+                groups.append(group)
+            segments, sum_ids = _sum_segments(groups)
+            sums = [0.0]
+            for source, positions in segments:
+                sums.append(self._alone(terms, positions, sums[source]))
+            assert [sums[i] for i in sum_ids] == [
+                self._alone(terms, group) for group in groups]
+
+    def test_nested_groups_add_each_term_once(self):
+        segments, sum_ids = _sum_segments([(0, 1, 2, 3), (0, 1),
+                                           (0, 1, 2, 3), ()])
+        assert segments == ((0, (0, 1)), (1, (2, 3)))
+        assert sum_ids == [2, 1, 2, 0]
 
 
 class TestZeroDurationGates:
