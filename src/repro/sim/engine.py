@@ -295,11 +295,11 @@ class ExecutionEngine:
         waits, per-node groups the comm-qubit occupancy (each comm op holds
         one slot per endpoint for its whole window), per-link groups and
         generation counts the link totals, and the pairs needed without
-        retries are a plan constant.  Each group's window lengths are summed
-        by position, a group that extends another continuing that group's
-        sum (:func:`_sum_segments`).  Groups list ops in index order, so
-        each sum adds in the order of a walk over every op and the
-        registry contents do not depend on the grouping.  The
+        retries are a plan constant.  Each group sums its ops' window
+        lengths by position; a group that extends another continues that
+        group's sum (:func:`_sum_segments`).  Groups list ops in index
+        order, so each sum adds in the order of a walk over every op and
+        the registry contents do not depend on the grouping.  The
         instruments each group feeds are resolved once per registry and
         plan (:meth:`_fold_handles`), so across a shared-registry
         Monte-Carlo run only the first trial pays the labelled lookups;
@@ -502,9 +502,10 @@ def _sum_segments(groups: Sequence[Tuple[int, ...]]
     ``k + 1``, and group ``g`` sums to sum ``sum_ids[g]``.
     A group whose leading positions are a whole other group continues that
     group's sum: it adds the same terms in the same order, so each sum is
-    bit-identical to summing its group alone.  Node and link groups nest
-    like this on a line, where chains and routed pairs crossing one node
-    or link also cross the next.
+    bit-identical to summing its group alone.  Node and link groups often
+    nest like this on a line: in the QFT-16 line program of the
+    observability benchmark, every node's and every link's comm ops start
+    with those of the one before it.
     """
     order = sorted(range(len(groups)), key=lambda g: len(groups[g]))
     segments: List[Tuple[int, Tuple[int, ...]]] = []
