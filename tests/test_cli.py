@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import COMPILERS, build_parser, main
@@ -853,3 +855,175 @@ class TestRangeChecks:
         with pytest.raises(SystemExit) as excinfo:
             main(["profile", str(qasm_file), "--nodes", "2", "--top", "0"])
         assert str(excinfo.value) == "error: --top must be >= 1, got 0"
+
+
+# Parsed namespaces pinned per subcommand: the defaults of each command,
+# then argument vectors that pass every flag at least once.
+_MACHINE = {"nodes": 4, "qubits_per_node": None, "comm_qubits": 2}
+_PROGRAM = {"qasm": Path("p.qasm"), **_MACHINE}
+_TOPOLOGY = {"topology": "all-to-all", "swap_overhead": 1.0,
+             "grid_columns": None, "link_spec": None, "link_profile": None}
+_REMAP = {"remap": "never", "phase_blocks": 8, "overlap": False,
+          "phase_sizing": "fixed"}
+_CACHE = {"cache_dir": None, "no_cache": False}
+_TAILS = {"report": None, "verify": False}
+_MACHINE_FLAGS = ["--qubits-per-node", "5", "--comm-qubits", "3",
+                  "--topology", "grid", "--swap-overhead", "2.5",
+                  "--grid-columns", "2", "--link-spec", "links.json",
+                  "--link-profile", "distance_scaled", "--remap", "bursts",
+                  "--phase-blocks", "4", "--overlap",
+                  "--phase-sizing", "auto"]
+_MACHINE_VALUES = {"qubits_per_node": 5, "comm_qubits": 3,
+                   "topology": "grid", "swap_overhead": 2.5,
+                   "grid_columns": 2, "link_spec": Path("links.json"),
+                   "link_profile": "distance_scaled", "remap": "bursts",
+                   "phase_blocks": 4, "overlap": True,
+                   "phase_sizing": "auto"}
+_CACHE_FLAGS = ["--cache-dir", "c", "--no-cache"]
+_CACHE_VALUES = {"cache_dir": Path("c"), "no_cache": True}
+_TAIL_FLAGS = ["--report", "r.json", "--verify"]
+_TAIL_VALUES = {"report": Path("r.json"), "verify": True}
+
+_DEFAULTS = {
+    "compile": {"command": "compile", **_PROGRAM, "compiler": "autocomm",
+                "fidelity": False, **_TOPOLOGY, **_REMAP, **_CACHE,
+                **_TAILS},
+    "compare": {"command": "compare", **_PROGRAM, "fidelity": False,
+                "trials": 0, "p_epr": 1.0, "seed": 0, "workers": 1,
+                **_TOPOLOGY, **_REMAP, **_CACHE, **_TAILS},
+    "simulate": {"command": "simulate", **_PROGRAM, "compiler": "autocomm",
+                 "p_epr": 1.0, "retry_latency": None, "trials": 1,
+                 "seed": 0, "workers": 1, "link_capacity": None,
+                 "timeline": False, "ideal_links": False, "trace": None,
+                 "trace_out": None, **_TOPOLOGY, **_REMAP, **_CACHE,
+                 **_TAILS},
+    "profile": {"command": "profile", **_PROGRAM, "compiler": "autocomm",
+                "repeat": 3, "top": 15, "simulate_trials": 0, "p_epr": 0.5,
+                "seed": 0, "workers": 1, "json": None, **_TOPOLOGY,
+                **_REMAP},
+    "trace": {"command": "trace", **_PROGRAM, "compiler": "autocomm",
+              "out": None, "p_epr": 1.0, "seed": 0, "no_sim": False,
+              **_TOPOLOGY, **_REMAP},
+    "verify": {"command": "verify", **_PROGRAM, "qasm": None, "nodes": None,
+               "compiler": "autocomm", "simulate": False, "trace": None,
+               "json": None, "strict": False, "list_checks": False,
+               **_TOPOLOGY, **_REMAP, **_CACHE},
+    "cache stats": {"command": "cache", "cache_command": "stats",
+                    "cache_dir": None},
+    "cache clear": {"command": "cache", "cache_command": "clear",
+                    "cache_dir": None},
+    "cache warm": {"command": "cache", "cache_command": "warm",
+                   "cache_dir": None, "families": None, "qubits": 12,
+                   **_MACHINE, **_TOPOLOGY, **_REMAP},
+    "generate": {"command": "generate", "family": "qft", "qubits": 8,
+                 "output": None},
+}
+
+_PARSE_CASES = [
+    (["compile", "p.qasm", "--nodes", "4"], "compile", {}),
+    (["compile", "p.qasm", "--nodes", "3", "--compiler", "sparse",
+      "--fidelity", *_MACHINE_FLAGS, *_CACHE_FLAGS, *_TAIL_FLAGS],
+     "compile", {"nodes": 3, "compiler": "sparse", "fidelity": True,
+                 **_MACHINE_VALUES, **_CACHE_VALUES, **_TAIL_VALUES}),
+    (["compare", "p.qasm", "--nodes", "4"], "compare", {}),
+    (["compare", "p.qasm", "--nodes", "3", "--fidelity", "--trials", "5",
+      "--p-epr", "0.25", "--seed", "9", "--workers", "2", *_MACHINE_FLAGS,
+      *_CACHE_FLAGS, *_TAIL_FLAGS],
+     "compare", {"nodes": 3, "fidelity": True, "trials": 5, "p_epr": 0.25,
+                 "seed": 9, "workers": 2, **_MACHINE_VALUES,
+                 **_CACHE_VALUES, **_TAIL_VALUES}),
+    (["simulate", "p.qasm", "--nodes", "4"], "simulate", {}),
+    (["simulate", "p.qasm", "--nodes", "3", "--compiler", "cat-only",
+      "--p-epr", "0.75", "--retry-latency", "2.5", "--trials", "6",
+      "--seed", "11", "--workers", "3", "--link-capacity", "2",
+      "--timeline", "--ideal-links", "--trace", "7", "--trace-out", "t.jsonl",
+      *_MACHINE_FLAGS, *_CACHE_FLAGS, *_TAIL_FLAGS],
+     "simulate", {"nodes": 3, "compiler": "cat-only", "p_epr": 0.75,
+                  "retry_latency": 2.5, "trials": 6, "seed": 11,
+                  "workers": 3, "link_capacity": 2, "timeline": True,
+                  "ideal_links": True, "trace": 7,
+                  "trace_out": Path("t.jsonl"), **_MACHINE_VALUES,
+                  **_CACHE_VALUES, **_TAIL_VALUES}),
+    (["profile", "p.qasm", "--nodes", "4"], "profile", {}),
+    (["profile", "p.qasm", "--nodes", "3", "--compiler", "gp-tp",
+      "--repeat", "2", "--top", "4", "--simulate-trials", "8",
+      "--p-epr", "0.9", "--seed", "5", "--workers", "2", "--json", "b.json",
+      *_MACHINE_FLAGS],
+     "profile", {"nodes": 3, "compiler": "gp-tp", "repeat": 2, "top": 4,
+                 "simulate_trials": 8, "p_epr": 0.9, "seed": 5,
+                 "workers": 2, "json": Path("b.json"), **_MACHINE_VALUES}),
+    (["trace", "p.qasm", "--nodes", "4"], "trace", {}),
+    (["trace", "p.qasm", "--nodes", "3", "--compiler", "no-commute",
+      "--out", "o.trace.json", "--p-epr", "0.5", "--seed", "3", "--no-sim",
+      *_MACHINE_FLAGS],
+     "trace", {"nodes": 3, "compiler": "no-commute",
+               "out": Path("o.trace.json"), "p_epr": 0.5, "seed": 3,
+               "no_sim": True, **_MACHINE_VALUES}),
+    (["verify"], "verify", {}),
+    (["verify", "p.qasm", "--nodes", "3", "--compiler", "plain-schedule",
+      "--simulate", "--trace", "t.json", "--json", "v.json", "--strict",
+      "--list-checks", *_MACHINE_FLAGS, *_CACHE_FLAGS],
+     "verify", {"qasm": Path("p.qasm"), "nodes": 3,
+                "compiler": "plain-schedule", "simulate": True,
+                "trace": Path("t.json"), "json": Path("v.json"),
+                "strict": True, "list_checks": True, **_MACHINE_VALUES,
+                **_CACHE_VALUES}),
+    (["cache", "stats"], "cache stats", {}),
+    (["cache", "stats", "--cache-dir", "c"], "cache stats",
+     {"cache_dir": Path("c")}),
+    (["cache", "clear"], "cache clear", {}),
+    (["cache", "clear", "--cache-dir", "c"], "cache clear",
+     {"cache_dir": Path("c")}),
+    (["cache", "warm"], "cache warm", {}),
+    (["cache", "warm", "--cache-dir", "c", "--families", "QFT,BV",
+      "--qubits", "10", "--nodes", "5", *_MACHINE_FLAGS],
+     "cache warm", {"cache_dir": Path("c"), "families": "QFT,BV",
+                    "qubits": 10, "nodes": 5, **_MACHINE_VALUES}),
+    (["generate", "qft", "--qubits", "8"], "generate", {}),
+    (["generate", "bv", "--qubits", "6", "--output", "b.qasm"], "generate",
+     {"family": "bv", "qubits": 6, "output": Path("b.qasm")}),
+]
+
+
+class TestParseParity:
+    """Every subcommand keeps its dests, defaults, types and choices."""
+
+    @pytest.mark.parametrize(
+        "argv,command,changed", _PARSE_CASES,
+        ids=[f"{command}-{'flags' if changed else 'defaults'}"
+             for _, command, changed in _PARSE_CASES])
+    def test_namespace(self, argv, command, changed):
+        expected = {**_DEFAULTS[command], **changed}
+        parsed = vars(build_parser().parse_args(argv))
+        assert parsed == expected
+        assert ({key: type(value) for key, value in parsed.items()}
+                == {key: type(value) for key, value in expected.items()})
+
+    @pytest.mark.parametrize("argv,message", [
+        (["compile"], "the following arguments are required: qasm, --nodes"),
+        (["compare", "p.qasm"], "the following arguments are required: "
+                                "--nodes"),
+        (["simulate"], "the following arguments are required: qasm, "
+                       "--nodes"),
+        (["profile", "p.qasm"], "the following arguments are required: "
+                                "--nodes"),
+        (["trace"], "the following arguments are required: qasm, --nodes"),
+        (["compare", "p.qasm", "--nodes", "2", "--compiler", "sparse"],
+         "unrecognized arguments: --compiler sparse"),
+        (["trace", "p.qasm", "--nodes", "2", "--workers", "2"],
+         "unrecognized arguments: --workers 2"),
+        (["cache", "warm", "--compiler", "sparse"],
+         "unrecognized arguments: --compiler sparse"),
+        (["cache", "stats", "--no-cache"],
+         "unrecognized arguments: --no-cache"),
+        (["simulate", "p.qasm", "--nodes", "two"],
+         "argument --nodes: invalid int value: 'two'"),
+        (["profile", "p.qasm", "--nodes", "2", "--p-epr", "half"],
+         "argument --p-epr: invalid float value: 'half'"),
+    ])
+    def test_error_line(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"error: {message}")
