@@ -68,6 +68,7 @@ per-link loss ignored, per-link latencies kept).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
@@ -106,8 +107,46 @@ COMPILERS: Dict[str, Callable] = {
 }
 
 
+def _add_machine_arguments(parser: argparse.ArgumentParser, *,
+                           qasm: Optional[str] = "required",
+                           nodes: Optional[int] = None,
+                           compiler: bool = True) -> None:
+    """The program and machine flags of every compiling command.
+
+    ``qasm`` is ``"required"``, ``"optional"`` (``verify``, which may check
+    a trace file alone and then asks for ``--nodes`` itself) or None
+    (``cache warm``, which builds its own circuits on ``nodes`` nodes).
+    ``compiler=False`` leaves out ``--compiler`` for commands that run a
+    fixed set of compilers.
+    """
+    required = qasm == "required"
+    if qasm is not None:
+        parser.add_argument("qasm", type=Path, help="input .qasm file",
+                            **({} if required
+                               else {"nargs": "?", "default": None}))
+    if required:
+        nodes_help = "number of quantum nodes"
+    elif qasm is not None:
+        nodes_help = "number of quantum nodes (required with a qasm input)"
+    else:
+        nodes_help = f"number of quantum nodes (default {nodes})"
+    parser.add_argument("--nodes", type=int, required=required,
+                        default=nodes, help=nodes_help)
+    parser.add_argument("--qubits-per-node", type=int, default=None,
+                        help="data qubits per node (default: fit the "
+                             "program)")
+    parser.add_argument("--comm-qubits", type=int, default=2,
+                        help="communication qubits per node (default 2)")
+    if compiler:
+        parser.add_argument("--compiler", choices=sorted(COMPILERS),
+                            default="autocomm",
+                            help="compiler to run (default autocomm)")
+    _add_topology_arguments(parser)
+    _add_remap_arguments(parser)
+
+
 def _add_topology_arguments(parser: argparse.ArgumentParser) -> None:
-    """Network-topology options shared by compile/compare/simulate/profile."""
+    """Network-topology options of every compiling command."""
     parser.add_argument("--topology", choices=SUPPORTED_TOPOLOGIES,
                         default="all-to-all",
                         help="EPR link topology of the network; non-adjacent "
@@ -134,44 +173,8 @@ def _add_topology_arguments(parser: argparse.ArgumentParser) -> None:
                              "--link-spec)")
 
 
-def _add_report_argument(parser: argparse.ArgumentParser) -> None:
-    """The ``--report`` option shared by compile/compare/simulate."""
-    parser.add_argument("--report", type=Path, default=None, metavar="PATH",
-                        help="write a versioned JSON run report (metrics, "
-                             "compile stage timings, simulation summary) "
-                             "to PATH")
-
-
-def _add_verify_argument(parser: argparse.ArgumentParser) -> None:
-    """The ``--verify`` option shared by compile/compare/simulate."""
-    parser.add_argument("--verify", action="store_true",
-                        help="run the static verifier (repro.verify) over "
-                             "every compiled program and fail on error "
-                             "diagnostics")
-
-
-def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
-    """Compile-cache options shared by compile/compare/simulate/verify."""
-    parser.add_argument("--cache-dir", type=Path, default=None, metavar="PATH",
-                        help="persistent compile-cache directory: store the "
-                             "compiled artifact there and serve repeat "
-                             "compiles of the same inputs from disk "
-                             "(default: the REPRO_CACHE_DIR environment "
-                             "variable, or no caching)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the compile cache even when "
-                             "REPRO_CACHE_DIR is set")
-
-
-def _cache_for_args(args):
-    """The ``cache`` argument of ``compile_autocomm`` the cache flags select."""
-    if getattr(args, "no_cache", False):
-        return False
-    return getattr(args, "cache_dir", None)
-
-
 def _add_remap_arguments(parser: argparse.ArgumentParser) -> None:
-    """Dynamic-remapping options shared by compile/compare/simulate/profile."""
+    """Dynamic-remapping options of every compiling command."""
     parser.add_argument("--remap", choices=("never", "bursts"),
                         default="never",
                         help="dynamic inter-phase remapping for the autocomm "
@@ -198,6 +201,63 @@ def _add_remap_arguments(parser: argparse.ArgumentParser) -> None:
                              "cheapest migration bill (default fixed)")
 
 
+def _add_sampling_arguments(parser: argparse.ArgumentParser, *,
+                            p_epr: float = 1.0,
+                            workers: bool = True) -> None:
+    """The EPR sampling flags of compare/simulate/profile/trace.
+
+    ``p_epr`` is the command's default success probability;
+    ``workers=False`` leaves out ``--workers`` for a single-run command.
+    """
+    parser.add_argument("--p-epr", type=float, default=p_epr,
+                        help="EPR attempt success probability "
+                             f"(default {p_epr})")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="master seed for stochastic runs (default 0)")
+    if workers:
+        parser.add_argument("--workers", type=int, default=1,
+                            help="worker processes for the Monte-Carlo "
+                                 "trials (default 1 = in-process); results "
+                                 "are identical for any value")
+
+
+def _add_cache_dir_argument(parser: argparse.ArgumentParser) -> None:
+    """``--cache-dir``, shared by the compiling and the cache commands."""
+    parser.add_argument("--cache-dir", type=Path, default=None, metavar="PATH",
+                        help="persistent compile-cache directory, which "
+                             "stores compiled artifacts and serves repeat "
+                             "compiles of the same inputs from disk "
+                             "(default: the REPRO_CACHE_DIR environment "
+                             "variable)")
+
+
+def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
+    """Compile-cache options shared by compile/compare/simulate/verify."""
+    _add_cache_dir_argument(parser)
+    parser.add_argument("--no-cache", action="store_true",
+                        help="disable the compile cache even when "
+                             "REPRO_CACHE_DIR is set")
+
+
+def _cache_for_args(args):
+    """The ``cache`` argument of ``compile_autocomm`` the cache flags select."""
+    if getattr(args, "no_cache", False):
+        return False
+    return getattr(args, "cache_dir", None)
+
+
+def _add_report_arguments(parser: argparse.ArgumentParser) -> None:
+    """The ``--report`` and ``--verify`` options of compile/compare/simulate."""
+    parser.add_argument("--report", type=Path, default=None, metavar="PATH",
+                        help="write a versioned JSON run report (metrics, "
+                             "compile stage timings, simulation summary) "
+                             "to PATH")
+    parser.add_argument("--verify", action="store_true",
+                        help="run the static verifier (repro.verify) over "
+                             "every compiled program and fail on error "
+                             "diagnostics")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -207,29 +267,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     compile_parser = subparsers.add_parser(
         "compile", help="compile an OpenQASM 2.0 file for a distributed machine")
-    compile_parser.add_argument("qasm", type=Path, help="input .qasm file")
-    compile_parser.add_argument("--nodes", type=int, required=True,
-                                help="number of quantum nodes")
-    compile_parser.add_argument("--qubits-per-node", type=int, default=None,
-                                help="data qubits per node (default: fit the program)")
-    compile_parser.add_argument("--comm-qubits", type=int, default=2,
-                                help="communication qubits per node (default 2)")
-    compile_parser.add_argument("--compiler", choices=sorted(COMPILERS),
-                                default="autocomm")
+    _add_machine_arguments(compile_parser)
     compile_parser.add_argument("--fidelity", action="store_true",
                                 help="also print an estimated program fidelity")
-    _add_topology_arguments(compile_parser)
-    _add_remap_arguments(compile_parser)
     _add_cache_arguments(compile_parser)
-    _add_report_argument(compile_parser)
-    _add_verify_argument(compile_parser)
+    _add_report_arguments(compile_parser)
 
     compare_parser = subparsers.add_parser(
         "compare", help="run every compiler on the same program")
-    compare_parser.add_argument("qasm", type=Path)
-    compare_parser.add_argument("--nodes", type=int, required=True)
-    compare_parser.add_argument("--qubits-per-node", type=int, default=None)
-    compare_parser.add_argument("--comm-qubits", type=int, default=2)
+    _add_machine_arguments(compare_parser, compiler=False)
     compare_parser.add_argument("--fidelity", action="store_true",
                                 help="also report an estimated fidelity "
                                      "column per compiler")
@@ -238,47 +284,21 @@ def build_parser() -> argparse.ArgumentParser:
                                      "compiler and report the simulated "
                                      "latency distribution (default 0 = "
                                      "analytical only)")
-    compare_parser.add_argument("--p-epr", type=float, default=1.0,
-                                help="EPR attempt success probability for "
-                                     "the Monte-Carlo columns (default 1.0)")
-    compare_parser.add_argument("--seed", type=int, default=0,
-                                help="master seed for the Monte-Carlo "
-                                     "columns (default 0)")
-    compare_parser.add_argument("--workers", type=int, default=1,
-                                help="worker processes for the Monte-Carlo "
-                                     "trials (default 1 = in-process; any "
-                                     "value returns identical results)")
-    _add_topology_arguments(compare_parser)
-    _add_remap_arguments(compare_parser)
+    _add_sampling_arguments(compare_parser)
     _add_cache_arguments(compare_parser)
-    _add_report_argument(compare_parser)
-    _add_verify_argument(compare_parser)
+    _add_report_arguments(compare_parser)
 
     simulate_parser = subparsers.add_parser(
         "simulate", help="execute a compiled program with the discrete-event "
                          "simulator (deterministic check + optional "
                          "Monte-Carlo EPR study)")
-    simulate_parser.add_argument("qasm", type=Path)
-    simulate_parser.add_argument("--nodes", type=int, required=True)
-    simulate_parser.add_argument("--qubits-per-node", type=int, default=None)
-    simulate_parser.add_argument("--comm-qubits", type=int, default=2)
-    simulate_parser.add_argument("--compiler", choices=sorted(COMPILERS),
-                                 default="autocomm")
-    simulate_parser.add_argument("--p-epr", type=float, default=1.0,
-                                 help="EPR attempt success probability "
-                                      "(default 1.0 = deterministic)")
+    _add_machine_arguments(simulate_parser)
+    _add_sampling_arguments(simulate_parser)
     simulate_parser.add_argument("--retry-latency", type=float, default=None,
                                  help="latency of one failed EPR attempt "
                                       "(default: the link's EPR latency)")
     simulate_parser.add_argument("--trials", type=int, default=1,
                                  help="Monte-Carlo trials (default 1)")
-    simulate_parser.add_argument("--seed", type=int, default=0,
-                                 help="master seed for stochastic runs "
-                                      "(default 0)")
-    simulate_parser.add_argument("--workers", type=int, default=1,
-                                 help="worker processes for the Monte-Carlo "
-                                      "trials (default 1 = in-process); "
-                                      "results are identical for any value")
     simulate_parser.add_argument("--link-capacity", type=int, default=None,
                                  help="concurrent EPR generations per link, "
                                       "on every link the link model leaves "
@@ -302,21 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="write the shown run's event trace as "
                                       "JSON Lines (one event object per "
                                       "line) to PATH")
-    _add_topology_arguments(simulate_parser)
-    _add_remap_arguments(simulate_parser)
     _add_cache_arguments(simulate_parser)
-    _add_report_argument(simulate_parser)
-    _add_verify_argument(simulate_parser)
+    _add_report_arguments(simulate_parser)
 
     profile_parser = subparsers.add_parser(
         "profile", help="profile the compiler (and optionally the simulator) "
                         "on a program: timed repeats plus cProfile hotspots")
-    profile_parser.add_argument("qasm", type=Path)
-    profile_parser.add_argument("--nodes", type=int, required=True)
-    profile_parser.add_argument("--qubits-per-node", type=int, default=None)
-    profile_parser.add_argument("--comm-qubits", type=int, default=2)
-    profile_parser.add_argument("--compiler", choices=sorted(COMPILERS),
-                                default="autocomm")
+    _add_machine_arguments(profile_parser)
     profile_parser.add_argument("--repeat", type=int, default=3,
                                 help="timed compile repetitions (default 3; "
                                      "the median is reported)")
@@ -327,45 +339,25 @@ def build_parser() -> argparse.ArgumentParser:
                                 metavar="N",
                                 help="also profile N Monte-Carlo simulation "
                                      "trials (default 0 = compile only)")
-    profile_parser.add_argument("--p-epr", type=float, default=0.5,
-                                help="EPR success probability for the "
-                                     "simulation trials (default 0.5)")
-    profile_parser.add_argument("--seed", type=int, default=0)
-    profile_parser.add_argument("--workers", type=int, default=1,
-                                help="worker processes for the profiled "
-                                     "Monte-Carlo trials (default 1)")
+    _add_sampling_arguments(profile_parser, p_epr=0.5)
     profile_parser.add_argument("--json", type=Path, default=None,
                                 metavar="PATH",
                                 help="write machine-readable timings and "
                                      "hotspots to PATH (e.g. "
                                      "BENCH_compiler.json)")
-    _add_topology_arguments(profile_parser)
-    _add_remap_arguments(profile_parser)
 
     trace_parser = subparsers.add_parser(
         "trace", help="compile + simulate a program and export a Chrome-"
                       "trace-format .trace.json (chrome://tracing, Perfetto) "
                       "of compile stages, simulated ops and link activity")
-    trace_parser.add_argument("qasm", type=Path)
-    trace_parser.add_argument("--nodes", type=int, required=True)
-    trace_parser.add_argument("--qubits-per-node", type=int, default=None)
-    trace_parser.add_argument("--comm-qubits", type=int, default=2)
-    trace_parser.add_argument("--compiler", choices=sorted(COMPILERS),
-                              default="autocomm")
+    _add_machine_arguments(trace_parser)
     trace_parser.add_argument("--out", type=Path, default=None, metavar="PATH",
                               help="output file (default: <qasm stem>"
                                    ".trace.json next to the input)")
-    trace_parser.add_argument("--p-epr", type=float, default=1.0,
-                              help="EPR attempt success probability for the "
-                                   "simulated execution (default 1.0)")
-    trace_parser.add_argument("--seed", type=int, default=0,
-                              help="seed for a stochastic execution "
-                                   "(default 0)")
+    _add_sampling_arguments(trace_parser, workers=False)
     trace_parser.add_argument("--no-sim", action="store_true",
                               help="export compile spans only, skip the "
                                    "simulated execution")
-    _add_topology_arguments(trace_parser)
-    _add_remap_arguments(trace_parser)
 
     verify_parser = subparsers.add_parser(
         "verify", help="statically verify a compiled program — dependency "
@@ -373,15 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "schedule causality and resource booking — without "
                        "executing it; optionally sanitize a simulated run "
                        "or a Chrome-trace file")
-    verify_parser.add_argument("qasm", type=Path, nargs="?", default=None,
-                               help="input .qasm file to compile and verify")
-    verify_parser.add_argument("--nodes", type=int, default=None,
-                               help="number of quantum nodes (required with "
-                                    "a qasm input)")
-    verify_parser.add_argument("--qubits-per-node", type=int, default=None)
-    verify_parser.add_argument("--comm-qubits", type=int, default=2)
-    verify_parser.add_argument("--compiler", choices=sorted(COMPILERS),
-                               default="autocomm")
+    _add_machine_arguments(verify_parser, qasm="optional")
     verify_parser.add_argument("--simulate", action="store_true",
                                help="also run one deterministic simulation "
                                     "and sanitize its op records and trace "
@@ -402,8 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify_parser.add_argument("--list-checks", action="store_true",
                                help="list the registered check passes and "
                                     "exit")
-    _add_topology_arguments(verify_parser)
-    _add_remap_arguments(verify_parser)
     _add_cache_arguments(verify_parser)
 
     cache_parser = subparsers.add_parser(
@@ -411,29 +393,15 @@ def build_parser() -> argparse.ArgumentParser:
                       "cache (see --cache-dir / REPRO_CACHE_DIR)")
     cache_subparsers = cache_parser.add_subparsers(dest="cache_command",
                                                    required=True)
-
-    cache_stats_parser = cache_subparsers.add_parser(
+    _add_cache_dir_argument(cache_subparsers.add_parser(
         "stats", help="print entry count, disk usage and cumulative "
-                      "hit/miss/store/corruption counters")
-    cache_stats_parser.add_argument("--cache-dir", type=Path, default=None,
-                                    metavar="PATH",
-                                    help="cache directory (default: "
-                                         "REPRO_CACHE_DIR)")
-
-    cache_clear_parser = cache_subparsers.add_parser(
-        "clear", help="delete every cached artifact in the directory")
-    cache_clear_parser.add_argument("--cache-dir", type=Path, default=None,
-                                    metavar="PATH",
-                                    help="cache directory (default: "
-                                         "REPRO_CACHE_DIR)")
-
+                      "hit/miss/store/corruption counters"))
+    _add_cache_dir_argument(cache_subparsers.add_parser(
+        "clear", help="delete every cached artifact in the directory"))
     cache_warm_parser = cache_subparsers.add_parser(
         "warm", help="pre-compile benchmark circuits into the cache so "
                      "later compiles are served warm")
-    cache_warm_parser.add_argument("--cache-dir", type=Path, default=None,
-                                   metavar="PATH",
-                                   help="cache directory (default: "
-                                        "REPRO_CACHE_DIR)")
+    _add_cache_dir_argument(cache_warm_parser)
     cache_warm_parser.add_argument("--families", default=None,
                                    metavar="A,B,...",
                                    help="comma-separated benchmark families "
@@ -442,16 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     cache_warm_parser.add_argument("--qubits", type=int, default=12,
                                    help="qubits per benchmark circuit "
                                         "(default 12)")
-    cache_warm_parser.add_argument("--nodes", type=int, default=4,
-                                   help="number of quantum nodes (default 4)")
-    cache_warm_parser.add_argument("--qubits-per-node", type=int, default=None,
-                                   help="data qubits per node (default: fit "
-                                        "the circuit)")
-    cache_warm_parser.add_argument("--comm-qubits", type=int, default=2,
-                                   help="communication qubits per node "
-                                        "(default 2)")
-    _add_topology_arguments(cache_warm_parser)
-    _add_remap_arguments(cache_warm_parser)
+    _add_machine_arguments(cache_warm_parser, qasm=None, nodes=4,
+                           compiler=False)
 
     generate_parser = subparsers.add_parser(
         "generate", help="write a benchmark circuit as OpenQASM 2.0")
@@ -468,22 +428,6 @@ def _load_circuit(path: Path) -> Circuit:
     return from_qasm(path.read_text())
 
 
-def _make_network(circuit: Circuit, nodes: int, qubits_per_node: Optional[int],
-                  comm_qubits: int, topology: str = "all-to-all",
-                  swap_overhead: float = 1.0,
-                  grid_columns: Optional[int] = None,
-                  link_model=None, link_profile: Optional[str] = None):
-    per_node = qubits_per_node or -(-circuit.num_qubits // nodes)
-    network = uniform_network(nodes, per_node, comm_qubits_per_node=comm_qubits)
-    if (topology != "all-to-all" or swap_overhead != 1.0
-            or grid_columns is not None or link_model is not None
-            or link_profile is not None):
-        apply_topology(network, topology, swap_overhead=swap_overhead,
-                       grid_columns=grid_columns, link_model=link_model,
-                       link_profile=link_profile)
-    return network
-
-
 def _bound_links(model: LinkModel, capacity: int) -> LinkModel:
     """``model`` with ``capacity`` on every link spec that has none."""
     def bound(spec):
@@ -496,13 +440,14 @@ def _bound_links(model: LinkModel, capacity: int) -> LinkModel:
 
 
 def _network_from_args(circuit: Circuit, args):
-    topology = getattr(args, "topology", "all-to-all")
-    grid_columns = getattr(args, "grid_columns", None)
+    """The machine the size, topology and link flags describe."""
+    topology = args.topology
+    grid_columns = args.grid_columns
     if grid_columns is not None and topology != "grid":
         raise SystemExit("error: --grid-columns only applies to "
                          "--topology grid")
-    link_spec = getattr(args, "link_spec", None)
-    link_profile = getattr(args, "link_profile", None)
+    link_spec = args.link_spec
+    link_profile = args.link_profile
     if link_spec is not None and link_profile is not None:
         raise SystemExit("error: --link-spec and --link-profile are "
                          "mutually exclusive")
@@ -534,21 +479,26 @@ def _network_from_args(circuit: Circuit, args):
                     DEFAULT_LATENCY.t_epr)
                 link_profile = None
             link_model = _bound_links(link_model, link_capacity)
-        return _make_network(circuit, args.nodes, args.qubits_per_node,
-                             args.comm_qubits, topology=topology,
-                             swap_overhead=getattr(args, "swap_overhead", 1.0),
-                             grid_columns=grid_columns,
-                             link_model=link_model, link_profile=link_profile)
+        per_node = (args.qubits_per_node
+                    or -(-circuit.num_qubits // args.nodes))
+        network = uniform_network(args.nodes, per_node,
+                                  comm_qubits_per_node=args.comm_qubits)
+        if (topology != "all-to-all" or args.swap_overhead != 1.0
+                or grid_columns is not None or link_model is not None
+                or link_profile is not None):
+            apply_topology(network, topology,
+                           swap_overhead=args.swap_overhead,
+                           grid_columns=grid_columns, link_model=link_model,
+                           link_profile=link_profile)
+        return network
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
 
 
 def _autocomm_config(args) -> Optional[AutoCommConfig]:
     """The AutoComm pipeline config the remap flags ask for (None = default)."""
-    remap = getattr(args, "remap", "never")
-    phase_blocks = getattr(args, "phase_blocks", 8)
-    overlap = getattr(args, "overlap", False)
-    phase_sizing = getattr(args, "phase_sizing", "fixed")
+    remap, phase_blocks = args.remap, args.phase_blocks
+    overlap, phase_sizing = args.overlap, args.phase_sizing
     if phase_blocks < 1:
         raise SystemExit("error: --phase-blocks must be >= 1, "
                          f"got {phase_blocks}")
@@ -566,24 +516,33 @@ def _autocomm_config(args) -> Optional[AutoCommConfig]:
 def _compiler_for_args(args, cache):
     """The compile callable the compiler/remap flags select, using ``cache``."""
     config = _autocomm_config(args)
-    name = getattr(args, "compiler", "autocomm")
+    name = args.compiler
     if config is not None and name != "autocomm":
         raise SystemExit("error: --remap only applies to the autocomm "
                          f"compiler, not {name!r}")
     if name != "autocomm":
         return COMPILERS[name]
-
-    def autocomm_compiler(circuit, network, mapping=None,
-                          config=config, cache=cache):
-        return compile_autocomm(circuit, network, mapping=mapping,
-                                config=config, cache=cache)
-
-    return autocomm_compiler
+    return functools.partial(compile_autocomm, config=config, cache=cache)
 
 
-def _compile_program(circuit: Circuit, network, args):
-    """Compile with the selected compiler, honouring the remap flags."""
-    return _compiler_for_args(args, _cache_for_args(args))(circuit, network)
+def _compile_qasm(args):
+    """Load ``args.qasm``, build the machine the flags describe and compile
+    the program on it; returns ``(network, program)``."""
+    circuit = _load_circuit(args.qasm)
+    network = _network_from_args(circuit, args)
+    compiler = _compiler_for_args(args, _cache_for_args(args))
+    return network, compiler(circuit, network)
+
+
+def _verify_programs(programs) -> int:
+    """Print the static verifier's report on each program; 1 if any has
+    error diagnostics."""
+    failed = False
+    for program in programs:
+        verification = verify_program(program)
+        print(verification.render())
+        failed = failed or not verification.ok
+    return 1 if failed else 0
 
 
 def _report_rows(program) -> List[dict]:
@@ -629,9 +588,7 @@ def _report_rows(program) -> List[dict]:
 
 
 def _cmd_compile(args) -> int:
-    circuit = _load_circuit(args.qasm)
-    network = _network_from_args(circuit, args)
-    program = _compile_program(circuit, network, args)
+    _, program = _compile_qasm(args)
     rows = _report_rows(program)
     if args.fidelity:
         rows.append({"metric": "estimated fidelity",
@@ -642,12 +599,7 @@ def _cmd_compile(args) -> int:
                                     meta={"qasm": str(args.qasm)})
         report.save(args.report)
         print(f"wrote {args.report}")
-    if args.verify:
-        verification = verify_program(program)
-        print(verification.render())
-        if not verification.ok:
-            return 1
-    return 0
+    return _verify_programs([program]) if args.verify else 0
 
 
 def _cmd_compare(args) -> int:
@@ -727,13 +679,7 @@ def _cmd_compare(args) -> int:
         report.save(args.report)
         print(f"wrote {args.report}")
     if args.verify:
-        verify_failed = False
-        for name, program in programs:
-            verification = verify_program(program)
-            print(verification.render())
-            verify_failed = verify_failed or not verification.ok
-        if verify_failed:
-            return 1
+        return _verify_programs(program for _, program in programs)
     return 0
 
 
@@ -742,9 +688,7 @@ def _cmd_simulate(args) -> int:
         raise SystemExit(f"error: --trials must be >= 1, got {args.trials}")
     if args.retry_latency is not None and args.retry_latency <= 0:
         raise SystemExit("error: --retry-latency must be positive")
-    circuit = _load_circuit(args.qasm)
-    network = _network_from_args(circuit, args)
-    program = _compile_program(circuit, network, args)
+    network, program = _compile_qasm(args)
 
     # Deterministic replay first: the simulated execution must reproduce the
     # analytical schedule latency exactly.  Ideal links match the analytical
@@ -864,9 +808,7 @@ def _cmd_verify(args) -> int:
         if args.nodes is None:
             raise SystemExit("error: --nodes is required when verifying a "
                              "qasm input")
-        circuit = _load_circuit(args.qasm)
-        network = _network_from_args(circuit, args)
-        program = _compile_program(circuit, network, args)
+        _, program = _compile_qasm(args)
         report = verify_program(program)
         if args.simulate:
             config = SimulationConfig(ideal_links=True)
@@ -892,9 +834,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    circuit = _load_circuit(args.qasm)
-    network = _network_from_args(circuit, args)
-    program = _compile_program(circuit, network, args)
+    _, program = _compile_qasm(args)
 
     events = []
     spans = program.spans
@@ -930,7 +870,6 @@ def _cmd_profile(args) -> int:
     if args.repeat < 1:
         raise SystemExit(f"error: --repeat must be >= 1, got {args.repeat}")
     from .ir.commutation import clear_commutation_cache, commutation_cache_stats
-    from .sim import run_monte_carlo as _run_mc
 
     circuit = _load_circuit(args.qasm)
     network = _network_from_args(circuit, args)
@@ -949,14 +888,13 @@ def _cmd_profile(args) -> int:
     simulate_times = []
     sim_config = None
     if args.simulate_trials > 0:
-        from .sim import SimulationConfig
         sim_config = SimulationConfig(p_epr=args.p_epr, seed=args.seed,
                                       trials=args.simulate_trials,
                                       record_trace=False,
                                       workers=args.workers)
         for _ in range(args.repeat):
             begin = time.perf_counter()
-            _run_mc(program, sim_config)
+            run_monte_carlo(program, sim_config)
             simulate_times.append(time.perf_counter() - begin)
 
     # One profiled pass over the same workload for the hotspot table.
@@ -965,7 +903,7 @@ def _cmd_profile(args) -> int:
     profiler.enable()
     program = compiler(circuit, network)
     if sim_config is not None:
-        _run_mc(program, sim_config)
+        run_monte_carlo(program, sim_config)
     profiler.disable()
 
     stats = pstats.Stats(profiler)
@@ -1022,7 +960,7 @@ def _cmd_profile(args) -> int:
             "nodes": args.nodes,
             "topology": args.topology,
             "remap": args.remap,
-            "overlap": getattr(args, "overlap", False),
+            "overlap": args.overlap,
             "boundary_bubble": program.metrics.boundary_bubble,
             "gates": len(program.circuit),
             "compile_s": {"median": statistics.median(compile_times),
