@@ -168,11 +168,20 @@ class SimulationResult:
     def ops(self, ops: List[SimulatedOp]) -> None:
         self._ops = ops
 
+    def _records(self) -> Sequence[Optional[SimulatedOp]]:
+        """:attr:`ops` once read or assigned; before that ``run_plan``'s
+        placed records, where ``None`` stands for one settled gate."""
+        if self._ops is None and self.plan_run is not None:
+            return self.plan_run[0]
+        return self.ops
+
     def comm_ops(self) -> List[SimulatedOp]:
-        return [op for op in self.ops if op.kind != "gate"]
+        return [op for op in self._records()
+                if op is not None and op.kind != "gate"]
 
     def num_scheduled_items(self) -> int:
-        return sum(op.num_items for op in self.ops)
+        return sum(1 if op is None else op.num_items
+                   for op in self._records())
 
     def node_utilisation(self) -> Dict[int, float]:
         """Busy fraction of each node's communication qubits."""

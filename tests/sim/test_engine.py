@@ -530,6 +530,25 @@ class TestLazyRecords:
         assert attempts == sum(op.epr_attempts for op in ops)
         assert pairs == sum(op.epr_pairs for op in ops)
 
+    def test_counts_build_no_gate_records(self, qft_program, built):
+        result = simulate_program(qft_program, SimulationConfig(
+            p_epr=0.5, seed=5))
+        items = result.num_scheduled_items()
+        comm = result.comm_ops()
+        assert built == []
+        ops = result.ops
+        assert built
+        assert items == sum(op.num_items for op in ops)
+        assert comm == [op for op in ops if op.kind != "gate"]
+        assert comm and len(comm) < len(ops)
+
+    def test_assigned_ops_take_precedence(self, qft_program):
+        result = simulate_program(qft_program, SimulationConfig(seed=5))
+        kept = result.comm_ops()[:1]
+        result.ops = kept
+        assert result.comm_ops() == kept
+        assert result.num_scheduled_items() == kept[0].num_items
+
 
 class TestMonteCarlo:
     def test_summary_and_reproducibility(self, qft_program):
@@ -544,6 +563,15 @@ class TestMonteCarlo:
         assert summary["analytical"] == pytest.approx(
             qft_program.schedule.latency)
         assert summary["slowdown"] >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_summary_mean_matches_the_registry(self, qft_program, workers):
+        # Both summaries used to sum in their own order (sorted vs. trial
+        # order) and differed in the last bit at this seed.
+        result = run_monte_carlo(qft_program, SimulationConfig(
+            p_epr=0.5, trials=40, seed=8, workers=workers))
+        latency = result.metrics.as_dict()["histograms"]["sim.latency"]
+        assert result.summary()["mean"] == latency["mean"]
 
     def test_deterministic_trials_collapse(self, qft_program):
         result = run_monte_carlo(qft_program,
