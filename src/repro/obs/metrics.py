@@ -16,10 +16,11 @@ recorder's disabled mode).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "sorted_percentile"]
+           "sample_summary", "sorted_percentile"]
 
 #: Internal metric key: (name, sorted (label, value) pairs).
 _Key = Tuple[str, Tuple[Tuple[str, str], ...]]
@@ -41,6 +42,22 @@ def sorted_percentile(ordered: Sequence[float], q: float) -> float:
     high = min(low + 1, len(ordered) - 1)
     low_value = ordered[low]
     return low_value + (ordered[high] - low_value) * (position - low)
+
+
+def sample_summary(ordered: Sequence[float]) -> Dict[str, float]:
+    """Mean, min, p50, p95 and max of ascending, non-empty ``ordered``.
+
+    The one summary of every sample set (a Monte-Carlo run's latencies, a
+    histogram instrument), so one set reports one mean wherever it shows.
+    The mean is the exactly rounded :func:`math.fsum` over the count, which
+    no sample order changes, kept inside ``[min, max]``: the division can
+    round one ULP past a run of equal samples.
+    """
+    low, high = ordered[0], ordered[-1]
+    mean = math.fsum(ordered) / len(ordered)
+    return {"mean": min(max(mean, low), high), "min": low,
+            "p50": sorted_percentile(ordered, 50),
+            "p95": sorted_percentile(ordered, 95), "max": high}
 
 
 class Counter:
@@ -99,7 +116,7 @@ class Histogram:
 
     @property
     def mean(self) -> float:
-        return self.total / len(self.values) if self.values else 0.0
+        return self.summary()["mean"]
 
     def percentile(self, q: float) -> float:
         """Linearly interpolated percentile, ``q`` in [0, 100]."""
@@ -109,15 +126,8 @@ class Histogram:
         if not self.values:
             return {"count": 0, "sum": 0.0, "mean": 0.0, "min": 0.0,
                     "p50": 0.0, "p95": 0.0, "max": 0.0}
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "mean": self.mean,
-            "min": min(self.values),
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "max": max(self.values),
-        }
+        return {"count": self.count, "sum": self.total,
+                **sample_summary(sorted(self.values))}
 
 
 class _NullInstrument:

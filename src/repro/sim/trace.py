@@ -13,7 +13,7 @@ import json
 import math
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..obs.metrics import sorted_percentile
+from ..obs.metrics import sample_summary, sorted_percentile
 
 __all__ = ["TraceEvent", "TraceRecorder", "LatencyDistribution"]
 
@@ -129,12 +129,12 @@ class LatencyDistribution:
 
     @property
     def mean(self) -> float:
-        return sum(self.latencies) / len(self.latencies)
+        return sample_summary(self.latencies)["mean"]
 
     @property
     def std(self) -> float:
         mean = self.mean
-        return math.sqrt(sum((x - mean) ** 2 for x in self.latencies)
+        return math.sqrt(math.fsum((x - mean) ** 2 for x in self.latencies)
                          / len(self.latencies))
 
     @property
@@ -165,12 +165,6 @@ class LatencyDistribution:
                 for i in range(bins)]
 
     def summary(self) -> Dict[str, float]:
-        return {
-            "trials": float(len(self.latencies)),
-            "mean": self.mean,
-            "std": self.std,
-            "min": self.minimum,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "max": self.maximum,
-        }
+        stats = sample_summary(self.latencies)
+        return {"trials": float(len(self.latencies)), "mean": stats["mean"],
+                "std": self.std, **stats}

@@ -64,7 +64,10 @@ class TestPercentileRange:
         value = 950.0587958510158
         for summary in _summaries([value] * 74):
             assert summary["min"] == summary["p50"] == summary["p95"] \
-                == summary["max"] == value
+                == summary["max"] == summary["mean"] == value
+        # ``sum / n`` put the mean one ULP below the minimum and the std
+        # at 5.7e-13.
+        assert LatencyDistribution([value] * 74).std == 0.0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_percentiles_stay_ordered_within_the_samples(self, seed):
@@ -77,9 +80,12 @@ class TestPercentileRange:
                 [base] * size,
                 [base + rng.choice((0.0, 1e-12)) for _ in range(size)],
                 [rng.uniform(0.0, 5000.0) for _ in range(size)]))
-            for summary in _summaries(samples):
+            latency, histogram = _summaries(samples)
+            for summary in (latency, histogram):
                 assert (summary["min"] <= summary["p50"] <= summary["p95"]
                         <= summary["max"])
+                assert summary["min"] <= summary["mean"] <= summary["max"]
+            assert latency["mean"] == histogram["mean"]
 
 
 class TestMetricsRegistry:
