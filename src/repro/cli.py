@@ -114,16 +114,16 @@ def _add_machine_arguments(parser: argparse.ArgumentParser, *,
     """The program and machine flags of every compiling command.
 
     ``qasm`` is ``"required"``, ``"optional"`` (``verify``, which may check
-    a trace file alone and then asks for ``--nodes`` itself) or None
-    (``cache warm``, which builds its own circuits on ``nodes`` nodes).
+    a trace file alone and requires ``--nodes`` itself once given a
+    program) or None (``cache warm``, which builds its own circuits and
+    defaults ``--nodes`` to ``nodes``).
     ``compiler=False`` leaves out ``--compiler`` for commands that run a
     fixed set of compilers.
     """
     required = qasm == "required"
     if qasm is not None:
-        parser.add_argument("qasm", type=Path, help="input .qasm file",
-                            **({} if required
-                               else {"nargs": "?", "default": None}))
+        parser.add_argument("qasm", type=Path, nargs=None if required else "?",
+                            help="input .qasm file")
     if required:
         nodes_help = "number of quantum nodes"
     elif qasm is not None:
