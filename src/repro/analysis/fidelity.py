@@ -70,7 +70,7 @@ def fidelity_breakdown(program: CompiledProgram,
     num_comm = program.metrics.total_comm + program.metrics.migration_moves
     num_2q_local = 0
     num_1q = 0
-    for phase in program.phase_view:
+    for phase in program.phases:
         mapping = phase.mapping
         for gate in phase.aggregation.circuit:
             if gate.is_multi_qubit and not mapping.is_remote(gate):

@@ -121,7 +121,7 @@ def burst_histogram(program: CompiledProgram, max_width: int = 40) -> str:
     phase.
     """
     sizes = [block.num_remote_gates(phase.mapping)
-             for phase in program.phase_view for block in phase.blocks]
+             for phase in program.phases for block in phase.blocks]
     if not sizes:
         return "(no burst blocks)"
     counts: Dict[int, int] = {}

@@ -24,8 +24,8 @@ the phases, scheduled and simulated like any other communication.  Both
 modes run one compile path: a static compile (the default ``remap =
 "never"``) is its one-phase case, the base aggregation under the initial
 mapping with no migrations.  Past the compiler a static program stays the
-one-phase case: :attr:`CompiledProgram.phase_view` is the one phase list
-that scheduling, replay, verification and analysis read.
+one-phase case: every :class:`CompiledProgram` stores its phase list, which
+scheduling, replay, verification and analysis read.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ class AutoCommConfig:
 
 @dataclass
 class CompiledPhase:
-    """One phase of a phase-structured compile: its mapping and passes."""
+    """One phase of a compiled program: its mapping and passes."""
 
     index: int
     mapping: QubitMapping
@@ -110,25 +110,22 @@ class CompiledPhase:
 
 @dataclass
 class CompiledProgram:
-    """Result of compiling one distributed program."""
+    """Result of compiling one distributed program: its phase list, whose
+    one phase, for a static program (``migrations`` ``None``), runs under
+    ``mapping`` over ``aggregation``; ``mapping`` is always phase 0's."""
 
     name: str
     compiler: str
     circuit: Circuit
     mapping: QubitMapping
     network: QuantumNetwork
-    blocks: List[CommBlock]
     metrics: CompilationMetrics
-    aggregation: Optional[AggregationResult] = None
-    assignment: Optional[AssignmentResult] = None
+    #: The base aggregation over the whole program under ``mapping``.
+    aggregation: AggregationResult
+    phases: List[CompiledPhase]
     schedule: Optional[ScheduleResult] = None
-    #: Dynamic-remapping mode the program was compiled under.
-    remap: str = "never"
-    #: Phase structure of a ``remap = "bursts"`` compile (``None`` for the
-    #: static pipeline).  ``mapping`` then holds the *initial* (phase-0)
-    #: mapping; each phase carries its own.
-    phases: Optional[List[CompiledPhase]] = None
-    #: One migration list per phase boundary (``len(phases) - 1`` entries).
+    #: One migration list per phase boundary (``len(phases) - 1`` entries);
+    #: ``None`` for a static program.
     migrations: Optional[List[List[MigrationOp]]] = None
     #: Stage-timing tree of the compile (:mod:`repro.obs`): wall time and
     #: counters per pass, phases nested.  Purely observational — ``None``
@@ -137,18 +134,14 @@ class CompiledProgram:
     spans: Optional[Span] = None
 
     @property
-    def phase_view(self) -> Tuple[CompiledPhase, ...]:
-        """The stored ``phases``, or a static program's one phase built from
-        its own objects (so the plan memo keyed on them is hit); read-only.
-        :class:`ValueError` when a static program lacks its passes."""
-        if self.phases:
-            return tuple(self.phases)
-        if self.aggregation is None or self.assignment is None:
-            raise ValueError(
-                f"program {self.name!r} carries no assignment result; "
-                "compile it with a pipeline that keeps intermediate passes")
-        return (CompiledPhase(0, self.mapping, self.aggregation,
-                              self.assignment),)
+    def blocks(self) -> List[CommBlock]:
+        """Every phase's blocks, in phase order."""
+        return [block for phase in self.phases for block in phase.blocks]
+
+    @property
+    def remap(self) -> str:
+        """Dynamic-remapping mode: ``"never"`` exactly for a static program."""
+        return "never" if self.migrations is None else "bursts"
 
     def burst_distribution(self, max_x: Optional[int] = None) -> Dict[int, float]:
         """Figure 15 distribution for this compiled program.
@@ -157,7 +150,7 @@ class CompiledProgram:
         under its own phase mapping.
         """
         loads: List[float] = []
-        for phase in self.phase_view:
+        for phase in self.phases:
             loads.extend(communication_loads(phase.blocks, phase.mapping))
         return distribution_from_loads(loads, max_x=max_x)
 
@@ -180,17 +173,16 @@ FormStep = Callable[
 
 def compile_program(circuit: Circuit, network: QuantumNetwork,
                     mapping: Optional[QubitMapping], form: FormStep, *,
-                    compiler: str, strategy: str, overlap: bool = False,
-                    remap: str = "never") -> CompiledProgram:
+                    compiler: str, strategy: str,
+                    overlap: bool = False) -> CompiledProgram:
     """The compile path of every compiler: one skeleton, one metrics block.
 
     Validates capacity, decomposes to CX (``decompose`` span), places the
     qubits with the OEE static partitioner when ``mapping`` is omitted
     (exactly as in the paper's experimental setup), forms the blocks with
     ``form``, schedules the phases with ``strategy``/``overlap`` and prices
-    the program.  A static program (``migrations`` ``None``) keeps its
-    shape: ``assignment`` set, ``phases``/``migrations`` ``None``.  Stages
-    land under the caller's tracer, if any.
+    the program.  A static program (``migrations`` ``None``) is stored as
+    its one phase.  Stages land under the caller's tracer, if any.
     """
     network.validate_capacity(circuit.num_qubits)
     with stage("decompose") as span:
@@ -202,14 +194,13 @@ def compile_program(circuit: Circuit, network: QuantumNetwork,
     schedule = schedule_phased_communications(
         phases, migrations, network, strategy=strategy, overlap=overlap)
 
-    static = migrations is None
     moves = [move for boundary in migrations or () for move in boundary]
     # Static programs have always reported the float 0.0 and a phased
     # compile without moves the int 0; both are kept byte-identical.
     migration_latency = sum(
         (network.epr_latency(move.source, move.target)
          + network.latency.t_teleport for move in moves),
-        0.0 if static else 0)
+        0.0 if migrations is None else 0)
     costs = [phase.assignment.cost for phase in phases]
     total_epr_latency = (
         sum(c.total_epr_latency for c in costs)
@@ -238,13 +229,10 @@ def compile_program(circuit: Circuit, network: QuantumNetwork,
         circuit=working,
         mapping=mapping,
         network=network,
-        blocks=[block for phase in phases for block in phase.blocks],
         metrics=metrics,
         aggregation=base,
-        assignment=phases[0].assignment if static else None,
+        phases=phases,
         schedule=schedule,
-        remap=remap,
-        phases=None if static else phases,
         migrations=migrations,
     )
 
@@ -333,7 +321,7 @@ class AutoCommCompiler:
                     circuit, network, mapping, self._form,
                     compiler=self._compiler_label(),
                     strategy=self.config.schedule_strategy,
-                    overlap=self.config.overlap, remap=self.config.remap)
+                    overlap=self.config.overlap)
         if cached is not None:
             cached.spans = tracer.root
             return cached

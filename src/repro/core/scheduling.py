@@ -382,7 +382,7 @@ def _build_dependencies(items: Sequence[SchedulableItem], num_qubits: int,
     open_qubits: List[Set[int]] = []
     if oracle is None:
         oracle = _PairwiseCommutation()
-    preds: List[List[int]] = [[] for _ in items]
+    preds: List[List[int]] = []
     history: Dict[int, List[int]] = {q: [] for q in range(num_qubits)}
     for index, item in enumerate(items):
         # Iterate the cached qubit set directly: the iteration order does
@@ -425,7 +425,7 @@ def _build_dependencies(items: Sequence[SchedulableItem], num_qubits: int,
                     chosen.add(chain[-lookback - 1])
                 else:
                     open_set.add(qubit)
-        preds[index] = sorted(chosen)
+        preds.append(sorted(chosen))
         if collect_open:
             open_qubits.append(open_set)
         for qubit in qubits:
@@ -1192,29 +1192,6 @@ def _pair_facts(network: QuantumNetwork, pairs: Sequence[Tuple[int, int]]
             multiplicity[link] = multiplicity.get(link, 0) + 1
     return (prep_latency_for_pairs(network, pairs),
             tuple(sorted(multiplicity.items())), sum(multiplicity.values()))
-
-
-def _epr_prep_latency(network: QuantumNetwork, nodes: Sequence[int]) -> float:
-    """Pre-PR prep-latency accounting over a node set's all-pairs closure.
-
-    Kept verbatim for :mod:`repro.core.scheduling_reference`: it charges a
-    fused chain the slowest pair of its *node set*, including pairs the
-    teleport itinerary never links — the fused-chain latency bug fixed by
-    :func:`prep_latency_for_pairs`.  On uniform (all-to-all) latencies the
-    two agree, which is what the reference-equivalence tests exercise.
-    """
-    nodes = list(nodes)
-    if len(nodes) < 2:
-        return network.latency.t_epr
-    return max(network.epr_latency(a, b)
-               for i, a in enumerate(nodes) for b in nodes[i + 1:])
-
-
-def _reserve_comm(resources: CommResourceTracker, nodes: Sequence[int],
-                  ready: float, duration: float, prep: float,
-                  label: str) -> float:
-    """Book a communication's earliest window; return its protocol start."""
-    return resources.reserve_joint(nodes, ready, duration, prep, label)[1]
 
 
 # ---------------------------------------------------------------------------

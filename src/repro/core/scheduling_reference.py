@@ -31,10 +31,28 @@ from .assignment import AssignmentResult
 from .aggregation_reference import _touched_qubits_scan
 from .assignment_reference import _remote_gates, block_latency_reference
 from .scheduling import (FusedTPChain, SchedulableItem, SchedulePlan,
-                         ScheduledOp, ScheduleResult, _epr_prep_latency,
-                         _reserve_comm)
+                         ScheduledOp, ScheduleResult)
 
 __all__ = ["plan_schedule_reference", "schedule_communications_reference"]
+
+
+def _epr_prep_latency(network: QuantumNetwork, nodes: Sequence[int]) -> float:
+    """Pre-optimization prep latency: the slowest pair of a node set's
+    all-pairs closure, including pairs the teleport itinerary never links
+    (the fused-chain bug :func:`~repro.core.scheduling.prep_latency_for_pairs`
+    fixed).  On uniform (all-to-all) latencies the two agree."""
+    nodes = list(nodes)
+    if len(nodes) < 2:
+        return network.latency.t_epr
+    return max(network.epr_latency(a, b)
+               for i, a in enumerate(nodes) for b in nodes[i + 1:])
+
+
+def _reserve_comm(resources: CommResourceTracker, nodes: Sequence[int],
+                  ready: float, duration: float, prep: float,
+                  label: str) -> float:
+    """Book a communication's earliest window; return its protocol start."""
+    return resources.reserve_joint(nodes, ready, duration, prep, label)[1]
 
 
 def _item_touched_scan(item: SchedulableItem) -> Tuple[int, ...]:

@@ -21,7 +21,6 @@ tests check against the uncached copy in
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import islice
 from typing import Dict, Optional, Tuple
 
@@ -63,9 +62,8 @@ _AXES: Dict[str, Tuple[Optional[str], ...]] = {
 
 
 def clear_commutation_cache() -> None:
-    """Clear the memoised commutation results (pair-level and matrix-level)."""
+    """Clear the memoised commutation verdicts and their statistics."""
     _PAIR_CACHE.clear()
-    _matrix_commutes_cached.cache_clear()
     for key in _STATS:
         _STATS[key] = 0
 
@@ -74,13 +72,10 @@ def commutation_cache_stats() -> Dict[str, int]:
     """Hit/miss statistics of the pair-level commutation cache.
 
     ``hits``/``misses`` count lookups of the pair-level cache (each miss
-    runs the matrix check).  ``size`` is the number of memoised pair
-    patterns and ``matrix_cache_size`` the entries of the underlying matrix
-    memo.
+    runs the matrix check) and ``size`` is the number of memoised pair
+    patterns.
     """
-    info = _matrix_commutes_cached.cache_info()
-    return {**_STATS, "size": len(_PAIR_CACHE),
-            "matrix_cache_size": info.currsize}
+    return {**_STATS, "size": len(_PAIR_CACHE)}
 
 
 def commutes(gate_a: Gate, gate_b: Gate) -> bool:
@@ -248,18 +243,22 @@ class GateFrontier:
 # ---------------------------------------------------------------------------
 
 def _matrix_commutes(a: Gate, b: Gate) -> bool:
+    """Exact check on the joint unitary of ``a`` and ``b`` (uncached)."""
+    return _matrix_verdict(_matrix_key(a, b))
+
+
+def _matrix_key(a: Gate, b: Gate) -> tuple:
+    """The pair with its qubits renumbered onto their sorted union."""
     union = sorted(set(a.qubits) | set(b.qubits))
     index = {q: i for i, q in enumerate(union)}
-    key = (
+    return (
         a.name, a.params, tuple(index[q] for q in a.qubits),
         b.name, b.params, tuple(index[q] for q in b.qubits),
         len(union),
     )
-    return _matrix_commutes_cached(key)
 
 
-@lru_cache(maxsize=200_000)
-def _matrix_commutes_cached(key) -> bool:
+def _matrix_verdict(key: tuple) -> bool:
     (name_a, params_a, pos_a, name_b, params_b, pos_b, n) = key
     mat_a = _embed(name_a, params_a, pos_a, n)
     mat_b = _embed(name_b, params_b, pos_b, n)

@@ -520,24 +520,14 @@ def _phase_from_payload(payload: Payload, circuit_ref: Circuit,
                          aggregation=aggregation, assignment=assignment)
 
 
-def _blocks_mode(program: CompiledProgram) -> str:
-    """How ``program.blocks`` relates to the rest of the artifact."""
-    if program.phases is not None:
-        flattened = [block for phase in program.phases
-                     for block in phase.blocks]
-        if (len(flattened) == len(program.blocks)
-                and all(a is b for a, b in zip(flattened, program.blocks))):
-            return "phases"
-    if program.assignment is not None:
-        if (len(program.assignment.blocks) == len(program.blocks)
-                and all(a is b for a, b in zip(program.assignment.blocks,
-                                               program.blocks))):
-            return "assignment"
-    return "explicit"
-
-
 def program_to_payload(program: CompiledProgram) -> Payload:
-    blocks_mode = _blocks_mode(program)
+    # A static program writes its one phase as ``assignment``.
+    static = program.migrations is None
+    first, *rest = program.phases
+    if static and (rest or first.mapping is not program.mapping
+                   or first.aggregation is not program.aggregation):
+        raise ValueError("a static program must be one phase under its own "
+                         "mapping and base aggregation")
     # One deduplicated gate table for the whole payload; every gate in the
     # circuit, blocks and phases becomes an integer reference into it.  The
     # dict literal below fixes the encoding-traversal order (circuit first),
@@ -553,17 +543,14 @@ def program_to_payload(program: CompiledProgram) -> Payload:
         "mapping": mapping_to_payload(program.mapping),
         "network": network_to_payload(program.network),
         "metrics": program.metrics.as_dict(),
-        "aggregation": (None if program.aggregation is None
-                        else aggregation_to_payload(
-                            program.aggregation,
-                            circuit_ref=program.circuit,
-                            mapping_ref=program.mapping,
-                            table=table)),
-        "assignment": (None if program.assignment is None
-                       else assignment_to_payload(program.assignment)),
+        "aggregation": aggregation_to_payload(
+            program.aggregation, circuit_ref=program.circuit,
+            mapping_ref=program.mapping, table=table),
+        "assignment": (assignment_to_payload(first.assignment)
+                       if static else None),
         "schedule": (None if program.schedule is None
                      else schedule_to_payload(program.schedule)),
-        "phases": (None if program.phases is None
+        "phases": (None if static
                    else [_phase_to_payload(phase, program.circuit,
                                            program.mapping, table)
                          for phase in program.phases]),
@@ -572,9 +559,8 @@ def program_to_payload(program: CompiledProgram) -> Payload:
                              for boundary in program.migrations]),
         "spans": (None if program.spans is None
                   else program.spans.as_dict()),
-        "blocks_mode": blocks_mode,
-        "blocks": ([block_to_payload(b, table) for b in program.blocks]
-                   if blocks_mode == "explicit" else None),
+        "blocks_mode": "assignment" if static else "phases",
+        "blocks": None,
     }
     payload["gate_table"] = table.rows
     return payload
@@ -594,47 +580,39 @@ def _check_schema(payload: Payload, kind: str) -> None:
 
 
 def program_from_payload(payload: Payload) -> CompiledProgram:
+    """Rebuild a program whose shape follows ``migrations`` (``null`` for a
+    static one); :class:`ValueError` when another field disagrees."""
     _check_schema(payload, "compiled-program")
+    static = payload["migrations"] is None
+    expected = ("assignment", "never") if static else ("phases", "bursts")
+    shape = (payload["blocks_mode"], payload["remap"])
+    if shape != expected:
+        raise ValueError(f"blocks_mode and remap {shape} disagree with "
+                         f"migrations, which need {expected}")
+    if static and payload["assignment"] is None:
+        raise ValueError("static program payload without an assignment")
     gates = [gate_from_payload(row)
              for row in payload.get("gate_table") or ()]
     network = network_from_payload(payload["network"])
     circuit = circuit_from_payload(payload["circuit"], gates)
     mapping = mapping_from_payload(payload["mapping"], network)
-    aggregation = None
-    if payload["aggregation"] is not None:
-        aggregation = aggregation_from_payload(
-            payload["aggregation"], circuit_ref=circuit,
-            mapping_ref=mapping, network=network, gates=gates)
-    assignment = None
-    if payload["assignment"] is not None:
-        if aggregation is None:
-            raise ValueError("assignment payload without an aggregation")
-        assignment = assignment_from_payload(payload["assignment"],
-                                             aggregation)
+    aggregation = aggregation_from_payload(
+        payload["aggregation"], circuit_ref=circuit, mapping_ref=mapping,
+        network=network, gates=gates)
+    if static:
+        phases = [CompiledPhase(
+            index=0, mapping=mapping, aggregation=aggregation,
+            assignment=assignment_from_payload(payload["assignment"],
+                                               aggregation))]
+        migrations = None
+    else:
+        phases = [_phase_from_payload(p, circuit, mapping, network, gates)
+                  for p in payload["phases"]]
+        migrations = [[migration_from_payload(m) for m in boundary]
+                      for boundary in payload["migrations"]]
     schedule = None
     if payload["schedule"] is not None:
         schedule = schedule_from_payload(payload["schedule"], network)
-    phases = None
-    if payload["phases"] is not None:
-        phases = [_phase_from_payload(p, circuit, mapping, network, gates)
-                  for p in payload["phases"]]
-    migrations = None
-    if payload["migrations"] is not None:
-        migrations = [[migration_from_payload(m) for m in boundary]
-                      for boundary in payload["migrations"]]
-    blocks_mode = payload["blocks_mode"]
-    if blocks_mode == "phases":
-        if phases is None:
-            raise ValueError("blocks_mode 'phases' without phase payloads")
-        blocks = [block for phase in phases for block in phase.blocks]
-    elif blocks_mode == "assignment":
-        if assignment is None:
-            raise ValueError("blocks_mode 'assignment' without an "
-                             "assignment payload")
-        blocks = assignment.blocks
-    else:
-        blocks = [block_from_payload(b, gates) for b in payload["blocks"]]
-    metrics = CompilationMetrics.from_dict(payload["metrics"])
     spans = (None if payload["spans"] is None
              else Span.from_dict(payload["spans"]))
     return CompiledProgram(
@@ -643,13 +621,10 @@ def program_from_payload(payload: Payload) -> CompiledProgram:
         circuit=circuit,
         mapping=mapping,
         network=network,
-        blocks=blocks,
-        metrics=metrics,
+        metrics=CompilationMetrics.from_dict(payload["metrics"]),
         aggregation=aggregation,
-        assignment=assignment,
-        schedule=schedule,
-        remap=payload["remap"],
         phases=phases,
+        schedule=schedule,
         migrations=migrations,
         spans=spans,
     )

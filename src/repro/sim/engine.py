@@ -17,7 +17,7 @@ Two properties anchor the design:
 
 * **Deterministic equivalence** — the engine replays the exact plan
   (:func:`repro.core.scheduling.plan_phased_schedule` over the program's
-  ``phase_view``: a static program is its one-phase case, so one lookup,
+  ``phases``: a static program is its one-phase case, so one lookup,
   :func:`plan_for_program`, serves every program) the analytical scheduler
   used through the same event loop (:func:`repro.core.scheduling.run_plan`),
   so placement decisions come in the same ``(ready time, item index)``
@@ -554,7 +554,7 @@ def _simulated_ops(records: List[Optional[SimulatedOp]], ready: List[float],
 def plan_for_program(program: CompiledProgram) -> SchedulePlan:
     """The plan the program's analytical schedule was computed from.
 
-    One lookup over :attr:`~repro.core.pipeline.CompiledProgram.phase_view`
+    One lookup over :attr:`~repro.core.pipeline.CompiledProgram.phases`
     (a static program is its one phase, with no boundary list) and the
     winning schedule's burst and overlap flags.  Plans are memoised on the
     underlying assignment, so the engine executes — and the static
@@ -564,7 +564,7 @@ def plan_for_program(program: CompiledProgram) -> SchedulePlan:
     """
     schedule = program.schedule
     return plan_phased_schedule(
-        program.phase_view, program.migrations,
+        program.phases, program.migrations,
         burst=schedule is not None and schedule.mode == "burst",
         overlap=schedule is not None and schedule.overlap)
 

@@ -129,7 +129,7 @@ class ItemCoverageCheck(CheckPass):
 
         # Plan-level coverage of the assignment passes' output.
         expected = sum(len(phase.assignment.items)
-                       for phase in program.phase_view)
+                       for phase in program.phases)
         expected += sum(len(moves) for moves in program.migrations or ())
         covered = sum(profile.num_items for profile in profiles)
         if covered != expected:
@@ -181,10 +181,11 @@ class MappingCheck(CheckPass):
 
     def run(self, ctx: ProgramContext) -> List[Diagnostic]:
         diags: List[Diagnostic] = []
-        num_qubits = ctx.program.circuit.num_qubits
-        self._check_mapping(ctx, ctx.program.mapping, num_qubits, None,
-                            diags)
-        for phase in ctx.program.phases or []:
+        program = ctx.program
+        num_qubits = program.circuit.num_qubits
+        self._check_mapping(ctx, program.mapping, num_qubits, None, diags)
+        # A static program's one phase runs under the program's mapping.
+        for phase in () if program.migrations is None else program.phases:
             self._check_mapping(ctx, phase.mapping, num_qubits, phase.index,
                                 diags)
         return diags
@@ -236,10 +237,10 @@ class MigrationCheck(CheckPass):
     def run(self, ctx: ProgramContext) -> List[Diagnostic]:
         program = ctx.program
         diags: List[Diagnostic] = []
-        if not program.phases:
+        if program.migrations is None:
             return diags
         phases = program.phases
-        migrations = program.migrations or []
+        migrations = program.migrations
         if len(migrations) != len(phases) - 1:
             diags.append(_error(
                 self.id, f"{len(phases)} phases need "

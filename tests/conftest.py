@@ -78,6 +78,25 @@ def _autoverify_compiled_programs(request):
 
 
 @pytest.fixture
+def assert_static_shape():
+    """Checker of the static-program invariant: one phase, under the
+    program's own mapping over its base aggregation, ``remap == "never"``
+    and no migrations -- on the program and on its save/load round trip."""
+    from repro.persist import dumps_program, loads_program
+
+    def check(program):
+        for shaped in (program, loads_program(dumps_program(program))):
+            assert len(shaped.phases) == 1
+            (phase,) = shaped.phases
+            assert phase.index == 0
+            assert phase.mapping is shaped.mapping
+            assert phase.aggregation is shaped.aggregation
+            assert shaped.remap == "never"
+            assert shaped.migrations is None
+    return check
+
+
+@pytest.fixture
 def small_network():
     """Three nodes with four data qubits and two comm qubits each."""
     return uniform_network(num_nodes=3, qubits_per_node=4)

@@ -75,12 +75,12 @@ class TestMetrics:
 
 
 class TestPipeline:
-    def test_compile_returns_all_stages(self):
+    def test_compile_returns_all_stages(self, assert_static_shape):
         circuit = qft_circuit(8)
         network = uniform_network(2, 4)
         program = compile_autocomm(circuit, network)
-        assert program.aggregation is not None
-        assert program.assignment is not None
+        assert_static_shape(program)
+        assert program.phases[0].assignment.aggregation is program.aggregation
         assert program.schedule is not None
         assert program.metrics.total_comm > 0
         assert program.compiler == "autocomm"

@@ -7,7 +7,7 @@ from repro.comm.blocks import CommBlock
 from repro.core import (AutoCommCompiler, AutoCommConfig, FusedTPChain,
                         MigrationOp, compile_autocomm, plan_phased_schedule,
                         plan_schedule)
-from repro.core.pipeline import CompiledPhase, _phase_circuit, _segment_items
+from repro.core.pipeline import _phase_circuit, _segment_items
 from repro.core.scheduling import _execute_plan
 from repro.hardware import apply_topology, uniform_network
 from repro.ir.circuit import Circuit
@@ -89,15 +89,15 @@ def _same_unit(a, b):
 
 @pytest.mark.parametrize("spec", scaled_configurations("small"),
                          ids=lambda spec: spec.name)
-def test_one_phase_plan_is_static_plan(spec):
-    """A phased plan over one phase wrapping a static assignment is the
-    static plan: same units, same dependencies, same scheduled latency,
-    with barrier and with overlap stitching."""
+def test_one_phase_plan_is_static_plan(spec, assert_static_shape):
+    """A static program is its one phase, and a phased plan over that phase
+    is the static plan: same units, same dependencies, same scheduled
+    latency, with barrier and with overlap stitching."""
     circuit, network = spec.build()
-    assignment = compile_autocomm(circuit, network).assignment
-    phase = CompiledPhase(index=0, mapping=assignment.mapping,
-                          aggregation=assignment.aggregation,
-                          assignment=assignment)
+    program = compile_autocomm(circuit, network)
+    assert_static_shape(program)
+    (phase,) = program.phases
+    assignment = phase.assignment
     for burst in (True, False):
         static = plan_schedule(assignment, burst)
         latency = _execute_plan(static, network).latency

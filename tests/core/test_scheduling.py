@@ -363,8 +363,8 @@ class TestFusedChainItinerary:
         assert chain.hop_pairs() == ((0, 1), (1, 2), (2, 0))
 
     def test_line_topology_charges_itinerary_not_diameter(self):
-        from repro.core.scheduling import (_epr_prep_latency,
-                                           prep_latency_for_pairs)
+        from repro.core.scheduling import prep_latency_for_pairs
+        from repro.core.scheduling_reference import _epr_prep_latency
         from repro.hardware import apply_topology
 
         network = apply_topology(uniform_network(4, 2), "line",
@@ -381,8 +381,8 @@ class TestFusedChainItinerary:
         assert fixed < legacy
 
     def test_uniform_latency_unchanged_by_fix(self):
-        from repro.core.scheduling import (_epr_prep_latency,
-                                           prep_latency_for_pairs)
+        from repro.core.scheduling import prep_latency_for_pairs
+        from repro.core.scheduling_reference import _epr_prep_latency
 
         network = uniform_network(4, 2)
         chain = self._chain([1, 3, 2])

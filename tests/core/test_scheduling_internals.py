@@ -10,10 +10,10 @@ from repro.core.aggregation import CommAggregator
 from repro.core.scheduling import (
     FusedTPChain,
     _build_dependencies,
-    _epr_prep_latency,
     _PairwiseCommutation,
 )
-from repro.core.scheduling_reference import _items_commute_reference
+from repro.core.scheduling_reference import (_epr_prep_latency,
+                                             _items_commute_reference)
 from repro.hardware import DEFAULT_LATENCY, apply_topology, uniform_network
 from repro.ir import Circuit, Gate
 from repro.ir.commutation import GATE_REGISTRY

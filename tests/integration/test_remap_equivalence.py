@@ -50,7 +50,7 @@ def _compiled(kind, config=None):
 
 class TestRemapNeverEquivalence:
     @pytest.mark.parametrize("kind", SUPPORTED_TOPOLOGIES)
-    def test_compile_byte_identical(self, kind):
+    def test_compile_byte_identical(self, kind, assert_static_shape):
         plain = _compiled(kind)
         explicit = _compiled(kind, AutoCommConfig(remap="never"))
         assert explicit.mapping.as_dict() == plain.mapping.as_dict()
@@ -59,8 +59,8 @@ class TestRemapNeverEquivalence:
         assert explicit.metrics.as_dict() == plain.metrics.as_dict()
         assert ([(op.kind, op.start, op.end) for op in explicit.schedule.ops]
                 == [(op.kind, op.start, op.end) for op in plain.schedule.ops])
-        assert explicit.phases is None
-        assert explicit.remap == "never"
+        assert_static_shape(plain)
+        assert_static_shape(explicit)
         assert explicit.metrics.num_phases == 1
         assert explicit.metrics.migration_moves == 0
 

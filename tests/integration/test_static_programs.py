@@ -1,10 +1,11 @@
 """A static program is the one-phase case past the compiler.
 
-Replay, verification, analysis and persistence read every program through
-``CompiledProgram.phase_view``.  These tests pin that for the static shapes
-the AutoComm pipeline does not produce itself — the sparse and GP-TP
-baselines — and check that the one plan lookup, ``plan_for_program``,
-returns the very plan object the compile's winning schedule came from.
+Every ``CompiledProgram`` stores its phase list, which replay,
+verification, analysis and persistence read.  These tests pin that for the
+static shapes the AutoComm pipeline does not produce itself — the sparse
+and GP-TP baselines — and check that the one plan lookup,
+``plan_for_program``, returns the very plan object the compile's winning
+schedule came from.
 """
 
 import pytest
@@ -14,7 +15,8 @@ from repro.baselines import compile_gp_tp, compile_sparse
 from repro.circuits import BENCHMARK_FAMILIES, build_benchmark
 from repro.core import AutoCommConfig, CompiledPhase, compile_autocomm
 from repro.hardware import apply_topology
-from repro.persist import dumps_program, loads_program
+from repro.persist import (dumps_program, loads_program, program_from_payload,
+                           program_to_payload)
 from repro.sim import (SimulationConfig, plan_for_program, run_monte_carlo,
                        simulate_program, validate_schedule)
 from repro.verify import verify_program
@@ -32,9 +34,10 @@ def _benchmark(family, topology, num_qubits=12, nodes=4):
 @pytest.mark.parametrize("topology", ["all-to-all", "line"])
 @pytest.mark.parametrize("family", sorted(BENCHMARK_FAMILIES))
 @pytest.mark.parametrize("compiler", sorted(BASELINES))
-def test_baseline_program_verifies_replays_and_round_trips(compiler, family,
-                                                           topology):
+def test_baseline_program_verifies_replays_and_round_trips(
+        compiler, family, topology, assert_static_shape):
     program = BASELINES[compiler](*_benchmark(family, topology))
+    assert_static_shape(program)
 
     report = verify_program(program)
     assert report.clean, report.render()
@@ -95,32 +98,34 @@ def test_plan_for_program_is_the_winning_plan(label, monkeypatch):
     assert winner.overlap == program.schedule.overlap
 
 
-def test_static_view_holds_the_programs_own_objects():
+def test_static_program_is_its_one_phase(assert_static_shape):
     program = compile_autocomm(*_benchmark("QFT", "all-to-all"))
-    assert program.phases is None and program.migrations is None
-    (phase,) = program.phase_view
+    assert_static_shape(program)
+    (phase,) = program.phases
     assert isinstance(phase, CompiledPhase)
-    assert phase.index == 0
-    assert phase.mapping is program.mapping
-    assert phase.aggregation is program.aggregation
-    assert phase.assignment is program.assignment
+    assert phase.assignment.aggregation is program.aggregation
     assert len(phase.blocks) == len(program.blocks)
     assert all(a is b for a, b in zip(phase.blocks, program.blocks))
 
 
-def test_phased_view_is_the_stored_phases():
+def test_phased_program_blocks_flatten_its_phases():
     program = compile_autocomm(*_benchmark("QFT", "line", num_qubits=16),
                                config=AutoCommConfig(remap="bursts",
                                                      phase_blocks=4))
-    assert len(program.phases) > 1
-    assert all(a is b for a, b in zip(program.phase_view, program.phases))
-    assert len(program.phase_view) == len(program.phases)
+    for shaped in (program, loads_program(dumps_program(program))):
+        assert len(shaped.phases) > 1
+        assert shaped.remap == "bursts"
+        assert len(shaped.migrations) == len(shaped.phases) - 1
+        assert shaped.phases[0].mapping is shaped.mapping
+        flattened = [block for phase in shaped.phases
+                     for block in phase.blocks]
+        assert len(shaped.blocks) == len(flattened)
+        assert all(a is b for a, b in zip(shaped.blocks, flattened))
 
 
-@pytest.mark.no_autoverify  # strips the assignment on purpose
-def test_static_view_without_an_assignment_is_rejected():
-    program = loads_program(dumps_program(
-        compile_autocomm(*_benchmark("BV", "all-to-all"))))
-    program.assignment = None
-    with pytest.raises(ValueError, match="carries no assignment result"):
-        program.phase_view
+def test_static_payload_without_an_assignment_is_rejected():
+    payload = program_to_payload(
+        compile_autocomm(*_benchmark("BV", "all-to-all")))
+    payload["assignment"] = None
+    with pytest.raises(ValueError, match="without an assignment"):
+        program_from_payload(payload)

@@ -11,7 +11,8 @@ from repro.circuits import qft_circuit
 from repro.core import compile_autocomm
 from repro.hardware import uniform_network
 from repro.persist import (CACHE_DIR_ENV, CompileCache, SCHEMA_VERSION,
-                           compile_fingerprint, dumps_program, resolve_cache)
+                           canonical_json, compile_fingerprint, dumps_program,
+                           program_to_payload, resolve_cache)
 from repro.persist.cache import ENTRY_SUFFIX
 
 
@@ -83,6 +84,23 @@ class TestCorruption:
         cache.path_for(key).write_bytes(gzip.compress(b"[1, 2, 3]"))
         with pytest.warns(RuntimeWarning, match="corrupt"):
             assert cache.load(key) is None
+
+    def test_inconsistent_shape_recompiles_with_warning(self, tmp_path):
+        cache = CompileCache(tmp_path)
+        key, program = _fill(cache)
+        payload = program_to_payload(program)
+        payload["blocks_mode"] = "explicit"
+        cache.path_for(key).write_bytes(
+            gzip.compress(canonical_json(payload).encode("utf-8")))
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            assert cache.load(key) is None
+        assert cache.counters()["corrupt"] == 1
+        circuit, network = _inputs()
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            again = compile_autocomm(circuit, network, cache=cache)
+        assert again.metrics.as_dict() == program.metrics.as_dict()
+        assert cache.load(key) is not None
+        assert cache.counters()["corrupt"] == 2
 
     def test_schema_skew_is_silent_miss(self, tmp_path):
         cache = CompileCache(tmp_path)

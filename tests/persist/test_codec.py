@@ -2,6 +2,7 @@
 
 import gzip
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -121,10 +122,15 @@ class TestProgramCodec:
         with pytest.raises(ValueError):
             program_from_payload(payload)
 
-    def test_assignment_blocks_share_identity_after_load(self):
+    def test_assignment_blocks_share_identity_after_load(
+            self, assert_static_shape):
         loaded = program_from_payload(program_to_payload(_compiled()))
-        assert all(a is b for a, b in zip(loaded.assignment.blocks,
-                                          loaded.assignment.aggregation.blocks))
+        assert_static_shape(loaded)
+        (phase,) = loaded.phases
+        assert phase.assignment.aggregation is loaded.aggregation
+        assert all(a is b for a, b in zip(phase.assignment.blocks,
+                                          loaded.aggregation.blocks))
+        assert all(a is b for a, b in zip(loaded.blocks, phase.blocks))
 
     def test_bytes_are_deterministic(self):
         program = _compiled()
@@ -162,3 +168,41 @@ class TestProgramCodec:
         loaded = program_from_payload(program_to_payload(program))
         assert loaded.spans is not None
         assert loaded.spans.as_dict() == program.spans.as_dict()
+
+
+class TestProgramShape:
+    """The loader refuses payloads whose shape fields disagree: a static
+    program (``migrations`` null) is ``blocks_mode`` "assignment" with
+    ``remap`` "never", a phased one "phases" with "bursts"."""
+
+    @pytest.mark.parametrize("remap", ["never", "bursts"])
+    def test_explicit_blocks_mode_rejected(self, remap):
+        payload = program_to_payload(_compiled(num_qubits=8, nodes=4,
+                                               topology="line", remap=remap))
+        payload["blocks_mode"] = "explicit"
+        with pytest.raises(ValueError, match="disagree with migrations"):
+            program_from_payload(payload)
+
+    @pytest.mark.parametrize("remap, blocks_mode", [("never", "phases"),
+                                                    ("bursts", "assignment")])
+    def test_blocks_mode_disagreeing_with_migrations_rejected(self, remap,
+                                                              blocks_mode):
+        payload = program_to_payload(_compiled(num_qubits=8, nodes=4,
+                                               topology="line", remap=remap))
+        payload["blocks_mode"] = blocks_mode
+        with pytest.raises(ValueError, match="disagree with migrations"):
+            program_from_payload(payload)
+
+    def test_bursts_remap_without_migrations_rejected(self):
+        payload = program_to_payload(_compiled(num_qubits=6, nodes=2))
+        payload["remap"] = "bursts"
+        with pytest.raises(ValueError, match="disagree with migrations"):
+            program_from_payload(payload)
+
+    @pytest.mark.no_autoverify  # detaches the phase's mapping on purpose
+    def test_writer_refuses_a_static_program_off_its_own_phase(self):
+        program = _compiled(num_qubits=6, nodes=2)
+        detached = QubitMapping(program.mapping.as_dict(), program.network)
+        program.phases[0] = replace(program.phases[0], mapping=detached)
+        with pytest.raises(ValueError, match="must be one phase"):
+            program_to_payload(program)

@@ -15,6 +15,7 @@ from repro.hardware.topology import apply_topology
 from repro.ir import Circuit, decompose_to_cx
 from repro.partition import QubitMapping
 from repro.obs import MetricsRegistry
+from repro.persist import program_from_payload, program_to_payload
 from repro.sim import (
     MonteCarloResult,
     SimulationConfig,
@@ -63,10 +64,11 @@ class TestDeterministicExecution:
         assert result.latency == pytest.approx(qft_program.schedule.latency)
         assert result.mode == qft_program.schedule.mode
 
-    def test_all_items_covered(self, qft_program):
+    def test_all_items_covered(self, qft_program, assert_static_shape):
+        assert_static_shape(qft_program)
         result = simulate_program(qft_program)
         assert result.num_scheduled_items() \
-            == len(qft_program.assignment.items)
+            == len(qft_program.phases[0].assignment.items)
 
     def test_comm_qubit_capacity_respected(self):
         network = uniform_network(3, 4)
@@ -87,11 +89,13 @@ class TestDeterministicExecution:
         for value in result.node_utilisation().values():
             assert 0.0 <= value <= 1.0
 
-    @pytest.mark.no_autoverify  # deliberately corrupts the shared program
     def test_assignment_required(self, qft_program):
-        qft_program.assignment = None
-        with pytest.raises(ValueError):
-            simulate_program(qft_program)
+        # A static program cannot be built without its phase's assignment;
+        # a payload that lacks one is refused on load.
+        payload = program_to_payload(qft_program)
+        payload["assignment"] = None
+        with pytest.raises(ValueError, match="without an assignment"):
+            program_from_payload(payload)
 
 
 class TestTrace:
